@@ -24,12 +24,11 @@ inequalities on large deterministic samples.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import HFunctionId, h_eval
-from .means import MeanKind, PositivePair, eval_mean, half_sum_ratio
+from .means import _EVALUATORS, MeanKind, PositivePair, eval_mean, half_sum_ratio
 
 __all__ = [
     "CertificationReport",
@@ -148,6 +147,10 @@ def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
     t = eval_mean(spec.target, pair)
     h = eval_mean(spec.hi, pair)
     lo = eval_mean(spec.lo, pair)
+    if h == lo:
+        raise DegeneratePairError(
+            f"ratio of {spec.id} is 0/0: hi - lo rounds to 0 at a={pair.a!r}, b={pair.b!r}"
+        )
     return (t - lo) / (h - lo)
 
 
@@ -304,19 +307,30 @@ def _certify_chunk(
     start: int,
     stop: int,
 ) -> tuple[int, float, float | None]:
-    target, hi, lo = spec.target, spec.hi, spec.lo
+    """Violation count, worst margin and its x over sample indices [start, stop).
+
+    Every sample is the pair (x, 1) with x in [1 + 1e-12, 1e12], for which
+    eval_mean scales by m = x to the arguments (1.0, 1/x); 1/x cannot
+    underflow there, so calling the scaled evaluators on (1.0, 1/x) and
+    rescaling by x is the same arithmetic without a pair per sample.
+    """
+    f_target = _EVALUATORS[spec.target]
+    f_hi = _EVALUATORS[spec.hi]
+    f_lo = _EVALUATORS[spec.lo]
     span = _LN_X_HI - _LN_X_LO
+    one_minus_alpha = 1.0 - alpha
+    one_minus_beta = 1.0 - beta
     violations = 0
     worst = math.inf
     worst_x: float | None = None
     for i in range(start, stop):
         x = math.exp(_LN_X_LO + span * _unit(seed, i))
-        pair = PositivePair(x, 1.0)
-        t = eval_mean(target, pair)
-        h = eval_mean(hi, pair)
-        lo_v = eval_mean(lo, pair)
-        lower = alpha * h + (1.0 - alpha) * lo_v
-        upper = beta * h + (1.0 - beta) * lo_v
+        y = 1.0 / x
+        t = x * f_target(1.0, y)
+        h = x * f_hi(1.0, y)
+        lo_v = x * f_lo(1.0, y)
+        lower = alpha * h + one_minus_alpha * lo_v
+        upper = beta * h + one_minus_beta * lo_v
         margin = min((t - lower) / t, (upper - t) / t)
         if margin < worst or (margin == worst and worst_x is not None and x < worst_x):
             worst = margin
@@ -334,7 +348,6 @@ def certify(
     *,
     alpha: float | None = None,
     beta: float | None = None,
-    workers: int = 1,
 ) -> CertificationReport:
     """Sample-based certification of one double inequality.
 
@@ -350,33 +363,17 @@ def certify(
     probe counts as one violation.
 
     The report is a value, never an exception, and is deterministic for a
-    fixed seed regardless of ``workers``.
+    fixed seed.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers!r}")
     sharp = sharp_bounds(spec)
     a_const = sharp.alpha if alpha is None else float(alpha)
     b_const = sharp.beta if beta is None else float(beta)
 
-    if workers == 1:
-        chunks = [_certify_chunk(spec, a_const, b_const, tol, seed, 0, n_samples)]
-    else:
-        step = -(-n_samples // workers)
-        ranges = [(i, min(i + step, n_samples)) for i in range(0, n_samples, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda r: _certify_chunk(spec, a_const, b_const, tol, seed, *r), ranges)
-            )
-
-    violations = sum(c[0] for c in chunks)
-    worst, worst_x = math.inf, None
-    for _, margin, x in chunks:
-        if margin < worst or (margin == worst and x is not None and (worst_x is None or x < worst_x)):
-            worst, worst_x = margin, x
+    violations, worst, worst_x = _certify_chunk(spec, a_const, b_const, tol, seed, 0, n_samples)
 
     beta_gap = abs(ratio(spec, PositivePair(_BETA_PROBE_X, 1.0)) - sharp.beta)
     alpha_gap = abs(ratio(spec, PositivePair(_ALPHA_PROBE_X, 1.0)) - sharp.alpha)

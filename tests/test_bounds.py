@@ -8,6 +8,7 @@ from meanbound import (
     SPECS,
     DegeneratePairError,
     DomainError,
+    MeanBoundError,
     MeanKind,
     PositivePair,
     certify,
@@ -20,6 +21,7 @@ from meanbound import (
     ratio_via_kernel,
     sharp_bounds,
 )
+from meanbound.bounds import _LN_X_HI, _LN_X_LO, _certify_chunk, _unit
 
 # 60-digit reference values.
 RATIO_PROP11_2_1 = 0.8277638965669817  # h1(asin(1/3))
@@ -148,6 +150,21 @@ class TestRatio:
             ]
             assert all(b < a for a, b in zip(values, values[1:]))
 
+    def test_near_diagonal_is_finite_or_refused(self):
+        # hi - lo rounds to 0 this close to a == b; that must surface as a
+        # MeanBoundError, never as a bare ZeroDivisionError
+        for spec in SPECS.values():
+            for pair in (PositivePair(1 + 1e-12, 1.0), PositivePair(1.0, 1 + 1e-12)):
+                try:
+                    value = ratio(spec, pair)
+                except MeanBoundError:
+                    continue
+                assert math.isfinite(value)
+
+    def test_zero_denominator_names_the_spec(self):
+        with pytest.raises(DegeneratePairError, match="thm5.2"):
+            ratio(SPECS["thm5.2"], PositivePair(1 + 1e-15, 1.0))
+
 
 class TestNumericExtrema:
     def test_recovers_sharp_constants(self):
@@ -191,10 +208,20 @@ class TestCertify:
         b = certify(SPECS["thm5.2"], 3000, 9, 1e-12)
         assert a == b
 
-    def test_worker_count_does_not_change_report(self):
-        one = certify(SPECS["prop1.3"], 4000, 5, 1e-12)
-        four = certify(SPECS["prop1.3"], 4000, 5, 1e-12, workers=4)
-        assert one == four
+    def test_shards_merge_to_the_whole_range(self):
+        # the stream is keyed by (seed, index), so split index ranges merged
+        # with the same worst-margin / smallest-x tiebreak give the whole
+        spec = SPECS["prop1.3"]
+        sb = sharp_bounds(spec)
+        whole = _certify_chunk(spec, sb.alpha, sb.beta, 1e-12, 5, 0, 4000)
+        shards = [_certify_chunk(spec, sb.alpha, sb.beta, 1e-12, 5, i, j)
+                  for i, j in ((0, 1500), (1500, 4000))]
+        violations = sum(s[0] for s in shards)
+        worst, worst_x = math.inf, None
+        for _, margin, x in shards:
+            if margin < worst or (margin == worst and (worst_x is None or x < worst_x)):
+                worst, worst_x = margin, x
+        assert (violations, worst, worst_x) == whole
 
     def test_lowered_beta_is_violated(self):
         # beta = 0.83 < 5/6 must fail near x -> 1
@@ -224,8 +251,39 @@ class TestCertify:
             certify(SPECS["prop1.1"], 0, 42, 1e-12)
         with pytest.raises(DomainError):
             certify(SPECS["prop1.1"], 10, 42, 0.0)
-        with pytest.raises(DomainError):
-            certify(SPECS["prop1.1"], 10, 42, 1e-12, workers=0)
+
+
+def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
+    """Reference for _certify_chunk: the same sample body through a
+    PositivePair and three eval_mean dispatches per sample."""
+    span = _LN_X_HI - _LN_X_LO
+    violations, worst, worst_x = 0, math.inf, None
+    for i in range(start, stop):
+        x = math.exp(_LN_X_LO + span * _unit(seed, i))
+        pair = PositivePair(x, 1.0)
+        t = eval_mean(spec.target, pair)
+        h = eval_mean(spec.hi, pair)
+        lo_v = eval_mean(spec.lo, pair)
+        lower = alpha * h + (1.0 - alpha) * lo_v
+        upper = beta * h + (1.0 - beta) * lo_v
+        margin = min((t - lower) / t, (upper - t) / t)
+        if margin < worst or (margin == worst and worst_x is not None and x < worst_x):
+            worst, worst_x = margin, x
+        if margin < -tol:
+            violations += 1
+    return violations, worst, worst_x
+
+
+class TestFusedLoop:
+    @pytest.mark.parametrize("spec_id", sorted(SPECS))
+    @pytest.mark.parametrize("seed", [3, 42, 20260808])
+    def test_bit_identical_to_reference(self, spec_id, seed):
+        spec = SPECS[spec_id]
+        sb = sharp_bounds(spec)
+        for alpha, beta in ((sb.alpha, sb.beta), (sb.alpha + 1e-3, sb.beta),
+                            (sb.alpha, sb.beta - 1e-6)):
+            fused = _certify_chunk(spec, alpha, beta, 1e-12, seed, 0, 3000)
+            assert fused == _reference_chunk(spec, alpha, beta, 1e-12, seed, 0, 3000)
 
 
 class TestEquivalence:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -127,6 +128,19 @@ class TestCertifyCommand:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    # SHA-256 of the stdout of `meanbound certify --id all --samples 2000
+    # --seed 42 --format <fmt>`; any change to a report's bits changes these.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "1ce92ff21966430ffbcfb8b2373d7aae9c222f26a80eca4287675777245a217b"),
+        ("text", "70c57ff0ca6846df153d02a13ff663e56f7f324c180f969a0b78dd34c2e70195"),
+        ("csv", "740ea48464cc6aa9f3bba0730820bd2fb2fab92425fe17349e8a80971a06759e"),
+    ])
+    def test_pinned_stdout(self, capsys, fmt, digest):
+        code, out, _ = run_cli(capsys, "certify", "--id", "all", "--samples", "2000",
+                               "--seed", "42", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSeriesCommand:
