@@ -23,7 +23,6 @@ from .bounds import (
 )
 from .errors import ConvergenceError, DegeneratePairError, DomainError, MeanBoundError
 from .kernels import (
-    BERNOULLI_ENV_VAR,
     H_INFO,
     HFunctionId,
     HFunctionInfo,
@@ -46,7 +45,6 @@ from .means import MeanKind, PositivePair, eval_mean, half_sum_ratio, seiffert_p
 __version__ = "1.0.0"
 
 __all__ = [
-    "BERNOULLI_ENV_VAR",
     "BernoulliTable",
     "CertificationReport",
     "ConvergenceError",

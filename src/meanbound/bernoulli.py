@@ -56,13 +56,10 @@ def _zeta_even(s: int, cutoff: int = 1000) -> float:
 
 @dataclass(frozen=True)
 class BernoulliTable:
-    """B_2, B_4, ..., B_max_index as exact rationals, plus |B_2n| as
-    rationals and as binary64."""
+    """B_2, B_4, ..., B_max_index as exact rationals."""
 
     max_index: int
     values: tuple[Fraction, ...]
-    abs_values: tuple[Fraction, ...]
-    abs_floats: tuple[float, ...]
 
     @property
     def n_terms(self) -> int:
@@ -76,15 +73,11 @@ class BernoulliTable:
 
     def abs_b2n(self, n: int) -> Fraction:
         """|B_{2n}| as an exact rational."""
-        if not 1 <= n <= self.n_terms:
-            raise DomainError(f"table holds B_2 .. B_{self.max_index}, got n={n!r}")
-        return self.abs_values[n - 1]
+        return abs(self.b2n(n))
 
     def abs_b2n_float(self, n: int) -> float:
         """|B_{2n}| rounded once to binary64."""
-        if not 1 <= n <= self.n_terms:
-            raise DomainError(f"table holds B_2 .. B_{self.max_index}, got n={n!r}")
-        return self.abs_floats[n - 1]
+        return float(self.abs_b2n(n))
 
 
 def bernoulli_table(n_max: int) -> BernoulliTable:
@@ -99,20 +92,18 @@ def bernoulli_table(n_max: int) -> BernoulliTable:
 
     raw = _bernoulli_exact(n_max)
     values = tuple(raw[2 * n] for n in range(1, n_max // 2 + 1))
-    abs_values = tuple(abs(v) for v in values)
-    abs_floats = tuple(float(v) for v in abs_values)
 
     if values[0] != Fraction(1, 6):
         raise ArithmeticError(f"B_2 must be 1/6, recurrence produced {values[0]}")
     if n_max >= 4 and values[1] != Fraction(-1, 30):
         raise ArithmeticError(f"B_4 must be -1/30, recurrence produced {values[1]}")
+    two_pi = 2.0 * math.pi
     for n, v in enumerate(values, start=1):
         if (v if n % 2 == 1 else -v) <= 0:
             raise ArithmeticError(f"sign pattern (-1)^(n-1) B_2n > 0 fails at n={n}")
-    two_pi = 2.0 * math.pi
-    for n, av in enumerate(abs_floats, start=1):
+        av = float(abs(v))
         ref = 2.0 * math.factorial(2 * n) * _zeta_even(2 * n) / two_pi ** (2 * n)
         if abs(av - ref) > _ZETA_TOL * ref:
             raise ArithmeticError(f"zeta cross-check fails at n={n}: |B_2n|={av!r}, reference={ref!r}")
 
-    return BernoulliTable(n_max, values, abs_values, abs_floats)
+    return BernoulliTable(n_max, values)

@@ -256,6 +256,12 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
 _M64 = (1 << 64) - 1
 
 
+def _check_integers(**named: object) -> None:
+    for name, value in named.items():
+        if not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _unit(seed: int, index: int) -> float:
     z = (seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xD1B54A32D192ED03) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -365,6 +371,7 @@ def certify(
     The report is a value, never an exception, and is deterministic for a
     fixed seed.
     """
+    _check_integers(n_samples=n_samples, seed=seed)
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
     if not tol > 0.0:
@@ -416,6 +423,7 @@ def equivalence_check(
     the ratios are quotients of mean differences, whose rounding noise
     near a == b would swamp a 1e-12 comparison.
     """
+    _check_integers(n_samples=n_samples, seed=seed)
     base = SPECS["prop1.1"]
     s_half = SPECS["prop1.2"] if spec_half is None else spec_half
     s_tq = SPECS["prop1.4"] if spec_three_quarters is None else spec_three_quarters

@@ -30,16 +30,16 @@ from __future__ import annotations
 
 import enum
 import math
-import os
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .bernoulli import MAX_INDEX, BernoulliTable, bernoulli_table
 from .errors import DomainError
 
 __all__ = [
-    "BERNOULLI_ENV_VAR",
     "HFunctionId",
     "HFunctionInfo",
     "H_INFO",
@@ -57,9 +57,6 @@ __all__ = [
     "h_eval",
     "h_limit",
 ]
-
-#: environment variable capping the shared Bernoulli table (default 64)
-BERNOULLI_ENV_VAR = "MEANBOUND_BERNOULLI_MAX"
 
 #: series/direct switch point for the kernel functions
 X_SWITCH = 0.5
@@ -85,26 +82,10 @@ class SeriesEvaluation:
     truncation_bound: float
 
 
-def _env_max_index() -> int:
-    raw = os.environ.get(BERNOULLI_ENV_VAR)
-    if raw is None:
-        return MAX_INDEX
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise DomainError(
-            f"{BERNOULLI_ENV_VAR} must be an even integer in [2, {MAX_INDEX}], got {raw!r}"
-        ) from exc
-
-
 @lru_cache(maxsize=None)
-def _cached_table(n_max: int) -> BernoulliTable:
-    return bernoulli_table(n_max)
-
-
 def default_table() -> BernoulliTable:
-    """The shared Bernoulli table, sized by MEANBOUND_BERNOULLI_MAX."""
-    return _cached_table(_env_max_index())
+    """The shared table of B_2 .. B_64, built and validated on first use."""
+    return bernoulli_table(MAX_INDEX)
 
 
 # ---------------------------------------------------------------------------
@@ -168,34 +149,17 @@ def h3_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fracti
     ]
 
 
-@lru_cache(maxsize=None)
-def _csc_floats(table: BernoulliTable) -> tuple[float, ...]:
-    order = min(_MAX_TERMS, table.n_terms)
-    return tuple(float(c) for _, c in csc_coefficients(order, table))
+_SERIES_COEFFICIENTS = (
+    csc_coefficients, cot_coefficients, csc_sq_coefficients, h1_coefficients, h3_coefficients
+)
 
 
 @lru_cache(maxsize=None)
-def _cot_floats(table: BernoulliTable) -> tuple[float, ...]:
+def _float_coefficients(table: BernoulliTable) -> Mapping[Callable, tuple[float, ...]]:
+    """Binary64 coefficients of the five series, keyed by coefficient function."""
     order = min(_MAX_TERMS, table.n_terms)
-    return tuple(float(c) for _, c in cot_coefficients(order, table))
-
-
-@lru_cache(maxsize=None)
-def _csc_sq_floats(table: BernoulliTable) -> tuple[float, ...]:
-    order = min(_MAX_TERMS, table.n_terms)
-    return tuple(float(c) for _, c in csc_sq_coefficients(order, table))
-
-
-@lru_cache(maxsize=None)
-def _h1_floats(table: BernoulliTable) -> tuple[float, ...]:
-    order = min(_MAX_TERMS, table.n_terms)
-    return tuple(float(c) for _, c in h1_coefficients(order, table))
-
-
-@lru_cache(maxsize=None)
-def _h3_floats(table: BernoulliTable) -> tuple[float, ...]:
-    order = min(_MAX_TERMS, table.n_terms)
-    return tuple(float(c) for _, c in h3_coefficients(order, table))
+    coefficients = {fn: tuple(float(c) for _, c in fn(order, table)) for fn in _SERIES_COEFFICIENTS}
+    return MappingProxyType(coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +196,7 @@ def csc_series(x: float, table: BernoulliTable | None = None) -> SeriesEvaluatio
     _sine_domain(x)
     if table is None:
         table = default_table()
-    return _series_sum(1.0 / x, _csc_floats(table), x, x * x)
+    return _series_sum(1.0 / x, _float_coefficients(table)[csc_coefficients], x, x * x)
 
 
 def cot_series(x: float, table: BernoulliTable | None = None) -> SeriesEvaluation:
@@ -240,7 +204,7 @@ def cot_series(x: float, table: BernoulliTable | None = None) -> SeriesEvaluatio
     _sine_domain(x)
     if table is None:
         table = default_table()
-    return _series_sum(1.0 / x, _cot_floats(table), x, x * x)
+    return _series_sum(1.0 / x, _float_coefficients(table)[cot_coefficients], x, x * x)
 
 
 def csc_sq_series(x: float, table: BernoulliTable | None = None) -> SeriesEvaluation:
@@ -248,7 +212,7 @@ def csc_sq_series(x: float, table: BernoulliTable | None = None) -> SeriesEvalua
     _sine_domain(x)
     if table is None:
         table = default_table()
-    return _series_sum(1.0 / (x * x), _csc_sq_floats(table), 1.0, x * x)
+    return _series_sum(1.0 / (x * x), _float_coefficients(table)[csc_sq_coefficients], 1.0, x * x)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +251,11 @@ def _h1_direct(x: float) -> float:
 
 
 def _h2_direct(x: float) -> float:
+    # 1 - cos x as 2 sin^2(x/2), which does not cancel near 2 pi
     s = math.sin(x)
     c = math.cos(x)
-    return (s - x * c) / (x * (1.0 - c))
+    h = math.sin(0.5 * x)
+    return (s - x * c) / (x * (2.0 * h * h))
 
 
 def _h3_direct(x: float) -> float:
@@ -337,7 +303,7 @@ def _poly(coeffs: tuple[float, ...], w: float) -> float:
 
 
 def _h1_series(x: float) -> float:
-    return _series_sum(0.0, _h1_floats(default_table()), 1.0, x * x).value
+    return _series_sum(0.0, _float_coefficients(default_table())[h1_coefficients], 1.0, x * x).value
 
 
 def _h2_series(x: float) -> float:
@@ -346,7 +312,7 @@ def _h2_series(x: float) -> float:
 
 
 def _h3_series(x: float) -> float:
-    return _series_sum(0.0, _h3_floats(default_table()), 1.0, x * x).value
+    return _series_sum(0.0, _float_coefficients(default_table())[h3_coefficients], 1.0, x * x).value
 
 
 def _h4_series(x: float) -> float:

@@ -251,6 +251,14 @@ class TestCertify:
             certify(SPECS["prop1.1"], 0, 42, 1e-12)
         with pytest.raises(DomainError):
             certify(SPECS["prop1.1"], 10, 42, 0.0)
+        with pytest.raises(DomainError):
+            certify(SPECS["prop1.1"], 10.5, 1, 1e-12)
+        with pytest.raises(DomainError):
+            certify(SPECS["prop1.1"], 10, 1.5, 1e-12)
+        with pytest.raises(DomainError):
+            equivalence_check(n_samples=2.5)
+        with pytest.raises(DomainError):
+            equivalence_check(seed=1.5)
 
 
 def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
