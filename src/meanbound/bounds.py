@@ -24,6 +24,7 @@ inequalities on large deterministic samples.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
@@ -262,6 +263,16 @@ def _check_integers(**named: object) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_finite(**named: object) -> None:
+    for name, value in named.items():
+        try:
+            finite = isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # an int too large for binary64
+            finite = False
+        if not finite:
+            raise DomainError(f"{name} must be a finite real number, got {value!r}")
+
+
 def _unit(seed: int, index: int) -> float:
     z = (seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xD1B54A32D192ED03) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -374,6 +385,7 @@ def certify(
     _check_integers(n_samples=n_samples, seed=seed)
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
+    _check_finite(tol=tol, **{n: v for n, v in (("alpha", alpha), ("beta", beta)) if v is not None})
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     sharp = sharp_bounds(spec)
@@ -424,6 +436,11 @@ def equivalence_check(
     near a == b would swamp a 1e-12 comparison.
     """
     _check_integers(n_samples=n_samples, seed=seed)
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
+    _check_finite(rel_tol=rel_tol)
+    if not rel_tol > 0.0:
+        raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
     base = SPECS["prop1.1"]
     s_half = SPECS["prop1.2"] if spec_half is None else spec_half
     s_tq = SPECS["prop1.4"] if spec_three_quarters is None else spec_three_quarters

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any
 
 from .bounds import SPECS, certify, sharp_bounds
-from .errors import MeanBoundError
+from .errors import DomainError, MeanBoundError
 from .kernels import (
     HFunctionId,
     csc_coefficients,
@@ -45,16 +45,6 @@ _SERIES_FNS = {
 _SERIES_MAX_ORDER = 16
 
 
-def _record(command: str, inputs: dict[str, Any], results: list[dict[str, Any]]) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "precision": {"float": "binary64", "digits": 17},
-        "results": results,
-    }
-
-
 def _cell(value: Any) -> str:
     # repr of a float is its shortest round-trip form, identical to the
     # JSON rendering, so CSV and JSON payloads match byte for byte.
@@ -65,58 +55,40 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _emit_structured(record: dict[str, Any], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(record, indent=2))
-    elif fmt == "csv":
-        results = record["results"]
-        columns = list(results[0].keys()) if results else []
-        lines = [",".join(columns)]
-        lines.extend(",".join(_cell(row[col]) for col in columns) for row in results)
-        print("\n".join(lines))
-    else:
-        raise AssertionError(f"unhandled format {fmt!r}")
-
-
 def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
+#
+# Each handler only computes.  It returns the inputs echoed in the JSON
+# record, the result rows shared by CSV and JSON, the text-format lines,
+# and the exit code; main renders whichever format was asked for.
+
+_Result = tuple[dict[str, Any], list[dict[str, Any]], list[str], int]
+
+_CERTIFY_COLUMNS = (
+    "id", "samples", "violations", "worst_margin", "worst_x",
+    "alpha_probe_gap", "beta_probe_gap", "seed", "tolerance",
+)
 
 
-def _cmd_mean(args: argparse.Namespace) -> int:
-    kind = _KIND_BY_CODE[args.kind]
-    value = eval_mean(kind, PositivePair(args.a, args.b))
-    if args.format == "text":
-        print(repr(value))
-        return 0
-    record = _record(
-        "mean",
-        {"kind": args.kind, "a": args.a, "b": args.b},
-        [{"kind": args.kind, "a": args.a, "b": args.b, "value": value}],
-    )
-    _emit_structured(record, args.format)
-    return 0
+def _cmd_mean(args: argparse.Namespace) -> _Result:
+    value = eval_mean(_KIND_BY_CODE[args.kind], PositivePair(args.a, args.b))
+    inputs = {"kind": args.kind, "a": args.a, "b": args.b}
+    return inputs, [{**inputs, "value": value}], [repr(value)], 0
 
 
-def _cmd_hfun(args: argparse.Namespace) -> int:
+def _cmd_hfun(args: argparse.Namespace) -> _Result:
     value = h_eval(HFunctionId(args.id), args.x)
-    if args.format == "text":
-        print(repr(value))
-        return 0
-    record = _record(
-        "hfun",
-        {"id": args.id, "x": args.x},
-        [{"id": args.id, "x": args.x, "value": value}],
-    )
-    _emit_structured(record, args.format)
-    return 0
+    inputs = {"id": args.id, "x": args.x}
+    return inputs, [{**inputs, "value": value}], [repr(value)], 0
 
 
-def _bounds_rows() -> list[dict[str, Any]]:
+def _cmd_bounds_table(args: argparse.Namespace) -> _Result:
     rows = []
+    lines = [f"{'id':<9}{'target':<8}{'hi':<6}{'lo':<6}{'alpha':<54}{'beta':<28}{'kernel'}"]
     for spec in SPECS.values():
         sb = sharp_bounds(spec)
         rows.append(
@@ -132,77 +104,50 @@ def _bounds_rows() -> list[dict[str, Any]]:
                 "kernel": spec.kernel.value,
             }
         )
-    return rows
+        alpha = f"{sb.alpha_exact} = {sb.alpha!r}"
+        beta = f"{sb.beta_exact} = {sb.beta!r}"
+        lines.append(
+            f"{spec.id:<9}{spec.target.value:<8}{spec.hi.value:<6}{spec.lo.value:<6}"
+            f"{alpha:<54}{beta:<28}{spec.kernel.value}"
+        )
+    return {}, rows, lines, 0
 
 
-def _cmd_bounds_table(args: argparse.Namespace) -> int:
-    rows = _bounds_rows()
-    if args.format == "text":
-        header = f"{'id':<9}{'target':<8}{'hi':<6}{'lo':<6}{'alpha':<54}{'beta':<28}{'kernel'}"
-        print(header)
-        for r in rows:
-            alpha = f"{r['alpha_exact']} = {r['alpha']!r}"
-            beta = f"{r['beta_exact']} = {r['beta']!r}"
-            print(f"{r['id']:<9}{r['target']:<8}{r['hi']:<6}{r['lo']:<6}{alpha:<54}{beta:<28}{r['kernel']}")
-        return 0
-    _emit_structured(_record("bounds-table", {}, rows), args.format)
-    return 0
-
-
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> _Result:
     ids = list(SPECS) if args.id == "all" else [args.id]
     rows = []
+    lines = []
     for spec_id in ids:
         report = certify(SPECS[spec_id], args.samples, args.seed, args.tol)
-        rows.append(
-            {
-                "id": report.id,
-                "samples": report.samples,
-                "violations": report.violations,
-                "worst_margin": report.worst_margin,
-                "worst_x": report.worst_x,
-                "alpha_probe_gap": report.alpha_probe_gap,
-                "beta_probe_gap": report.beta_probe_gap,
-                "seed": report.seed,
-                "tolerance": report.tolerance,
-            }
+        rows.append({column: getattr(report, column) for column in _CERTIFY_COLUMNS})
+        status = "ok" if report.violations == 0 else "VIOLATED"
+        lines.append(
+            f"{report.id:<9}{status:<10}samples={report.samples}  violations={report.violations}  "
+            f"worst_margin={report.worst_margin!r}"
         )
-    exit_code = 0 if all(r["violations"] == 0 for r in rows) else 1
-    if args.format == "text":
-        for r in rows:
-            status = "ok" if r["violations"] == 0 else "VIOLATED"
-            print(
-                f"{r['id']:<9}{status:<10}samples={r['samples']}  violations={r['violations']}  "
-                f"worst_margin={r['worst_margin']!r}"
-            )
-        return exit_code
     inputs = {"id": args.id, "samples": args.samples, "seed": args.seed, "tol": args.tol}
-    _emit_structured(_record("certify", inputs, rows), args.format)
-    return exit_code
+    return inputs, rows, lines, 0 if all(r["violations"] == 0 for r in rows) else 1
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
-    table = default_table()
-    coefficients = _SERIES_FNS[args.fn](args.order, table)
+def _cmd_series(args: argparse.Namespace) -> _Result:
+    if not 1 <= args.order <= _SERIES_MAX_ORDER:
+        raise DomainError(f"--order must be in [1, {_SERIES_MAX_ORDER}], got {args.order}")
+    coefficients = _SERIES_FNS[args.fn](args.order, default_table())
     rows = [
         {"n": n, "power": power, "exact": _fraction_str(coeff), "value": float(coeff)}
         for n, (power, coeff) in enumerate(coefficients, start=1)
     ]
-    if args.format == "text":
-        for r in rows:
-            print(f"x^{r['power']:<4}{r['exact']:<24}{r['value']!r}")
-        return 0
-    inputs = {"fn": args.fn, "order": args.order}
-    _emit_structured(_record("series", inputs, rows), args.format)
-    return 0
+    lines = [f"x^{r['power']:<4}{r['exact']:<24}{r['value']!r}" for r in rows]
+    return {"fn": args.fn, "order": args.order}, rows, lines, 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_format(parser: argparse.ArgumentParser, choices=("text", "csv", "json")) -> None:
-    parser.add_argument("--format", choices=choices, default="text", help="output format")
+def _add_format(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("text", "csv", "json"), default="text",
+                        help="output format")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,14 +197,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "series" and not 1 <= args.order <= _SERIES_MAX_ORDER:
-        print(f"error: --order must be in [1, {_SERIES_MAX_ORDER}], got {args.order}", file=sys.stderr)
-        return 2
     try:
-        return args.handler(args)
+        inputs, rows, lines, exit_code = args.handler(args)
     except MeanBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "text":
+        print("\n".join(lines))
+    elif args.format == "json":
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": inputs,
+            "precision": {"float": "binary64", "digits": 17},
+            "results": rows,
+        }
+        print(json.dumps(record, indent=2))
+    else:
+        columns = list(rows[0])
+        csv_lines = [",".join(columns), *(",".join(_cell(row[c]) for c in columns) for row in rows)]
+        print("\n".join(csv_lines))
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -187,32 +187,29 @@ def _sine_domain(x: float) -> None:
         raise DomainError(f"series argument must satisfy 0 < |x| < pi, got {x!r}")
 
 
-def csc_series(x: float, table: BernoulliTable | None = None) -> SeriesEvaluation:
+def csc_series(x: float) -> SeriesEvaluation:
     """1/sin x via its series, truncated adaptively.
 
     Agrees with direct 1/sin x to better than 1e-12 relative on
     |x| <= pi/2; convergence degrades as |x| -> pi (see truncation_bound).
     """
     _sine_domain(x)
-    if table is None:
-        table = default_table()
-    return _series_sum(1.0 / x, _float_coefficients(table)[csc_coefficients], x, x * x)
+    coeffs = _float_coefficients(default_table())[csc_coefficients]
+    return _series_sum(1.0 / x, coeffs, x, x * x)
 
 
-def cot_series(x: float, table: BernoulliTable | None = None) -> SeriesEvaluation:
+def cot_series(x: float) -> SeriesEvaluation:
     """cot x via its series, truncated adaptively."""
     _sine_domain(x)
-    if table is None:
-        table = default_table()
-    return _series_sum(1.0 / x, _float_coefficients(table)[cot_coefficients], x, x * x)
+    coeffs = _float_coefficients(default_table())[cot_coefficients]
+    return _series_sum(1.0 / x, coeffs, x, x * x)
 
 
-def csc_sq_series(x: float, table: BernoulliTable | None = None) -> SeriesEvaluation:
+def csc_sq_series(x: float) -> SeriesEvaluation:
     """1/sin^2 x via its series; equals the negated derivative of cot x."""
     _sine_domain(x)
-    if table is None:
-        table = default_table()
-    return _series_sum(1.0 / (x * x), _float_coefficients(table)[csc_sq_coefficients], 1.0, x * x)
+    coeffs = _float_coefficients(default_table())[csc_sq_coefficients]
+    return _series_sum(1.0 / (x * x), coeffs, 1.0, x * x)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,22 @@ class TestCertify:
             equivalence_check(n_samples=2.5)
         with pytest.raises(DomainError):
             equivalence_check(seed=1.5)
+        # Non-finite or non-numeric constants and tolerance: a NaN or an
+        # infinity would make every sample pass without a real check.
+        spec = SPECS["prop1.1"]
+        for bad in (math.nan, math.inf, -math.inf, 10**400, "abc", [1.0]):
+            for kwargs in ({"alpha": bad}, {"beta": bad}):
+                with pytest.raises(DomainError):
+                    certify(spec, 1000, 1, 1e-12, **kwargs)
+            with pytest.raises(DomainError):
+                certify(spec, 1000, 1, bad)
+        # equivalence_check must refuse the arguments that would let a
+        # crooked spec through unchecked.
+        crooked = dataclasses.replace(SPECS["prop1.2"], p=0.51)
+        for kwargs in ({"n_samples": 0}, {"n_samples": -3}, {"rel_tol": math.nan},
+                       {"rel_tol": math.inf}, {"rel_tol": 0.0}, {"rel_tol": "abc"}):
+            with pytest.raises(DomainError):
+                equivalence_check(spec_half=crooked, **kwargs)
 
 
 def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):

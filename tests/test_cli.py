@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from meanbound import cli
+from meanbound.bounds import certify, sharp_bounds
 from meanbound.cli import main
 
 P_2_1_REPR = "1.4712939827611637"  # repr of eval_mean(SEIFFERT_P, (2, 1))
@@ -122,6 +124,13 @@ class TestCertifyCommand:
         assert code == 2
         assert "error" in err
 
+    def test_infinite_tol_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--id", "prop1.1", "--samples", "10",
+                                 "--tol", "inf")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_deterministic_output(self, capsys):
         args = ("certify", "--id", "thm5.2", "--samples", "1500", "--seed", "8",
                 "--format", "json")
@@ -141,6 +150,76 @@ class TestCertifyCommand:
                                "--seed", "42", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_FORMATS = ("text", "csv", "json")
+
+# Every command in every format, error exits included; each argv runs
+# once per format with `--format <fmt>` appended.
+_TRANSCRIPT_ARGVS = {
+    "mean": [
+        ("mean", "--kind", kind, "--a", a, "--b", b)
+        for kind in ("C", "Cbar", "A", "G", "H", "S", "P", "T")
+        for a, b in (("2", "1"), ("1", "1e6"), ("-1", "2"))
+    ],
+    "hfun": [
+        ("hfun", "--id", fn, "--x", x)
+        for fn in ("h1", "h2", "h3", "h4")
+        for x in ("0.25", "1.0", "3.2", "7.0")
+    ],
+    "bounds-table": [("bounds-table",)],
+    "series": [
+        ("series", "--fn", fn, "--order", order)
+        for fn in ("csc", "cot", "cscsq", "h1", "h3")
+        for order in ("0", "1", "16", "17")
+    ],
+    "certify": [
+        ("certify", "--id", "thm5.1", "--samples", "700", "--seed", "5"),
+        ("certify", "--id", "all", "--samples", "300", "--seed", "9"),
+        ("certify", "--id", "prop1.1", "--samples", "0"),
+        ("certify", "--id", "prop1.1", "--samples", "10", "--tol", "0"),
+    ],
+}
+
+
+def _transcript_digest(capsys, argvs):
+    digest = hashlib.sha256()
+    for argv in argvs:
+        for fmt in _FORMATS:
+            full = [*argv, "--format", fmt]
+            code, out, err = run_cli(capsys, *full)
+            digest.update(json.dumps([full, code, out, err]).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedTranscripts:
+    # SHA-256 over (argv, exit code, stdout, stderr) of every argv above,
+    # in all three formats: any change to the bytes a command writes
+    # changes its digest.
+    @pytest.mark.parametrize("command, digest", [
+        ("mean", "04aebd89f6c4d3b9d76508107439bbe446a790eced4acb7f1d0f25e18c03465a"),
+        ("hfun", "82bfc65532f021ad70c42bf42642ba183cc2bf885bf99c66ef88d1b1877873bd"),
+        ("bounds-table", "921c0216515d4792291948ff3981520049949a31a427633c931165015082e8c4"),
+        ("series", "3ba4ab74ebb52e02865bcbbb62c1be4524497e1f56617b6b7f8bde81008e7171"),
+        ("certify", "c3db83041517aa700bac0a6b72be0700e6de2a65a0869c0f87cb29885abec266"),
+    ])
+    def test_pinned_bytes(self, capsys, command, digest):
+        assert _transcript_digest(capsys, _TRANSCRIPT_ARGVS[command]) == digest
+
+    def test_pinned_violation_bytes(self, capsys, monkeypatch):
+        # Sharp constants pass on every sample, so a violation needs a
+        # raised alpha, which certify reports on every spec.
+        def raised_alpha(spec, n_samples, seed, tol):
+            return certify(spec, n_samples, seed, tol, alpha=sharp_bounds(spec).alpha + 1e-3)
+
+        monkeypatch.setattr(cli, "certify", raised_alpha)
+        argv = ("certify", "--id", "all", "--samples", "300", "--seed", "9")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.count("VIOLATED") == 7
+        assert _transcript_digest(capsys, [argv]) == (
+            "07f523b3dc64e6f9a724e08f39edb0cbb79c97a3dd016e4c53410443a3db5f0a"
+        )
 
 
 class TestSeriesCommand:

@@ -103,10 +103,6 @@ class TestReciprocalSineSeries:
         assert near_pi.terms_used <= 32
         assert near_pi.truncation_bound >= 0.0
 
-    def test_explicit_table_argument(self):
-        table = bernoulli_table(16)
-        assert csc_series(0.1, table).value == approx(CSC_01, rel=1e-13)
-
 
 class TestCoefficients:
     def test_h1_leading_terms(self):
