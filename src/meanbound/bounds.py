@@ -15,10 +15,10 @@ kernels are strictly monotone, so the ratio
 moves strictly between its two endpoint limits: beta is approached as
 a -> b and alpha as a/b -> inf, and neither constant can be improved.
 
-This module carries the seven reductions as data, produces the sharp
-constants in closed form, recovers them independently by golden-section
-probing plus Richardson extrapolation of the kernel, and certifies the
-inequalities on large deterministic samples.
+This module states each reduction once, as data, derives the sharp
+constants from it (alpha in closed form, beta exactly), recovers them
+independently by golden-section probing plus Richardson extrapolation
+of the kernel, and certifies the inequalities on deterministic samples.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
-from .kernels import HFunctionId, h_eval
+from .kernels import H_INFO, HFunctionId, h_eval
 from .means import _EVALUATORS, MeanKind, PositivePair, eval_mean, half_sum_ratio
 
 __all__ = [
@@ -45,6 +46,26 @@ __all__ = [
 ]
 
 
+def _check_integers(**named: object) -> None:
+    for name, value in named.items():
+        if not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_finite(**named: object) -> None:
+    for name, value in named.items():
+        try:
+            finite = isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # an int too large for binary64
+            finite = False
+        if not finite:
+            raise DomainError(f"{name} must be a finite real number, got {value!r}")
+
+
+# theta_sub -> (inverse recovering theta from t, right end of the theta range)
+_THETA_SUBS = {"sin": (math.asin, 0.5 * math.pi), "tan": (math.atan, 0.25 * math.pi)}
+
+
 @dataclass(frozen=True)
 class InequalitySpec:
     """One double inequality and its kernel reduction.
@@ -52,7 +73,7 @@ class InequalitySpec:
     The claim is alpha*hi + (1-alpha)*lo < target < beta*hi + (1-beta)*lo,
     and (target - lo)/(hi - lo) == p*h(theta) + q with t = (x-1)/(x+1) and
     t = sin(theta) ('sin') or t = tan(theta) ('tan'), theta in
-    (0, theta_right).
+    (0, theta_right), where theta_right is pi/2 or pi/4 accordingly.
     """
 
     id: str
@@ -61,31 +82,36 @@ class InequalitySpec:
     lo: MeanKind
     kernel: HFunctionId
     theta_sub: str
-    theta_right: float
     p: float
     q: float
 
+    def __post_init__(self) -> None:
+        if self.theta_sub not in _THETA_SUBS:
+            raise DomainError(f"theta_sub must be 'sin' or 'tan', got {self.theta_sub!r}")
+        _check_finite(p=self.p, q=self.q)
 
-_HALF_PI = 0.5 * math.pi
-_QUARTER_PI = 0.25 * math.pi
+    @property
+    def theta_right(self) -> float:
+        return _THETA_SUBS[self.theta_sub][1]
+
 
 SPECS: dict[str, InequalitySpec] = {
     s.id: s
     for s in (
         InequalitySpec("prop1.1", MeanKind.SEIFFERT_P, MeanKind.ARITHMETIC,
-                       MeanKind.HARMONIC, HFunctionId.H1, "sin", _HALF_PI, 1.0, 0.0),
+                       MeanKind.HARMONIC, HFunctionId.H1, "sin", 1.0, 0.0),
         InequalitySpec("prop1.2", MeanKind.SEIFFERT_P, MeanKind.CONTRA_HARMONIC,
-                       MeanKind.HARMONIC, HFunctionId.H1, "sin", _HALF_PI, 0.5, 0.0),
+                       MeanKind.HARMONIC, HFunctionId.H1, "sin", 0.5, 0.0),
         InequalitySpec("prop1.3", MeanKind.SEIFFERT_T, MeanKind.ROOT_SQUARE,
-                       MeanKind.ARITHMETIC, HFunctionId.H2, "tan", _QUARTER_PI, 1.0, 0.0),
+                       MeanKind.ARITHMETIC, HFunctionId.H2, "tan", 1.0, 0.0),
         InequalitySpec("prop1.4", MeanKind.SEIFFERT_P, MeanKind.CENTROIDAL,
-                       MeanKind.HARMONIC, HFunctionId.H1, "sin", _HALF_PI, 0.75, 0.0),
+                       MeanKind.HARMONIC, HFunctionId.H1, "sin", 0.75, 0.0),
         InequalitySpec("thm5.1", MeanKind.SEIFFERT_T, MeanKind.CONTRA_HARMONIC,
-                       MeanKind.HARMONIC, HFunctionId.H3, "tan", _QUARTER_PI, -0.5, 1.0),
+                       MeanKind.HARMONIC, HFunctionId.H3, "tan", -0.5, 1.0),
         InequalitySpec("thm5.2", MeanKind.ROOT_SQUARE, MeanKind.CONTRA_HARMONIC,
-                       MeanKind.SEIFFERT_T, HFunctionId.H4, "tan", _QUARTER_PI, 1.0, 0.0),
+                       MeanKind.SEIFFERT_T, HFunctionId.H4, "tan", 1.0, 0.0),
         InequalitySpec("thm5.3", MeanKind.SEIFFERT_P, MeanKind.ARITHMETIC,
-                       MeanKind.GEOMETRIC, HFunctionId.H2, "sin", _HALF_PI, 1.0, 0.0),
+                       MeanKind.GEOMETRIC, HFunctionId.H2, "sin", 1.0, 0.0),
     )
 }
 
@@ -102,28 +128,20 @@ class SharpBounds:
     beta: float
     alpha_exact: str
     beta_exact: str
-    alpha_attained: str = "a/b -> inf"
-    beta_attained: str = "a -> b"
 
 
 _SQRT2 = math.sqrt(2.0)
 
-# Closed forms of the affine images p*h(theta_right) + q and p*h(0+) + q.
-_CLOSED_FORMS: dict[str, tuple[tuple[str, float], tuple[str, float]]] = {
-    "prop1.1": (("2/pi", 2.0 / math.pi), ("5/6", 5.0 / 6.0)),
-    "prop1.2": (("1/pi", 1.0 / math.pi), ("5/12", 5.0 / 12.0)),
-    "prop1.3": (
-        ("(4-pi)/((sqrt2-1)*pi)", (4.0 - math.pi) / ((_SQRT2 - 1.0) * math.pi)),
-        ("2/3", 2.0 / 3.0),
-    ),
-    "prop1.4": (("3/(2*pi)", 3.0 / (2.0 * math.pi)), ("5/8", 5.0 / 8.0)),
-    "thm5.1": (("2/pi", 2.0 / math.pi), ("2/3", 2.0 / 3.0)),
-    "thm5.2": (
-        ("(pi-2*sqrt2)/(sqrt2*pi-2*sqrt2)",
-         (math.pi - 2.0 * _SQRT2) / (_SQRT2 * math.pi - 2.0 * _SQRT2)),
-        ("1/4", 0.25),
-    ),
-    "thm5.3": (("2/pi", 2.0 / math.pi), ("2/3", 2.0 / 3.0)),
+# Closed forms of the affine images p*h(theta_right) + q.
+_CLOSED_FORMS: dict[str, tuple[str, float]] = {
+    "prop1.1": ("2/pi", 2.0 / math.pi),
+    "prop1.2": ("1/pi", 1.0 / math.pi),
+    "prop1.3": ("(4-pi)/((sqrt2-1)*pi)", (4.0 - math.pi) / ((_SQRT2 - 1.0) * math.pi)),
+    "prop1.4": ("3/(2*pi)", 3.0 / (2.0 * math.pi)),
+    "thm5.1": ("2/pi", 2.0 / math.pi),
+    "thm5.2": ("(pi-2*sqrt2)/(sqrt2*pi-2*sqrt2)",
+               (math.pi - 2.0 * _SQRT2) / (_SQRT2 * math.pi - 2.0 * _SQRT2)),
+    "thm5.3": ("2/pi", 2.0 / math.pi),
 }
 
 
@@ -131,14 +149,14 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     """Best-possible (alpha, beta) for one of the seven inequalities.
 
     The constants are the affine images p*h + q of the kernel's value at
-    theta_right (alpha side) and of its limit at 0+ (beta side); the
-    numeric fields are the evaluated closed forms of those images.
+    theta_right (alpha side, in closed form) and of its limit at 0+ (beta
+    side, exact from p, q and the rational limit, so a wrong p or q shows).
     """
-    try:
-        (a_str, a_val), (b_str, b_val) = _CLOSED_FORMS[spec.id]
-    except KeyError:
-        raise DomainError(f"unknown inequality id {spec.id!r}") from None
-    return SharpBounds(alpha=a_val, beta=b_val, alpha_exact=a_str, beta_exact=b_str)
+    if spec.id not in _CLOSED_FORMS:
+        raise DomainError(f"unknown inequality id {spec.id!r}")
+    a_str, a_val = _CLOSED_FORMS[spec.id]
+    beta = Fraction(spec.p) * H_INFO[spec.kernel].limit_at_zero + Fraction(spec.q)
+    return SharpBounds(alpha=a_val, beta=float(beta), alpha_exact=a_str, beta_exact=str(beta))
 
 
 def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
@@ -160,8 +178,7 @@ def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
     from u = |a - b|/(a + b) and the affine image p*h(theta) + q returned."""
     if pair.degenerate:
         raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
-    u = abs(half_sum_ratio(pair))
-    theta = math.asin(u) if spec.theta_sub == "sin" else math.atan(u)
+    theta = _THETA_SUBS[spec.theta_sub][0](abs(half_sum_ratio(pair)))
     return spec.p * h_eval(spec.kernel, theta) + spec.q
 
 
@@ -257,22 +274,6 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
 _M64 = (1 << 64) - 1
 
 
-def _check_integers(**named: object) -> None:
-    for name, value in named.items():
-        if not isinstance(value, int):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_finite(**named: object) -> None:
-    for name, value in named.items():
-        try:
-            finite = isinstance(value, numbers.Real) and math.isfinite(value)
-        except OverflowError:  # an int too large for binary64
-            finite = False
-        if not finite:
-            raise DomainError(f"{name} must be a finite real number, got {value!r}")
-
-
 def _unit(seed: int, index: int) -> float:
     z = (seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xD1B54A32D192ED03) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -288,6 +289,7 @@ _BETA_PROBE_X = 1.0 + 1e-4
 _ALPHA_PROBE_X = 1e8
 _BETA_PROBE_TOL = 1e-6
 _ALPHA_PROBE_TOL = 1e-3
+_TOL_MAX = 1e-9
 
 
 @dataclass(frozen=True)
@@ -372,8 +374,8 @@ def certify(
     with b = 1 (homogeneity covers every other pair) and checks the strict
     double inequality at (alpha, beta), which default to the sharp
     constants.  A sample counts as a violation when its relative margin
-    drops below -tol; tol absorbs the rounding noise of the mean
-    differences near a == b, where the true margins vanish.
+    drops below -tol; tol, in (0, 1e-9], absorbs the rounding noise of
+    the mean differences near a == b, where the true margins vanish.
 
     Sharpness of the sharp constants is probed at x = 1 + 1e-4 (ratio
     within 1e-6 of beta) and x = 1e8 (within 1e-3 of alpha); a failed
@@ -386,8 +388,9 @@ def certify(
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
     _check_finite(tol=tol, **{n: v for n, v in (("alpha", alpha), ("beta", beta)) if v is not None})
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol <= _TOL_MAX:
+        bound = "positive" if tol <= 0.0 else f"at most {_TOL_MAX!r}"
+        raise DomainError(f"tol must be {bound}, got {tol!r}")
     sharp = sharp_bounds(spec)
     a_const = sharp.alpha if alpha is None else float(alpha)
     b_const = sharp.beta if beta is None else float(beta)

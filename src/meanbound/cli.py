@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Any
 
 from .bounds import SPECS, certify, sharp_bounds
@@ -53,10 +52,6 @@ def _cell(value: Any) -> str:
     if value is None:
         return ""
     return str(value)
-
-
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +129,7 @@ def _cmd_series(args: argparse.Namespace) -> _Result:
         raise DomainError(f"--order must be in [1, {_SERIES_MAX_ORDER}], got {args.order}")
     coefficients = _SERIES_FNS[args.fn](args.order, default_table())
     rows = [
-        {"n": n, "power": power, "exact": _fraction_str(coeff), "value": float(coeff)}
+        {"n": n, "power": power, "exact": str(coeff), "value": float(coeff)}
         for n, (power, coeff) in enumerate(coefficients, start=1)
     ]
     lines = [f"x^{r['power']:<4}{r['exact']:<24}{r['value']!r}" for r in rows]
@@ -175,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_certify.add_argument("--samples", type=int, default=100_000)
     p_certify.add_argument("--seed", type=int, default=42)
     p_certify.add_argument("--tol", type=float, default=1e-12,
-                           help="relative margin slack before a sample counts as a violation")
+                           help="relative margin slack per sample, in (0, 1e-9]")
     _add_format(p_certify)
     p_certify.set_defaults(handler=_cmd_certify)
 

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 from pytest import approx
 
 from meanbound import (
+    H_INFO,
     SPECS,
     DegeneratePairError,
     DomainError,
@@ -15,7 +17,6 @@ from meanbound import (
     equivalence_check,
     eval_mean,
     h_eval,
-    h_limit,
     numeric_extrema,
     ratio,
     ratio_via_kernel,
@@ -68,6 +69,15 @@ class TestRegistry:
         assert spec.p == p and spec.q == q
         assert spec.p != 0.0
 
+    # an unknown substitution used to mean atan silently; p and q feed the
+    # exact beta, where a NaN would be a bare ValueError from Fraction
+    @pytest.mark.parametrize("changes", [
+        {"theta_sub": "cos"}, {"p": math.nan}, {"p": math.inf}, {"q": -math.inf}, {"q": "0"},
+    ])
+    def test_bad_reduction_rejected(self, changes):
+        with pytest.raises(DomainError):
+            dataclasses.replace(SPECS["prop1.1"], **changes)
+
 
 class TestSharpBounds:
     def test_numeric_values_are_the_closed_forms(self):
@@ -78,29 +88,34 @@ class TestSharpBounds:
 
     def test_symbolic_forms(self):
         assert sharp_bounds(SPECS["prop1.1"]).alpha_exact == "2/pi"
-        assert sharp_bounds(SPECS["prop1.1"]).beta_exact == "5/6"
         assert sharp_bounds(SPECS["prop1.3"]).alpha_exact == "(4-pi)/((sqrt2-1)*pi)"
         assert sharp_bounds(SPECS["thm5.2"]).alpha_exact == "(pi-2*sqrt2)/(sqrt2*pi-2*sqrt2)"
-        assert sharp_bounds(SPECS["thm5.2"]).beta_exact == "1/4"
+        assert {spec_id: sharp_bounds(spec).beta_exact for spec_id, spec in SPECS.items()} == {
+            "prop1.1": "5/6", "prop1.2": "5/12", "prop1.3": "2/3", "prop1.4": "5/8",
+            "thm5.1": "2/3", "thm5.2": "1/4", "thm5.3": "2/3",
+        }
 
     def test_ordering_invariant(self):
         for spec in SPECS.values():
             sb = sharp_bounds(spec)
             assert 0.0 < sb.alpha < sb.beta <= 1.0
 
-    def test_attainment_markers(self):
-        sb = sharp_bounds(SPECS["prop1.1"])
-        assert sb.alpha_attained == "a/b -> inf"
-        assert sb.beta_attained == "a -> b"
-
     def test_constants_are_kernel_images(self):
-        # alpha = p*h(theta_right) + q, beta = p*h(0+) + q
+        # beta = p*h(0+) + q exactly; alpha = p*h(theta_right) + q, whose
+        # closed-form float sits at most 10 ulp (thm5.2) from the image
         for spec in SPECS.values():
             sb = sharp_bounds(spec)
+            beta_img = Fraction(spec.p) * H_INFO[spec.kernel].limit_at_zero + Fraction(spec.q)
+            assert Fraction(sb.beta_exact) == beta_img
+            assert sb.beta == float(beta_img)
             alpha_img = spec.p * h_eval(spec.kernel, spec.theta_right) + spec.q
-            beta_img = spec.p * h_limit(spec.kernel, "left") + spec.q
-            assert alpha_img == approx(sb.alpha, rel=1e-13)
-            assert beta_img == approx(sb.beta, rel=1e-15)
+            assert abs(sb.alpha - alpha_img) <= 16 * math.ulp(sb.alpha)
+
+    def test_images_decrease_in_theta(self):
+        # beta is the limit at 0+ and alpha the value at theta_right only
+        # while p*h + q falls along theta
+        for spec in SPECS.values():
+            assert H_INFO[spec.kernel].increasing == (spec.p < 0)
 
     def test_unknown_id(self):
         bogus = dataclasses.replace(SPECS["prop1.1"], id="prop9.9")
@@ -241,6 +256,12 @@ class TestCertify:
                 break
         assert found
 
+    @pytest.mark.parametrize("p", [0.51, 0.49])
+    def test_crooked_p_is_caught(self, p):
+        # beta follows p, so the beta probe sees a p that no longer fits
+        crooked = dataclasses.replace(SPECS["prop1.2"], p=p)
+        assert not certify(crooked, 2000, 42, 1e-12).ok
+
     def test_raised_alpha_is_violated(self):
         sb = sharp_bounds(SPECS["thm5.2"])
         report = certify(SPECS["thm5.2"], 20000, 42, 1e-12, alpha=sb.alpha + 0.005)
@@ -251,6 +272,12 @@ class TestCertify:
             certify(SPECS["prop1.1"], 0, 42, 1e-12)
         with pytest.raises(DomainError):
             certify(SPECS["prop1.1"], 10, 42, 0.0)
+        # A tol far above the sharp constants' rounding noise (about 2e-16)
+        # would let a 1e-3 perturbation through as ok.
+        for big in (math.nextafter(1e-9, 1.0), 1e-3, 0.5, 1e6):
+            with pytest.raises(DomainError, match="at most"):
+                certify(SPECS["prop1.1"], 10, 42, big)
+        assert certify(SPECS["prop1.1"], 10, 42, 1e-9).ok
         with pytest.raises(DomainError):
             certify(SPECS["prop1.1"], 10.5, 1, 1e-12)
         with pytest.raises(DomainError):

@@ -131,6 +131,13 @@ class TestCertifyCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_large_tol_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--id", "prop1.1", "--samples", "10",
+                                 "--tol", "1e-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tol must be at most")
+
     def test_deterministic_output(self, capsys):
         args = ("certify", "--id", "thm5.2", "--samples", "1500", "--seed", "8",
                 "--format", "json")
