@@ -15,6 +15,7 @@ from .bounds import (
     InequalitySpec,
     SharpBounds,
     certify,
+    certify_many,
     equivalence_check,
     numeric_extrema,
     ratio,
@@ -63,6 +64,7 @@ __all__ = [
     "X_SWITCH",
     "bernoulli_table",
     "certify",
+    "certify_many",
     "csc_coefficients",
     "csc_series",
     "csc_sq_coefficients",

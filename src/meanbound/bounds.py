@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ __all__ = [
     "SPECS",
     "SharpBounds",
     "certify",
+    "certify_many",
     "equivalence_check",
     "numeric_extrema",
     "ratio",
@@ -317,37 +319,28 @@ class CertificationReport:
         return self.violations == 0
 
 
-def _certify_chunk(
-    spec: InequalitySpec,
+# Samples are drawn and their means evaluated one block at a time, so the
+# memory a run needs does not grow with n_samples.
+_BLOCK = 256
+
+_ChunkResult = tuple[int, float, float | None]
+
+
+def _scan(
+    xs: list[float],
+    targets: list[float],
+    his: list[float],
+    los: list[float],
     alpha: float,
     beta: float,
     tol: float,
-    seed: int,
-    start: int,
-    stop: int,
-) -> tuple[int, float, float | None]:
-    """Violation count, worst margin and its x over sample indices [start, stop).
-
-    Every sample is the pair (x, 1) with x in [1 + 1e-12, 1e12], for which
-    eval_mean scales by m = x to the arguments (1.0, 1/x); 1/x cannot
-    underflow there, so calling the scaled evaluators on (1.0, 1/x) and
-    rescaling by x is the same arithmetic without a pair per sample.
-    """
-    f_target = _EVALUATORS[spec.target]
-    f_hi = _EVALUATORS[spec.hi]
-    f_lo = _EVALUATORS[spec.lo]
-    span = _LN_X_HI - _LN_X_LO
+    state: _ChunkResult,
+) -> _ChunkResult:
+    """Fold one check's margins over a block into (violations, worst, worst_x)."""
+    violations, worst, worst_x = state
     one_minus_alpha = 1.0 - alpha
     one_minus_beta = 1.0 - beta
-    violations = 0
-    worst = math.inf
-    worst_x: float | None = None
-    for i in range(start, stop):
-        x = math.exp(_LN_X_LO + span * _unit(seed, i))
-        y = 1.0 / x
-        t = x * f_target(1.0, y)
-        h = x * f_hi(1.0, y)
-        lo_v = x * f_lo(1.0, y)
+    for x, t, h, lo_v in zip(xs, targets, his, los):
         lower = alpha * h + one_minus_alpha * lo_v
         upper = beta * h + one_minus_beta * lo_v
         margin = min((t - lower) / t, (upper - t) / t)
@@ -357,6 +350,87 @@ def _certify_chunk(
         if margin < -tol:
             violations += 1
     return violations, worst, worst_x
+
+
+def _certify_chunk(
+    checks: list[tuple[InequalitySpec, float, float]],
+    tol: float,
+    seed: int,
+    start: int,
+    stop: int,
+) -> list[_ChunkResult]:
+    """Violation count, worst margin and its x over sample indices
+    [start, stop), one triple per (spec, alpha, beta) check.
+
+    All checks share one sample stream: each x is drawn once and each
+    distinct mean kind evaluated once at it, however many checks use it.
+    Every sample is the pair (x, 1) with x in [1 + 1e-12, 1e12], for which
+    eval_mean scales by m = x to the arguments (1.0, 1/x); 1/x cannot
+    underflow there, so calling the scaled evaluators on (1.0, 1/x) and
+    rescaling by x is the same arithmetic without a pair per sample.
+    """
+    kinds = dict.fromkeys(kind for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo))
+    span = _LN_X_HI - _LN_X_LO
+    results: list[_ChunkResult] = [(0, math.inf, None)] * len(checks)
+    for first in range(start, stop, _BLOCK):
+        xs = [math.exp(_LN_X_LO + span * _unit(seed, i)) for i in range(first, min(first + _BLOCK, stop))]
+        ys = [1.0 / x for x in xs]
+        values = {}
+        for kind in kinds:
+            f = _EVALUATORS[kind]
+            values[kind] = [x * f(1.0, y) for x, y in zip(xs, ys)]
+        for n, (spec, alpha, beta) in enumerate(checks):
+            results[n] = _scan(xs, values[spec.target], values[spec.hi], values[spec.lo],
+                               alpha, beta, tol, results[n])
+    return results
+
+
+def _check_run(n_samples: object, seed: object, tol: object,
+               alpha: object = None, beta: object = None) -> None:
+    """The argument checks of certify and certify_many."""
+    _check_integers(n_samples=n_samples, seed=seed)
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
+    _check_finite(tol=tol, **{n: v for n, v in (("alpha", alpha), ("beta", beta)) if v is not None})
+    if not 0.0 < tol <= _TOL_MAX:
+        bound = "positive" if tol <= 0.0 else f"at most {_TOL_MAX!r}"
+        raise DomainError(f"tol must be {bound}, got {tol!r}")
+
+
+def _certify_specs(
+    specs: list[InequalitySpec],
+    n_samples: int,
+    seed: int,
+    tol: float,
+    alpha: float | None,
+    beta: float | None,
+) -> list[CertificationReport]:
+    sharps = [sharp_bounds(spec) for spec in specs]
+    checks = [
+        (spec, sharp.alpha if alpha is None else float(alpha), sharp.beta if beta is None else float(beta))
+        for spec, sharp in zip(specs, sharps)
+    ]
+    reports = []
+    for spec, sharp, (violations, worst, worst_x) in zip(
+        specs, sharps, _certify_chunk(checks, tol, seed, 0, n_samples)
+    ):
+        beta_gap = abs(ratio(spec, PositivePair(_BETA_PROBE_X, 1.0)) - sharp.beta)
+        alpha_gap = abs(ratio(spec, PositivePair(_ALPHA_PROBE_X, 1.0)) - sharp.alpha)
+        violations += int(beta_gap > _BETA_PROBE_TOL) + int(alpha_gap > _ALPHA_PROBE_TOL)
+        reports.append(
+            CertificationReport(
+                id=spec.id,
+                samples=n_samples,
+                violations=violations,
+                worst_margin=worst,
+                seed=seed,
+                tolerance=tol,
+                worst_x=worst_x,
+                alpha_probe_gap=alpha_gap,
+                beta_probe_gap=beta_gap,
+            )
+        )
+    return reports
 
 
 def certify(
@@ -384,34 +458,28 @@ def certify(
     The report is a value, never an exception, and is deterministic for a
     fixed seed.
     """
-    _check_integers(n_samples=n_samples, seed=seed)
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
-    _check_finite(tol=tol, **{n: v for n, v in (("alpha", alpha), ("beta", beta)) if v is not None})
-    if not 0.0 < tol <= _TOL_MAX:
-        bound = "positive" if tol <= 0.0 else f"at most {_TOL_MAX!r}"
-        raise DomainError(f"tol must be {bound}, got {tol!r}")
-    sharp = sharp_bounds(spec)
-    a_const = sharp.alpha if alpha is None else float(alpha)
-    b_const = sharp.beta if beta is None else float(beta)
+    _check_run(n_samples, seed, tol, alpha, beta)
+    return _certify_specs([spec], n_samples, seed, tol, alpha, beta)[0]
 
-    violations, worst, worst_x = _certify_chunk(spec, a_const, b_const, tol, seed, 0, n_samples)
 
-    beta_gap = abs(ratio(spec, PositivePair(_BETA_PROBE_X, 1.0)) - sharp.beta)
-    alpha_gap = abs(ratio(spec, PositivePair(_ALPHA_PROBE_X, 1.0)) - sharp.alpha)
-    violations += int(beta_gap > _BETA_PROBE_TOL) + int(alpha_gap > _ALPHA_PROBE_TOL)
+def certify_many(
+    specs: Iterable[InequalitySpec],
+    n_samples: int,
+    seed: int,
+    tol: float,
+) -> list[CertificationReport]:
+    """certify each spec at its sharp constants, in one pass over one
+    shared sample stream.
 
-    return CertificationReport(
-        id=spec.id,
-        samples=n_samples,
-        violations=violations,
-        worst_margin=worst,
-        seed=seed,
-        tolerance=tol,
-        worst_x=worst_x,
-        alpha_probe_gap=alpha_gap,
-        beta_probe_gap=beta_gap,
-    )
+    Returns one report per spec, in order, each equal to
+    ``certify(spec, n_samples, seed, tol)``; the stream is drawn and each
+    distinct mean evaluated once per sample instead of once per spec.
+    """
+    specs = list(specs)
+    if not specs:
+        raise DomainError("certify_many needs at least one spec")
+    _check_run(n_samples, seed, tol)
+    return _certify_specs(specs, n_samples, seed, tol, None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from meanbound import (
     MeanKind,
     PositivePair,
     certify,
+    certify_many,
     equivalence_check,
     eval_mean,
     h_eval,
@@ -226,17 +227,17 @@ class TestCertify:
     def test_shards_merge_to_the_whole_range(self):
         # the stream is keyed by (seed, index), so split index ranges merged
         # with the same worst-margin / smallest-x tiebreak give the whole
-        spec = SPECS["prop1.3"]
-        sb = sharp_bounds(spec)
-        whole = _certify_chunk(spec, sb.alpha, sb.beta, 1e-12, 5, 0, 4000)
-        shards = [_certify_chunk(spec, sb.alpha, sb.beta, 1e-12, 5, i, j)
-                  for i, j in ((0, 1500), (1500, 4000))]
-        violations = sum(s[0] for s in shards)
-        worst, worst_x = math.inf, None
-        for _, margin, x in shards:
-            if margin < worst or (margin == worst and (worst_x is None or x < worst_x)):
-                worst, worst_x = margin, x
-        assert (violations, worst, worst_x) == whole
+        checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta)
+                  for spec in SPECS.values()]
+        whole = _certify_chunk(checks, 1e-12, 5, 0, 4000)
+        shards = [_certify_chunk(checks, 1e-12, 5, i, j) for i, j in ((0, 1500), (1500, 4000))]
+        for n in range(len(checks)):
+            violations = sum(shard[n][0] for shard in shards)
+            worst, worst_x = math.inf, None
+            for _, margin, x in (shard[n] for shard in shards):
+                if margin < worst or (margin == worst and (worst_x is None or x < worst_x)):
+                    worst, worst_x = margin, x
+            assert (violations, worst, worst_x) == whole[n]
 
     def test_lowered_beta_is_violated(self):
         # beta = 0.83 < 5/6 must fail near x -> 1
@@ -333,8 +334,67 @@ class TestFusedLoop:
         sb = sharp_bounds(spec)
         for alpha, beta in ((sb.alpha, sb.beta), (sb.alpha + 1e-3, sb.beta),
                             (sb.alpha, sb.beta - 1e-6)):
-            fused = _certify_chunk(spec, alpha, beta, 1e-12, seed, 0, 3000)
-            assert fused == _reference_chunk(spec, alpha, beta, 1e-12, seed, 0, 3000)
+            fused = _certify_chunk([(spec, alpha, beta)], 1e-12, seed, 0, 3000)
+            assert fused == [_reference_chunk(spec, alpha, beta, 1e-12, seed, 0, 3000)]
+
+    @pytest.mark.parametrize("order", ["registry", "reversed"])
+    @pytest.mark.parametrize("seed", [3, 42, 20260808])
+    def test_shared_stream_matches_each_reference(self, order, seed):
+        specs = list(SPECS.values())
+        if order == "reversed":
+            specs.reverse()
+        checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta) for spec in specs]
+        fused = _certify_chunk(checks, 1e-12, seed, 0, 3000)
+        assert fused == [_reference_chunk(*check, 1e-12, seed, 0, 3000) for check in checks]
+
+    @pytest.mark.parametrize("perturbed_id", sorted(SPECS))
+    @pytest.mark.parametrize("side", ["alpha", "beta"])
+    def test_checks_do_not_leak_into_each_other(self, perturbed_id, side):
+        # one check on a crossed constant, the other six at the sharp ones
+        checks = []
+        for spec in SPECS.values():
+            alpha, beta = sharp_bounds(spec).alpha, sharp_bounds(spec).beta
+            if spec.id == perturbed_id:
+                alpha, beta = (alpha + 1e-3, beta) if side == "alpha" else (alpha, beta - 1e-6)
+            checks.append((spec, alpha, beta))
+        fused = _certify_chunk(checks, 1e-12, 42, 0, 3000)
+        assert fused == [_reference_chunk(*check, 1e-12, 42, 0, 3000) for check in checks]
+        for (spec, _, _), (violations, _, _) in zip(checks, fused):
+            if spec.id != perturbed_id:
+                assert violations == 0
+
+
+class TestCertifyMany:
+    @pytest.mark.parametrize("n_samples", [1, 2000])
+    @pytest.mark.parametrize("seed", [3, 42, 20260808])
+    def test_equals_one_certify_per_spec(self, n_samples, seed):
+        specs = list(SPECS.values())
+        assert certify_many(specs, n_samples, seed, 1e-12) == [
+            certify(spec, n_samples, seed, 1e-12) for spec in specs
+        ]
+
+    def test_shuffled_subset(self):
+        specs = [SPECS[i] for i in ("thm5.3", "prop1.2", "thm5.1", "prop1.3")]
+        reports = certify_many(specs, 2000, 42, 1e-12)
+        assert [r.id for r in reports] == ["thm5.3", "prop1.2", "thm5.1", "prop1.3"]
+        assert reports == [certify(spec, 2000, 42, 1e-12) for spec in specs]
+
+    def test_empty_spec_list(self):
+        with pytest.raises(DomainError):
+            certify_many([], 10, 42, 1e-12)
+
+    @pytest.mark.parametrize("n_samples, seed, tol", [
+        (0, 42, 1e-12), (-3, 42, 1e-12), (10.5, 42, 1e-12), (10, 1.5, 1e-12),
+        (10, 42, 0.0), (10, 42, -1e-12), (10, 42, math.nextafter(1e-9, 1.0)),
+        (10, 42, 1e-3), (10, 42, math.nan), (10, 42, math.inf), (10, 42, "abc"),
+    ])
+    def test_argument_validation_shared_with_certify(self, n_samples, seed, tol):
+        # the same check refuses both, so the messages are the same
+        with pytest.raises(DomainError) as many:
+            certify_many(SPECS.values(), n_samples, seed, tol)
+        with pytest.raises(DomainError) as one:
+            certify(SPECS["prop1.1"], n_samples, seed, tol)
+        assert str(many.value) == str(one.value)
 
 
 class TestEquivalence:

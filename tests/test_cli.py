@@ -216,10 +216,11 @@ class TestPinnedTranscripts:
     def test_pinned_violation_bytes(self, capsys, monkeypatch):
         # Sharp constants pass on every sample, so a violation needs a
         # raised alpha, which certify reports on every spec.
-        def raised_alpha(spec, n_samples, seed, tol):
-            return certify(spec, n_samples, seed, tol, alpha=sharp_bounds(spec).alpha + 1e-3)
+        def raised_alpha(specs, n_samples, seed, tol):
+            return [certify(spec, n_samples, seed, tol, alpha=sharp_bounds(spec).alpha + 1e-3)
+                    for spec in specs]
 
-        monkeypatch.setattr(cli, "certify", raised_alpha)
+        monkeypatch.setattr(cli, "certify_many", raised_alpha)
         argv = ("certify", "--id", "all", "--samples", "300", "--seed", "9")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 1
