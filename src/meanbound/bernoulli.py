@@ -1,14 +1,16 @@
 """Exact Bernoulli numbers with construction-time consistency checks.
 
-The table is generated by the defining recurrence of x/(e^x - 1),
-sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, carried out in exact rational
-arithmetic and rounded to binary64 once at the end.  Construction
+The table is built from the tangent numbers T_1 .. T_n by Brent and
+Harvey's in-place integer recurrence ("Fast computation of Bernoulli,
+Tangent and Secant numbers", 2011); B_2k = (-1)^(k-1) 2k T_k /
+(4^k (4^k - 1)) is then one exact Fraction per entry.  Construction
 validates the two leading values, the strict sign alternation
 (-1)^(n-1) B_2n > 0, and the magnitude identity
 
     |B_2n| = 2 (2n)! zeta(2n) / (2 pi)^(2n)
 
-with zeta(2n) summed directly (Euler-Maclaurin tail correction).
+to 1e-12 relative at every n, with zeta(2n) summed directly over
+k <= 100 plus an Euler-Maclaurin tail (error bound at _zeta_even).
 """
 
 from __future__ import annotations
@@ -25,21 +27,20 @@ MAX_INDEX = 64
 _ZETA_TOL = 1e-12
 
 
-def _bernoulli_exact(m_max: int) -> list[Fraction]:
-    """B_0 .. B_m_max as exact Fractions (first convention, B_1 = -1/2)."""
-    values = [Fraction(1)]
-    for m in range(1, m_max + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            if values[j]:
-                acc += math.comb(m + 1, j) * values[j]
-        values.append(-acc / (m + 1))
-    return values
+def _bernoulli_exact(n_terms: int) -> list[Fraction]:
+    """B_2, B_4, .., B_{2 n_terms} as exact Fractions, via tangent numbers."""
+    # t[k] starts at (k-1)!; after the sweeps k = 2..n_terms it holds T_k
+    t = [0] + [math.factorial(k - 1) for k in range(1, n_terms + 1)]
+    for k in range(2, n_terms + 1):
+        for j in range(k, n_terms + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)) for k in range(1, n_terms + 1)]
 
 
-def _zeta_even(s: int, cutoff: int = 1000) -> float:
+def _zeta_even(s: int, cutoff: int = 100) -> float:
     """zeta(s) for even s >= 2: direct partial sum plus an Euler-Maclaurin
-    tail, accurate to well under 1e-15 relative for every s used here."""
+    tail.  The first omitted tail term, s(s+1)(s+2)(s+3)(s+4) n^-(s+5)/30240,
+    peaks at s = 2, where n = 100 makes it 2.4e-16: under 1e-15 for s <= 64."""
     acc = 0.0
     for k in range(cutoff, 1, -1):  # small terms first
         acc += float(k) ** -s
@@ -66,8 +67,8 @@ class BernoulliTable:
         return len(self.values)
 
     def b2n(self, n: int) -> Fraction:
-        """B_{2n} for 1 <= n <= max_index/2."""
-        if not 1 <= n <= self.n_terms:
+        """B_{2n} for an int 1 <= n <= max_index/2."""
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= self.n_terms:
             raise DomainError(f"table holds B_2 .. B_{self.max_index}, got n={n!r}")
         return self.values[n - 1]
 
@@ -90,8 +91,7 @@ def bernoulli_table(n_max: int) -> BernoulliTable:
     if not isinstance(n_max, int) or n_max % 2 != 0 or not 2 <= n_max <= MAX_INDEX:
         raise DomainError(f"n_max must be an even integer in [2, {MAX_INDEX}], got {n_max!r}")
 
-    raw = _bernoulli_exact(n_max)
-    values = tuple(raw[2 * n] for n in range(1, n_max // 2 + 1))
+    values = tuple(_bernoulli_exact(n_max // 2))
 
     if values[0] != Fraction(1, 6):
         raise ArithmeticError(f"B_2 must be 1/6, recurrence produced {values[0]}")

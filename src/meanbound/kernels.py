@@ -332,13 +332,21 @@ _SERIES = {
 }
 
 
+def _unknown_id(fn_id: object) -> DomainError:
+    ids = ", ".join(str(h) for h in HFunctionId)
+    return DomainError(f"fn_id must be one of {ids}, got {fn_id!r}")
+
+
 def h_eval(fn_id: HFunctionId, x: float) -> float:
     """Evaluate a kernel function strictly inside its domain.
 
     Direct trigonometric formulas for x >= 1/2, series forms below; the
     two branches agree to better than 1e-10 relative on [0.05, 0.5].
     """
-    info = H_INFO[fn_id]
+    try:
+        info = H_INFO[fn_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable fn_id
+        raise _unknown_id(fn_id) from None
     if not 0.0 < x < info.domain_right:
         raise DomainError(
             f"{fn_id.value} is defined on the open interval (0, {info.domain_right!r}), got {x!r}"
@@ -350,7 +358,10 @@ def h_eval(fn_id: HFunctionId, x: float) -> float:
 
 def h_limit(fn_id: HFunctionId, endpoint: str) -> float:
     """Exact endpoint limit: 'left' is x -> 0+, 'right' the upper domain end."""
-    info = H_INFO[fn_id]
+    try:
+        info = H_INFO[fn_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable fn_id
+        raise _unknown_id(fn_id) from None
     if endpoint == "left":
         return float(info.limit_at_zero)
     if endpoint == "right":

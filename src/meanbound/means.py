@@ -50,8 +50,11 @@ class PositivePair:
     degenerate: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = float(self.a)
-        b = float(self.b)
+        try:
+            a = float(self.a)
+            b = float(self.b)
+        except (TypeError, ValueError, OverflowError):
+            a = b = math.nan  # refused just below, like any non-positive value
         if not (a > 0.0 and b > 0.0) or a == math.inf or b == math.inf:
             raise DomainError(
                 f"means are defined for positive finite reals, got a={self.a!r}, b={self.b!r}"
@@ -148,7 +151,12 @@ def eval_mean(kind: MeanKind, pair: PositivePair) -> float:
     y = pair.b / m
     if x == 0.0 or y == 0.0:
         raise DomainError(f"ratio of {pair.a!r} to {pair.b!r} exceeds the binary64 range")
-    return m * _EVALUATORS[kind](x, y)
+    try:
+        f = _EVALUATORS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        kinds = ", ".join(str(k) for k in MeanKind)
+        raise DomainError(f"kind must be one of {kinds}, got {kind!r}") from None
+    return m * f(x, y)
 
 
 _ONE_INSIDE = math.nextafter(1.0, 0.0)

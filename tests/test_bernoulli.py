@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import meanbound.bernoulli as bernoulli
 from meanbound import DomainError, bernoulli_table
 
 
 def akiyama_tanigawa(n: int) -> list[Fraction]:
     """Independent oracle: B_0..B_n by the Akiyama-Tanigawa triangle.
 
-    Different algorithm from the package's generating-function recurrence;
+    Different algorithm from the package's tangent-number recurrence;
     produces the B_1 = +1/2 convention, which agrees at even indices.
     """
     row = [Fraction(0)] * (n + 1)
@@ -31,10 +32,9 @@ class TestExactValues:
         assert bernoulli_table(20).b2n(10) == Fraction(-174611, 330)
 
     def test_matches_akiyama_tanigawa_to_64(self):
-        table = bernoulli_table(64)
         oracle = akiyama_tanigawa(64)
-        for n in range(1, 33):
-            assert table.b2n(n) == oracle[2 * n]
+        for n_max in range(2, 65, 2):
+            assert bernoulli_table(n_max).values == tuple(oracle[2:n_max + 1:2])
 
     def test_abs_fields_consistent(self):
         table = bernoulli_table(32)
@@ -64,6 +64,45 @@ class TestInvariants:
         assert table.abs_b2n_float(32) == pytest.approx(2.0938005911346378e38, rel=1e-12)
 
 
+def _flip_sign(v: Fraction) -> Fraction:
+    return -v
+
+
+def _scale_up(v: Fraction) -> Fraction:
+    return v * (1 + Fraction(1, 10**10))
+
+
+class TestConstructionChecks:
+    @pytest.mark.parametrize("corrupt", [_flip_sign, _scale_up])
+    @pytest.mark.parametrize("n", [1, 16, 32])
+    def test_corrupted_entry_is_refused(self, monkeypatch, n, corrupt):
+        exact = bernoulli._bernoulli_exact
+
+        def broken(n_terms):
+            values = exact(n_terms)
+            values[n - 1] = corrupt(values[n - 1])
+            return values
+
+        monkeypatch.setattr(bernoulli, "_bernoulli_exact", broken)
+        with pytest.raises(ArithmeticError):
+            bernoulli_table(64)
+
+    def test_zeta_sum_within_its_stated_bound(self):
+        # the truncated sum must be good to 1e-15 for the 1e-12 check to mean anything
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for s in range(2, 65, 2):
+                exact = mpmath.zeta(s)
+                assert abs(mpmath.mpf(bernoulli._zeta_even(s)) - exact) <= 1e-15 * exact
+
+    def test_zeta_check_has_headroom(self):
+        # a correct table sits far inside _ZETA_TOL = 1e-12, so a 1e-10 error stands out
+        table = bernoulli_table(64)
+        for n in range(1, 33):
+            ref = 2.0 * math.factorial(2 * n) * bernoulli._zeta_even(2 * n) / (2.0 * math.pi) ** (2 * n)
+            assert abs(table.abs_b2n_float(n) - ref) <= 1e-14 * ref
+
+
 class TestErrors:
     @pytest.mark.parametrize("bad", [0, 1, 3, -2, 66, 2.0, "8"])
     def test_rejects_bad_n_max(self, bad):
@@ -76,3 +115,7 @@ class TestErrors:
             table.b2n(0)
         with pytest.raises(DomainError):
             table.b2n(5)
+        for bad in (1.5, 2.0, True, "1", None):
+            for accessor in (table.b2n, table.abs_b2n, table.abs_b2n_float):
+                with pytest.raises(DomainError):
+                    accessor(bad)

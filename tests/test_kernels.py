@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+import meanbound
 from meanbound import (
     H_INFO,
     DomainError,
@@ -180,6 +184,7 @@ class TestHEval:
             (H1, 0.0), (H1, math.pi), (H1, 3.2), (H1, -0.5),
             (H2, 0.0), (H2, math.tau), (H2, 7.0),
             (H3, math.pi), (H4, math.pi), (H4, -1.0),
+            ("h1", 0.3), (None, 0.3), (1, 0.3), ([H1], 0.3),
         ],
     )
     def test_domain_errors(self, fn_id, bad):
@@ -226,6 +231,9 @@ class TestHLimit:
     def test_bad_endpoint(self):
         with pytest.raises(DomainError):
             h_limit(H1, "middle")
+        for bad_id in ("h1", None, [H1]):
+            with pytest.raises(DomainError, match="HFunctionId.H1, HFunctionId.H2"):
+                h_limit(bad_id, "left")
 
     def test_left_probes_approach_limits(self):
         for fn_id in HFunctionId:
@@ -246,6 +254,16 @@ class TestDefaultTable:
         default_table.cache_clear()
         assert default_table().max_index == 64
         assert h_eval(H1, 0.49) == expected
+
+    def test_import_leaves_table_unbuilt(self):
+        # the table is built on first use; building it at import would tax every CLI call
+        src = os.path.dirname(os.path.dirname(meanbound.__file__))
+        code = "import meanbound.cli, meanbound.kernels as k; print(k.default_table.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stdout.strip() == "0"
 
 
 class TestH2Oracle:

@@ -44,7 +44,13 @@ class TestPositivePair:
         assert PositivePair(5, 5).degenerate
         assert not PositivePair(5, 4).degenerate
 
-    @pytest.mark.parametrize("a,b", [(0, 1), (-1, 2), (1, 0), (2, -3), (math.nan, 1), (1, math.inf)])
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (0, 1), (-1, 2), (1, 0), (2, -3), (math.nan, 1), (1, math.inf),
+            (None, 2), ("a", 2), (1, "b"), (1, [2]), pytest.param(10**400, 1, id="1e400-1"), (1j, 1),
+        ],
+    )
     def test_rejects_nonpositive(self, a, b):
         with pytest.raises(DomainError):
             PositivePair(a, b)
@@ -107,6 +113,11 @@ class TestEvalMean:
         pair = PositivePair(3, 2)
         for kind in ALL_KINDS:
             assert 2.0 <= eval_mean(kind, pair) <= 3.0
+
+    @pytest.mark.parametrize("kind", ["P", "SEIFFERT_P", None, [MeanKind.SEIFFERT_P]])
+    def test_rejects_unknown_kind(self, kind):
+        with pytest.raises(DomainError, match="MeanKind.CONTRA_HARMONIC, MeanKind.CENTROIDAL"):
+            eval_mean(kind, PositivePair(2, 1))
 
     def test_extreme_magnitudes(self):
         for kind in ALL_KINDS:
