@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
-from .means import _EVALUATORS, MeanKind, PositivePair, eval_mean, half_sum_ratio
+from .means import _EVALUATORS, MeanKind, PositivePair, eval_mean
 
 __all__ = [
     "CertificationReport",
@@ -50,7 +50,7 @@ __all__ = [
 
 def _check_integers(**named: object) -> None:
     for name, value in named.items():
-        if not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
@@ -64,8 +64,8 @@ def _check_finite(**named: object) -> None:
             raise DomainError(f"{name} must be a finite real number, got {value!r}")
 
 
-# theta_sub -> (inverse recovering theta from t, right end of the theta range)
-_THETA_SUBS = {"sin": (math.asin, 0.5 * math.pi), "tan": (math.atan, 0.25 * math.pi)}
+# theta_sub -> right end of the theta range
+_THETA_SUBS = {"sin": 0.5 * math.pi, "tan": 0.25 * math.pi}
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class InequalitySpec:
 
     @property
     def theta_right(self) -> float:
-        return _THETA_SUBS[self.theta_sub][1]
+        return _THETA_SUBS[self.theta_sub]
 
 
 SPECS: dict[str, InequalitySpec] = {
@@ -176,11 +176,16 @@ def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
 
 
 def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
-    """The same ratio through the substitution chain: theta is recovered
-    from u = |a - b|/(a + b) and the affine image p*h(theta) + q returned."""
+    """The same ratio through the substitution chain, as p*h(theta) + q.
+
+    With y = min(a, b)/max(a, b), sin(theta) or tan(theta) = (1-y)/(1+y)
+    gives theta = atan2(1 - y, 2*sqrt(y)) or atan2(1 - y, 1 + y).  Unlike
+    asin near 1, neither amplifies rounding as a/b grows, and y = 0 gives
+    theta_right."""
     if pair.degenerate:
         raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
-    theta = _THETA_SUBS[spec.theta_sub][0](abs(half_sum_ratio(pair)))
+    y = pair.b / pair.a if pair.a >= pair.b else pair.a / pair.b
+    theta = math.atan2(1.0 - y, 2.0 * math.sqrt(y) if spec.theta_sub == "sin" else 1.0 + y)
     return spec.p * h_eval(spec.kernel, theta) + spec.q
 
 

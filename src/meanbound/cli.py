@@ -19,16 +19,7 @@ from .bounds import SPECS, certify_many, sharp_bounds
 # Unused here, but perfbench/tracing.py wraps cli.certify by name.
 from .bounds import certify  # noqa: F401
 from .errors import DomainError, MeanBoundError
-from .kernels import (
-    HFunctionId,
-    csc_coefficients,
-    cot_coefficients,
-    csc_sq_coefficients,
-    default_table,
-    h1_coefficients,
-    h3_coefficients,
-    h_eval,
-)
+from .kernels import _SERIES_COEFFICIENTS, HFunctionId, default_table, h_eval
 from .means import MeanKind, PositivePair, eval_mean
 
 __all__ = ["main"]
@@ -36,13 +27,6 @@ __all__ = ["main"]
 SCHEMA_VERSION = 1
 
 _KIND_BY_CODE = {kind.value: kind for kind in MeanKind}
-_SERIES_FNS = {
-    "csc": csc_coefficients,
-    "cot": cot_coefficients,
-    "cscsq": csc_sq_coefficients,
-    "h1": h1_coefficients,
-    "h3": h3_coefficients,
-}
 _SERIES_MAX_ORDER = 16
 
 
@@ -112,23 +96,21 @@ def _cmd_bounds_table(args: argparse.Namespace) -> _Result:
 
 def _cmd_certify(args: argparse.Namespace) -> _Result:
     ids = list(SPECS) if args.id == "all" else [args.id]
-    rows = []
-    lines = []
-    for report in certify_many([SPECS[spec_id] for spec_id in ids], args.samples, args.seed, args.tol):
-        rows.append({column: getattr(report, column) for column in _CERTIFY_COLUMNS})
-        status = "ok" if report.violations == 0 else "VIOLATED"
-        lines.append(
-            f"{report.id:<9}{status:<10}samples={report.samples}  violations={report.violations}  "
-            f"worst_margin={report.worst_margin!r}"
-        )
+    reports = certify_many([SPECS[spec_id] for spec_id in ids], args.samples, args.seed, args.tol)
+    rows = [{column: getattr(report, column) for column in _CERTIFY_COLUMNS} for report in reports]
+    lines = [
+        f"{report.id:<9}{'ok' if report.ok else 'VIOLATED':<10}samples={report.samples}  "
+        f"violations={report.violations}  worst_margin={report.worst_margin!r}"
+        for report in reports
+    ]
     inputs = {"id": args.id, "samples": args.samples, "seed": args.seed, "tol": args.tol}
-    return inputs, rows, lines, 0 if all(r["violations"] == 0 for r in rows) else 1
+    return inputs, rows, lines, 0 if all(report.ok for report in reports) else 1
 
 
 def _cmd_series(args: argparse.Namespace) -> _Result:
     if not 1 <= args.order <= _SERIES_MAX_ORDER:
         raise DomainError(f"--order must be in [1, {_SERIES_MAX_ORDER}], got {args.order}")
-    coefficients = _SERIES_FNS[args.fn](args.order, default_table())
+    coefficients = _SERIES_COEFFICIENTS[args.fn](args.order, default_table())
     rows = [
         {"n": n, "power": power, "exact": str(coeff), "value": float(coeff)}
         for n, (power, coeff) in enumerate(coefficients, start=1)
@@ -176,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_certify.set_defaults(handler=_cmd_certify)
 
     p_series = sub.add_parser("series", help="exact series coefficients")
-    p_series.add_argument("--fn", required=True, choices=sorted(_SERIES_FNS))
+    p_series.add_argument("--fn", required=True, choices=sorted(_SERIES_COEFFICIENTS))
     p_series.add_argument("--order", required=True, type=int,
                           help=f"number of coefficients, 1..{_SERIES_MAX_ORDER}")
     _add_format(p_series)

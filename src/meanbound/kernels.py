@@ -9,15 +9,16 @@ Four kernel functions drive the sharp-bounds engine:
 
 Direct trigonometric evaluation is used for x >= 1/2.  Below that the
 direct numerators cancel, so h1 and h3 switch to power series whose
-coefficients come from the Bernoulli table,
+coefficients are differences of those of the three base series below,
 
-    h1(x) = 1 + sum_n [(1-n) 2^(2n+1) - 2] |B_2n| / (2n)! * x^(2n-2)
-    h3(x) =     sum_n  n 2^(2n+1)          |B_2n| / (2n)! * x^(2n-2)
+    h1(x) = 1 + csc(x)/x - csc^2(x)
+    h3(x) =     csc^2(x) - cot(x)/x       (the 1/x^2 poles cancel)
 
 while h2 and h4 are evaluated as quotients of the Maclaurin expansions of
 their numerators and denominators.
 
-The module also provides adaptive evaluators for the three series
+The module also provides adaptive evaluators for the three base series,
+the only Bernoulli-number formulas stated here,
 
     1/sin x   = 1/x   + sum_n 2 (2^(2n-1) - 1) |B_2n| / (2n)! * x^(2n-1)
     cot x     = 1/x   - sum_n 2^(2n)           |B_2n| / (2n)! * x^(2n-1)
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,11 +63,10 @@ __all__ = [
 X_SWITCH = 0.5
 
 # Adaptive truncation: stop once the next term drops below _REL_STOP of the
-# partial sum, never using more than _MAX_TERMS terms.  All tails here are
-# single-signed on the evaluation window, so the first omitted term bounds
-# the truncation error.
+# partial sum, never using more than the table's 32 coefficients.  All
+# tails here are single-signed on the evaluation window, so the first
+# omitted term bounds the truncation error.
 _REL_STOP = 1e-18
-_MAX_TERMS = 32
 
 
 @dataclass(frozen=True)
@@ -92,74 +92,67 @@ def default_table() -> BernoulliTable:
 # exact series coefficients
 
 
-def _check_order(order: int, table: BernoulliTable) -> None:
-    if not isinstance(order, int) or not 1 <= order <= table.n_terms:
+def _scaled_bernoulli(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
+    """(n, |B_2n| / (2n)!) for n = 1..order, the factor every series shares."""
+    if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= table.n_terms:
         raise DomainError(f"order must be an integer in [1, {table.n_terms}], got {order!r}")
+    return [(n, table.abs_b2n(n) / math.factorial(2 * n)) for n in range(1, order + 1)]
 
 
 def csc_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
     """(power, coefficient) of x^(2n-1), n = 1..order, in 1/sin x - 1/x."""
-    _check_order(order, table)
-    return [
-        (2 * n - 1, 2 * (2 ** (2 * n - 1) - 1) * table.abs_b2n(n) / math.factorial(2 * n))
-        for n in range(1, order + 1)
-    ]
+    return [(2 * n - 1, 2 * (2 ** (2 * n - 1) - 1) * b) for n, b in _scaled_bernoulli(order, table)]
 
 
 def cot_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
     """(power, coefficient) of x^(2n-1) in cot x - 1/x; all negative."""
-    _check_order(order, table)
-    return [
-        (2 * n - 1, -(2 ** (2 * n)) * table.abs_b2n(n) / math.factorial(2 * n))
-        for n in range(1, order + 1)
-    ]
+    return [(2 * n - 1, -(2 ** (2 * n)) * b) for n, b in _scaled_bernoulli(order, table)]
 
 
 def csc_sq_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
     """(power, coefficient) of x^(2n-2) in 1/sin^2 x - 1/x^2."""
-    _check_order(order, table)
-    return [
-        (2 * n - 2, 2 ** (2 * n) * (2 * n - 1) * table.abs_b2n(n) / math.factorial(2 * n))
-        for n in range(1, order + 1)
-    ]
+    return [(2 * n - 2, 2 ** (2 * n) * (2 * n - 1) * b) for n, b in _scaled_bernoulli(order, table)]
 
 
 def h1_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
-    """(power, coefficient) of x^(2n-2) in the h1 expansion.
+    """(power, coefficient) of x^(2n-2) in h1 = 1 + csc(x)/x - csc^2(x).
 
-    The standalone +1 of the expansion is folded into the n = 1 term, so
-    the constant term is 5/6 and every later coefficient is negative.
+    The constant term, which takes the standalone 1, is 5/6; every later
+    coefficient is negative.
     """
-    _check_order(order, table)
-    out = []
-    for n in range(1, order + 1):
-        c = ((1 - n) * 2 ** (2 * n + 1) - 2) * table.abs_b2n(n) / math.factorial(2 * n)
-        if n == 1:
-            c += 1
-        out.append((2 * n - 2, c))
+    out = [
+        (power, a - b)
+        for (_, a), (power, b) in zip(csc_coefficients(order, table), csc_sq_coefficients(order, table))
+    ]
+    out[0] = (0, out[0][1] + 1)
     return out
 
 
 def h3_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
-    """(power, coefficient) of x^(2n-2) in the h3 expansion; all positive."""
-    _check_order(order, table)
+    """(power, coefficient) of x^(2n-2) in h3 = csc^2(x) - cot(x)/x; all positive."""
     return [
-        (2 * n - 2, n * 2 ** (2 * n + 1) * table.abs_b2n(n) / math.factorial(2 * n))
-        for n in range(1, order + 1)
+        (power, a - b)
+        for (power, a), (_, b) in zip(csc_sq_coefficients(order, table), cot_coefficients(order, table))
     ]
 
 
-_SERIES_COEFFICIENTS = (
-    csc_coefficients, cot_coefficients, csc_sq_coefficients, h1_coefficients, h3_coefficients
-)
+# The five series, by the names the CLI's ``series --fn`` accepts.
+_SERIES_COEFFICIENTS = {
+    "csc": csc_coefficients,
+    "cot": cot_coefficients,
+    "cscsq": csc_sq_coefficients,
+    "h1": h1_coefficients,
+    "h3": h3_coefficients,
+}
 
 
 @lru_cache(maxsize=None)
-def _float_coefficients(table: BernoulliTable) -> Mapping[Callable, tuple[float, ...]]:
-    """Binary64 coefficients of the five series, keyed by coefficient function."""
-    order = min(_MAX_TERMS, table.n_terms)
-    coefficients = {fn: tuple(float(c) for _, c in fn(order, table)) for fn in _SERIES_COEFFICIENTS}
-    return MappingProxyType(coefficients)
+def _float_coefficients(table: BernoulliTable) -> Mapping[str, tuple[float, ...]]:
+    """Binary64 coefficients of the five series, as many as the table holds."""
+    return MappingProxyType({
+        name: tuple(float(c) for _, c in fn(table.n_terms, table))
+        for name, fn in _SERIES_COEFFICIENTS.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +187,21 @@ def csc_series(x: float) -> SeriesEvaluation:
     |x| <= pi/2; convergence degrades as |x| -> pi (see truncation_bound).
     """
     _sine_domain(x)
-    coeffs = _float_coefficients(default_table())[csc_coefficients]
+    coeffs = _float_coefficients(default_table())["csc"]
     return _series_sum(1.0 / x, coeffs, x, x * x)
 
 
 def cot_series(x: float) -> SeriesEvaluation:
     """cot x via its series, truncated adaptively."""
     _sine_domain(x)
-    coeffs = _float_coefficients(default_table())[cot_coefficients]
+    coeffs = _float_coefficients(default_table())["cot"]
     return _series_sum(1.0 / x, coeffs, x, x * x)
 
 
 def csc_sq_series(x: float) -> SeriesEvaluation:
     """1/sin^2 x via its series; equals the negated derivative of cot x."""
     _sine_domain(x)
-    coeffs = _float_coefficients(default_table())[csc_sq_coefficients]
+    coeffs = _float_coefficients(default_table())["cscsq"]
     return _series_sum(1.0 / (x * x), coeffs, 1.0, x * x)
 
 
@@ -300,7 +293,7 @@ def _poly(coeffs: tuple[float, ...], w: float) -> float:
 
 
 def _h1_series(x: float) -> float:
-    return _series_sum(0.0, _float_coefficients(default_table())[h1_coefficients], 1.0, x * x).value
+    return _series_sum(0.0, _float_coefficients(default_table())["h1"], 1.0, x * x).value
 
 
 def _h2_series(x: float) -> float:
@@ -309,7 +302,7 @@ def _h2_series(x: float) -> float:
 
 
 def _h3_series(x: float) -> float:
-    return _series_sum(0.0, _float_coefficients(default_table())[h3_coefficients], 1.0, x * x).value
+    return _series_sum(0.0, _float_coefficients(default_table())["h3"], 1.0, x * x).value
 
 
 def _h4_series(x: float) -> float:

@@ -177,6 +177,44 @@ class TestRatio:
                     continue
                 assert math.isfinite(value)
 
+    def test_kernel_route_against_mpmath(self):
+        # the ratio from the means at 60 digits, on exact binary64 pairs
+        # with d = a/b - 1 from 1e-12 up to where 1 + d nears 2^52
+        mpmath = pytest.importorskip("mpmath")
+
+        def exact_mean(kind, a, b):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            s = a + b
+            return {
+                MeanKind.CONTRA_HARMONIC: lambda: (a * a + b * b) / s,
+                MeanKind.CENTROIDAL: lambda: 2 * (a * a + a * b + b * b) / (3 * s),
+                MeanKind.ARITHMETIC: lambda: s / 2,
+                MeanKind.GEOMETRIC: lambda: mpmath.sqrt(a * b),
+                MeanKind.HARMONIC: lambda: 2 * a * b / s,
+                MeanKind.ROOT_SQUARE: lambda: mpmath.sqrt((a * a + b * b) / 2),
+                MeanKind.SEIFFERT_P: lambda: (a - b) / (2 * mpmath.asin((a - b) / s)),
+                MeanKind.SEIFFERT_T: lambda: (a - b) / (2 * mpmath.atan((a - b) / s)),
+            }[kind]()
+
+        ln_lo, ln_hi = math.log(1e-12), math.log(3.7e15)
+        ds = [math.exp(ln_lo + (ln_hi - ln_lo) * i / 99.0) for i in range(100)]
+        worst = 0.0
+        with mpmath.workdps(60):
+            for spec in SPECS.values():
+                for d in ds:
+                    for a, b in ((1.0 + d, 1.0), (1.0, 1.0 + d)):
+                        t, hi, lo = (exact_mean(k, a, b) for k in (spec.target, spec.hi, spec.lo))
+                        ref = (t - lo) / (hi - lo)
+                        got = ratio_via_kernel(spec, PositivePair(a, b))
+                        worst = max(worst, float(abs(got - ref) / abs(ref)))
+        assert worst <= 4e-15
+
+    def test_kernel_route_past_the_binary64_ratio_range(self):
+        # min/max underflows to 0; theta is then the right end of its range
+        for spec in SPECS.values():
+            for pair in (PositivePair(1e300, 1e-300), PositivePair(1e-300, 1e300)):
+                assert ratio_via_kernel(spec, pair) == approx(sharp_bounds(spec).alpha, rel=1e-14)
+
     def test_zero_denominator_names_the_spec(self):
         with pytest.raises(DegeneratePairError, match="thm5.2"):
             ratio(SPECS["thm5.2"], PositivePair(1 + 1e-15, 1.0))
@@ -283,10 +321,17 @@ class TestCertify:
             certify(SPECS["prop1.1"], 10.5, 1, 1e-12)
         with pytest.raises(DomainError):
             certify(SPECS["prop1.1"], 10, 1.5, 1e-12)
+        # bool is an int subclass, but True samples is no sample count
+        for n_samples, seed in ((True, 42), (10, True), (True, True), (10, False)):
+            with pytest.raises(DomainError):
+                certify(SPECS["prop1.1"], n_samples, seed, 1e-12)
         with pytest.raises(DomainError):
             equivalence_check(n_samples=2.5)
         with pytest.raises(DomainError):
             equivalence_check(seed=1.5)
+        for kwargs in ({"n_samples": True}, {"seed": False}):
+            with pytest.raises(DomainError):
+                equivalence_check(**kwargs)
         # Non-finite or non-numeric constants and tolerance: a NaN or an
         # infinity would make every sample pass without a real check.
         spec = SPECS["prop1.1"]
@@ -385,6 +430,7 @@ class TestCertifyMany:
 
     @pytest.mark.parametrize("n_samples, seed, tol", [
         (0, 42, 1e-12), (-3, 42, 1e-12), (10.5, 42, 1e-12), (10, 1.5, 1e-12),
+        (True, 42, 1e-12), (10, True, 1e-12),
         (10, 42, 0.0), (10, 42, -1e-12), (10, 42, math.nextafter(1e-9, 1.0)),
         (10, 42, 1e-3), (10, 42, math.nan), (10, 42, math.inf), (10, 42, "abc"),
     ])

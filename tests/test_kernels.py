@@ -140,10 +140,49 @@ class TestCoefficients:
 
     def test_order_validation(self):
         table = bernoulli_table(8)
-        with pytest.raises(DomainError):
-            h1_coefficients(0, table)
-        with pytest.raises(DomainError):
-            h1_coefficients(5, table)
+        for fn in (csc_coefficients, cot_coefficients, csc_sq_coefficients,
+                   h1_coefficients, h3_coefficients):
+            for bad in (0, 5, True, False, 2.0, "2", None):
+                with pytest.raises(DomainError):
+                    fn(bad, table)
+
+    def test_all_five_match_an_independent_expansion(self):
+        # Each series from the Taylor series of sin and cos by exact power
+        # series division, in w = x^2 with S = sin(x)/x and C = cos(x); no
+        # Bernoulli number is used.
+        order = 32
+        terms = order + 2
+
+        def mul(a, b):
+            return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(terms)]
+
+        def div(a, b):
+            q = []
+            for k in range(terms):
+                q.append((a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1))) / b[0])
+            return q
+
+        S = [Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(terms)]
+        C = [Fraction((-1) ** k, math.factorial(2 * k)) for k in range(terms)]
+        one = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+        S2 = mul(S, S)
+        # x/sin x, x cot x and x^2/sin^2 x: drop the constant 1 (the pole)
+        csc = div(one, S)[1:order + 1]
+        cot = div(C, S)[1:order + 1]
+        csc_sq = div(one, S2)[1:order + 1]
+        # h1 = (S - C^2)/(w S^2) and h3 = (1 - S C)/(w S^2); both numerators
+        # vanish at w = 0, so dividing by w drops their constant term
+        h1 = div([a - b for a, b in zip(S, mul(C, C))][1:] + [0], S2)[:order]
+        h3 = div([a - b for a, b in zip(one, mul(S, C))][1:] + [0], S2)[:order]
+
+        table = default_table()
+        odd = [2 * n - 1 for n in range(1, order + 1)]
+        even = [2 * n - 2 for n in range(1, order + 1)]
+        assert csc_coefficients(order, table) == list(zip(odd, csc))
+        assert cot_coefficients(order, table) == list(zip(odd, cot))
+        assert csc_sq_coefficients(order, table) == list(zip(even, csc_sq))
+        assert h1_coefficients(order, table) == list(zip(even, h1))
+        assert h3_coefficients(order, table) == list(zip(even, h3))
 
 
 class TestHEval:
