@@ -48,12 +48,6 @@ __all__ = [
 ]
 
 
-def _check_integers(**named: object) -> None:
-    for name, value in named.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_finite(**named: object) -> None:
     for name, value in named.items():
         try:
@@ -88,6 +82,9 @@ class InequalitySpec:
     q: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kernel, HFunctionId) or not all(
+                isinstance(kind, MeanKind) for kind in (self.target, self.hi, self.lo)):
+            raise DomainError(f"kernel must be an HFunctionId and target, hi, lo MeanKinds, got {self!r}")
         if self.theta_sub not in _THETA_SUBS:
             raise DomainError(f"theta_sub must be 'sin' or 'tan', got {self.theta_sub!r}")
         _check_finite(p=self.p, q=self.q)
@@ -132,18 +129,19 @@ class SharpBounds:
     beta_exact: str
 
 
-_SQRT2 = math.sqrt(2.0)
-
-# Closed forms of the affine images p*h(theta_right) + q.
+# Closed forms of the affine images p*h(theta_right) + q, evaluated
+# exactly on 50-digit pi and sqrt(2) and rounded once, so pi - 2*sqrt2
+# (thm5.2) does not cancel away the low bits of its float.
+_PI = Fraction("3.1415926535897932384626433832795028841971693993751")
+_SQRT2 = Fraction("1.4142135623730950488016887242096980785696718753769")
 _CLOSED_FORMS: dict[str, tuple[str, float]] = {
-    "prop1.1": ("2/pi", 2.0 / math.pi),
-    "prop1.2": ("1/pi", 1.0 / math.pi),
-    "prop1.3": ("(4-pi)/((sqrt2-1)*pi)", (4.0 - math.pi) / ((_SQRT2 - 1.0) * math.pi)),
-    "prop1.4": ("3/(2*pi)", 3.0 / (2.0 * math.pi)),
-    "thm5.1": ("2/pi", 2.0 / math.pi),
-    "thm5.2": ("(pi-2*sqrt2)/(sqrt2*pi-2*sqrt2)",
-               (math.pi - 2.0 * _SQRT2) / (_SQRT2 * math.pi - 2.0 * _SQRT2)),
-    "thm5.3": ("2/pi", 2.0 / math.pi),
+    "prop1.1": ("2/pi", float(2 / _PI)),
+    "prop1.2": ("1/pi", float(1 / _PI)),
+    "prop1.3": ("(4-pi)/((sqrt2-1)*pi)", float((4 - _PI) / ((_SQRT2 - 1) * _PI))),
+    "prop1.4": ("3/(2*pi)", float(3 / (2 * _PI))),
+    "thm5.1": ("2/pi", float(2 / _PI)),
+    "thm5.2": ("(pi-2*sqrt2)/(sqrt2*pi-2*sqrt2)", float((_PI - 2 * _SQRT2) / (_SQRT2 * _PI - 2 * _SQRT2))),
+    "thm5.3": ("2/pi", float(2 / _PI)),
 }
 
 
@@ -393,7 +391,9 @@ def _certify_chunk(
 def _check_run(n_samples: object, seed: object, tol: object,
                alpha: object = None, beta: object = None) -> None:
     """The argument checks of certify and certify_many."""
-    _check_integers(n_samples=n_samples, seed=seed)
+    for name, value in (("n_samples", n_samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
     _check_finite(tol=tol, **{n: v for n, v in (("alpha", alpha), ("beta", beta)) if v is not None})
@@ -492,42 +492,31 @@ def certify_many(
 
 _EQ_LN_LO = math.log(1.3)
 _EQ_LN_HI = math.log(1e12)
+_EQ_SAMPLES = 1000
+_EQ_SEED = 20260808
+_EQ_REL_TOL = 1e-12
 
 
-def equivalence_check(
-    *,
-    n_samples: int = 1000,
-    seed: int = 20260808,
-    rel_tol: float = 1e-12,
-    spec_half: InequalitySpec | None = None,
-    spec_three_quarters: InequalitySpec | None = None,
-) -> bool:
+def equivalence_check() -> bool:
     """True when the three h1-based inequalities share one kernel up to
     their affine maps: ratio(prop1.2) = (1/2) ratio(prop1.1) and
-    ratio(prop1.4) = (3/4) ratio(prop1.1) on sampled pairs.
+    ratio(prop1.4) = (3/4) ratio(prop1.1), to 1e-12 relative, on 1000
+    fixed pairs (x, 1) with x log-uniform in [1.3, 1e12].
 
-    The expected factors come from the specs' p fields, so passing a
-    perturbed spec makes the check fail.  Samples keep x = a/b >= 1.3:
-    the ratios are quotients of mean differences, whose rounding noise
-    near a == b would swamp a 1e-12 comparison.
+    The expected factors come from the p fields in SPECS, so a crooked p
+    there makes the check fail.  Samples keep x = a/b >= 1.3: the ratios
+    are quotients of mean differences, whose rounding noise near a == b
+    would swamp a 1e-12 comparison.
     """
-    _check_integers(n_samples=n_samples, seed=seed)
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
-    _check_finite(rel_tol=rel_tol)
-    if not rel_tol > 0.0:
-        raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
-    base = SPECS["prop1.1"]
-    s_half = SPECS["prop1.2"] if spec_half is None else spec_half
-    s_tq = SPECS["prop1.4"] if spec_three_quarters is None else spec_three_quarters
-    f_half = s_half.p / base.p
-    f_tq = s_tq.p / base.p
+    base, half, three_quarters = SPECS["prop1.1"], SPECS["prop1.2"], SPECS["prop1.4"]
+    f_half = half.p / base.p
+    f_tq = three_quarters.p / base.p
     span = _EQ_LN_HI - _EQ_LN_LO
-    for i in range(n_samples):
-        pair = PositivePair(math.exp(_EQ_LN_LO + span * _unit(seed, i)), 1.0)
+    for i in range(_EQ_SAMPLES):
+        pair = PositivePair(math.exp(_EQ_LN_LO + span * _unit(_EQ_SEED, i)), 1.0)
         r_base = ratio(base, pair)
-        if abs(ratio(s_half, pair) - f_half * r_base) > rel_tol * abs(f_half * r_base):
+        if abs(ratio(half, pair) - f_half * r_base) > _EQ_REL_TOL * abs(f_half * r_base):
             return False
-        if abs(ratio(s_tq, pair) - f_tq * r_base) > rel_tol * abs(f_tq * r_base):
+        if abs(ratio(three_quarters, pair) - f_tq * r_base) > _EQ_REL_TOL * abs(f_tq * r_base):
             return False
     return True

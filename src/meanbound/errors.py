@@ -1,5 +1,7 @@
 """Exception hierarchy shared by the whole package."""
 
+__all__ = ["ConvergenceError", "DegeneratePairError", "DomainError", "MeanBoundError"]
+
 
 class MeanBoundError(Exception):
     """Base class for every error raised by this package."""

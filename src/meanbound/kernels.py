@@ -175,9 +175,20 @@ def _series_sum(lead: float, coeffs: tuple[float, ...], x_first: float, x_step: 
     return SeriesEvaluation(acc, used, bound)
 
 
-def _sine_domain(x: float) -> None:
-    if not 0.0 < abs(x) < math.pi:
-        raise DomainError(f"series argument must satisfy 0 < |x| < pi, got {x!r}")
+def _reciprocal_sine_series(name: str, x: float, power: int) -> SeriesEvaluation:
+    """Leading term 1/x**power plus the adaptive tail of series ``name``, for
+    a real x with 0 < |x| < pi whose leading term is finite."""
+    lead = math.nan
+    try:
+        if -math.pi < x < math.pi:
+            lead = 1.0 / (x if power == 1 else x * x)
+    except (TypeError, ZeroDivisionError):  # a str or complex x; x == 0, or x*x underflows
+        pass
+    if not math.isfinite(lead):
+        raise DomainError(
+            f"series argument must be a real x, 0 < |x| < pi, with 1/x^{power} finite, got {x!r}"
+        )
+    return _series_sum(lead, _float_coefficients(default_table())[name], x if power == 1 else 1.0, x * x)
 
 
 def csc_series(x: float) -> SeriesEvaluation:
@@ -186,23 +197,17 @@ def csc_series(x: float) -> SeriesEvaluation:
     Agrees with direct 1/sin x to better than 1e-12 relative on
     |x| <= pi/2; convergence degrades as |x| -> pi (see truncation_bound).
     """
-    _sine_domain(x)
-    coeffs = _float_coefficients(default_table())["csc"]
-    return _series_sum(1.0 / x, coeffs, x, x * x)
+    return _reciprocal_sine_series("csc", x, 1)
 
 
 def cot_series(x: float) -> SeriesEvaluation:
     """cot x via its series, truncated adaptively."""
-    _sine_domain(x)
-    coeffs = _float_coefficients(default_table())["cot"]
-    return _series_sum(1.0 / x, coeffs, x, x * x)
+    return _reciprocal_sine_series("cot", x, 1)
 
 
 def csc_sq_series(x: float) -> SeriesEvaluation:
     """1/sin^2 x via its series; equals the negated derivative of cot x."""
-    _sine_domain(x)
-    coeffs = _float_coefficients(default_table())["cscsq"]
-    return _series_sum(1.0 / (x * x), coeffs, 1.0, x * x)
+    return _reciprocal_sine_series("cscsq", x, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +345,11 @@ def h_eval(fn_id: HFunctionId, x: float) -> float:
         info = H_INFO[fn_id]
     except (KeyError, TypeError):  # TypeError: an unhashable fn_id
         raise _unknown_id(fn_id) from None
-    if not 0.0 < x < info.domain_right:
+    try:
+        inside = 0.0 < x < info.domain_right
+    except TypeError:  # a str or complex x
+        inside = False
+    if not inside:
         raise DomainError(
             f"{fn_id.value} is defined on the open interval (0, {info.domain_right!r}), got {x!r}"
         )

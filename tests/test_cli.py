@@ -148,9 +148,9 @@ class TestCertifyCommand:
     # SHA-256 of the stdout of `meanbound certify --id all --samples 2000
     # --seed 42 --format <fmt>`; any change to a report's bits changes these.
     @pytest.mark.parametrize("fmt, digest", [
-        ("json", "1ce92ff21966430ffbcfb8b2373d7aae9c222f26a80eca4287675777245a217b"),
-        ("text", "70c57ff0ca6846df153d02a13ff663e56f7f324c180f969a0b78dd34c2e70195"),
-        ("csv", "740ea48464cc6aa9f3bba0730820bd2fb2fab92425fe17349e8a80971a06759e"),
+        ("json", "af5051ec07f0a3eef2859f9178bc058c486ab175825f02e24e5da4601f1bc46c"),
+        ("text", "69c29ad0f0c11b746381369ea1a0ed8f9711ced0dc7d2ef136171662ac3c3712"),
+        ("csv", "f627cc3e575719ec7034046f2e0bb2135ec45769b8d4dd64242ab3b7e3daa8a9"),
     ])
     def test_pinned_stdout(self, capsys, fmt, digest):
         code, out, _ = run_cli(capsys, "certify", "--id", "all", "--samples", "2000",
@@ -206,9 +206,9 @@ class TestPinnedTranscripts:
     @pytest.mark.parametrize("command, digest", [
         ("mean", "04aebd89f6c4d3b9d76508107439bbe446a790eced4acb7f1d0f25e18c03465a"),
         ("hfun", "82bfc65532f021ad70c42bf42642ba183cc2bf885bf99c66ef88d1b1877873bd"),
-        ("bounds-table", "921c0216515d4792291948ff3981520049949a31a427633c931165015082e8c4"),
+        ("bounds-table", "9cd789ef2d0da11c4c045669d1f843a2ce26a86c3c800f090ce3730f55451239"),
         ("series", "3ba4ab74ebb52e02865bcbbb62c1be4524497e1f56617b6b7f8bde81008e7171"),
-        ("certify", "c3db83041517aa700bac0a6b72be0700e6de2a65a0869c0f87cb29885abec266"),
+        ("certify", "ac5b56d7b8350539ab9a97d9f3bacb201e4b9b92a1e772297a6d4f34dda8b69e"),
     ])
     def test_pinned_bytes(self, capsys, command, digest):
         assert _transcript_digest(capsys, _TRANSCRIPT_ARGVS[command]) == digest
@@ -226,7 +226,7 @@ class TestPinnedTranscripts:
         assert code == 1
         assert out.count("VIOLATED") == 7
         assert _transcript_digest(capsys, [argv]) == (
-            "07f523b3dc64e6f9a724e08f39edb0cbb79c97a3dd016e4c53410443a3db5f0a"
+            "21b54801f2a33d92277d74aca6cce3c6505b35d42b49a851dd57267547aa1a18"
         )
 
 

@@ -76,11 +76,23 @@ class TestReciprocalSineSeries:
         assert cot_series(-0.7).value == approx(-cot_series(0.7).value, rel=1e-15)
         assert csc_sq_series(-0.7).value == approx(csc_sq_series(0.7).value, rel=1e-15)
 
-    @pytest.mark.parametrize("bad", [0.0, math.pi, -math.pi, 3.2, 4.0, -3.5])
+    # 1e-310 and 5e-324 have an infinite 1/x; "0.3", 1j and None are not
+    # real numbers
+    @pytest.mark.parametrize("bad", [0.0, math.pi, -math.pi, 3.2, 4.0, -3.5,
+                                     math.nan, 1e-310, -1e-310, 5e-324, "0.3", 1j, None])
     def test_domain_errors(self, bad):
         for fn in (csc_series, cot_series, csc_sq_series):
             with pytest.raises(DomainError):
                 fn(bad)
+
+    def test_leading_term_must_be_finite(self):
+        # 1/x^2 overflows below x ~ 7.5e-155, and x*x underflows to 0 at 1e-200
+        for tiny in (1e-200, -1e-200, 1e-160):
+            with pytest.raises(DomainError):
+                csc_sq_series(tiny)
+        assert csc_sq_series(1e-150).value == approx(1e300, rel=1e-15)
+        assert csc_series(1e-300).value == approx(1e300, rel=1e-15)
+        assert cot_series(-1e-300).value == approx(-1e300, rel=1e-15)
 
     def test_agreement_with_direct_up_to_half_pi(self):
         for i in range(1, 158):
@@ -224,6 +236,7 @@ class TestHEval:
             (H2, 0.0), (H2, math.tau), (H2, 7.0),
             (H3, math.pi), (H4, math.pi), (H4, -1.0),
             ("h1", 0.3), (None, 0.3), (1, 0.3), ([H1], 0.3),
+            (H1, "0.3"), (H2, None), (H3, 1j), (H4, [0.3]),
         ],
     )
     def test_domain_errors(self, fn_id, bad):
