@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
-from .means import _EVALUATORS, MeanKind, PositivePair, eval_mean
+from .means import _EVALUATORS, MeanKind, PositivePair, _not_a_pair, eval_mean
 
 __all__ = [
     "CertificationReport",
@@ -56,6 +56,11 @@ def _check_finite(**named: object) -> None:
             finite = False
         if not finite:
             raise DomainError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _check_spec(spec: object) -> None:
+    if not isinstance(spec, InequalitySpec):
+        raise DomainError(f"spec must be an InequalitySpec, got {spec!r}")
 
 
 # theta_sub -> right end of the theta range
@@ -152,6 +157,7 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     theta_right (alpha side, in closed form) and of its limit at 0+ (beta
     side, exact from p, q and the rational limit, so a wrong p or q shows).
     """
+    _check_spec(spec)
     if spec.id not in _CLOSED_FORMS:
         raise DomainError(f"unknown inequality id {spec.id!r}")
     a_str, a_val = _CLOSED_FORMS[spec.id]
@@ -161,7 +167,11 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
 
 def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
     """(target - lo)/(hi - lo), computed from the means themselves."""
-    if pair.degenerate:
+    try:
+        degenerate = pair.degenerate
+    except AttributeError:
+        raise _not_a_pair(pair) from None
+    if degenerate:
         raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
     t = eval_mean(spec.target, pair)
     h = eval_mean(spec.hi, pair)
@@ -180,7 +190,11 @@ def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
     gives theta = atan2(1 - y, 2*sqrt(y)) or atan2(1 - y, 1 + y).  Unlike
     asin near 1, neither amplifies rounding as a/b grows, and y = 0 gives
     theta_right."""
-    if pair.degenerate:
+    try:
+        degenerate = pair.degenerate
+    except AttributeError:
+        raise _not_a_pair(pair) from None
+    if degenerate:
         raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
     y = pair.b / pair.a if pair.a >= pair.b else pair.a / pair.b
     theta = math.atan2(1.0 - y, 2.0 * math.sqrt(y) if spec.theta_sub == "sin" else 1.0 + y)
@@ -243,6 +257,7 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
     than 1e-8 absolute; raises ConvergenceError when the internal error
     estimates say otherwise, which would signal an implementation bug.
     """
+    _check_spec(spec)
 
     def g(theta: float) -> float:
         return spec.p * h_eval(spec.kernel, theta) + spec.q
@@ -279,12 +294,16 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
 _M64 = (1 << 64) - 1
 
 
-def _unit(seed: int, index: int) -> float:
-    z = (seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xD1B54A32D192ED03) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    z ^= z >> 31
-    return z / 18446744073709551616.0  # 2^64
+def _units(seed: int, start: int, stop: int) -> list[float]:
+    """The stream's uniforms z / 2^64, one per sample index in [start, stop)."""
+    base = seed * 0x9E3779B97F4A7C15
+    units = []
+    for index in range(start + 1, stop + 1):
+        z = (base + index * 0xD1B54A32D192ED03) & _M64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        units.append((z ^ (z >> 31)) / 18446744073709551616.0)  # 2^64
+    return units
 
 
 _LN_X_LO = math.log1p(1e-12)
@@ -339,18 +358,25 @@ def _scan(
     tol: float,
     state: _ChunkResult,
 ) -> _ChunkResult:
-    """Fold one check's margins over a block into (violations, worst, worst_x)."""
+    """Fold one check's margins over a block into (violations, worst, worst_x).
+
+    The margin is the smaller of the two relative margins, the lower side
+    on a tie (as min keeps its first argument); the worst margin keeps the
+    smallest x among equal ones.  The loop calls no function per sample.
+    """
     violations, worst, worst_x = state
     one_minus_alpha = 1.0 - alpha
     one_minus_beta = 1.0 - beta
+    neg_tol = -tol
     for x, t, h, lo_v in zip(xs, targets, his, los):
-        lower = alpha * h + one_minus_alpha * lo_v
-        upper = beta * h + one_minus_beta * lo_v
-        margin = min((t - lower) / t, (upper - t) / t)
-        if margin < worst or (margin == worst and worst_x is not None and x < worst_x):
+        margin = (t - (alpha * h + one_minus_alpha * lo_v)) / t
+        upper_margin = (beta * h + one_minus_beta * lo_v - t) / t
+        if upper_margin < margin:
+            margin = upper_margin
+        if margin <= worst and (margin < worst or (worst_x is not None and x < worst_x)):
             worst = margin
             worst_x = x
-        if margin < -tol:
+        if margin < neg_tol:
             violations += 1
     return violations, worst, worst_x
 
@@ -367,16 +393,19 @@ def _certify_chunk(
 
     All checks share one sample stream: each x is drawn once and each
     distinct mean kind evaluated once at it, however many checks use it.
-    Every sample is the pair (x, 1) with x in [1 + 1e-12, 1e12], for which
-    eval_mean scales by m = x to the arguments (1.0, 1/x); 1/x cannot
-    underflow there, so calling the scaled evaluators on (1.0, 1/x) and
-    rescaling by x is the same arithmetic without a pair per sample.
+    The range is taken in blocks of _BLOCK indices, whose uniforms come
+    from one _units draw; since each uniform depends on (seed, index)
+    alone, the block bounds do not change any sample.  Every sample is
+    the pair (x, 1) with x in [1 + 1e-12, 1e12], for which eval_mean
+    scales by m = x to the arguments (1.0, 1/x); 1/x cannot underflow
+    there, so calling the scaled evaluators on (1.0, 1/x) and rescaling
+    by x is the same arithmetic without a pair per sample.
     """
     kinds = dict.fromkeys(kind for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo))
     span = _LN_X_HI - _LN_X_LO
     results: list[_ChunkResult] = [(0, math.inf, None)] * len(checks)
     for first in range(start, stop, _BLOCK):
-        xs = [math.exp(_LN_X_LO + span * _unit(seed, i)) for i in range(first, min(first + _BLOCK, stop))]
+        xs = [math.exp(_LN_X_LO + span * u) for u in _units(seed, first, min(first + _BLOCK, stop))]
         ys = [1.0 / x for x in xs]
         values = {}
         for kind in kinds:
@@ -463,6 +492,7 @@ def certify(
     The report is a value, never an exception, and is deterministic for a
     fixed seed.
     """
+    _check_spec(spec)
     _check_run(n_samples, seed, tol, alpha, beta)
     return _certify_specs([spec], n_samples, seed, tol, alpha, beta)[0]
 
@@ -483,6 +513,8 @@ def certify_many(
     specs = list(specs)
     if not specs:
         raise DomainError("certify_many needs at least one spec")
+    for spec in specs:
+        _check_spec(spec)
     _check_run(n_samples, seed, tol)
     return _certify_specs(specs, n_samples, seed, tol, None, None)
 
@@ -512,8 +544,8 @@ def equivalence_check() -> bool:
     f_half = half.p / base.p
     f_tq = three_quarters.p / base.p
     span = _EQ_LN_HI - _EQ_LN_LO
-    for i in range(_EQ_SAMPLES):
-        pair = PositivePair(math.exp(_EQ_LN_LO + span * _unit(_EQ_SEED, i)), 1.0)
+    for u in _units(_EQ_SEED, 0, _EQ_SAMPLES):
+        pair = PositivePair(math.exp(_EQ_LN_LO + span * u), 1.0)
         r_base = ratio(base, pair)
         if abs(ratio(half, pair) - f_half * r_base) > _EQ_REL_TOL * abs(f_half * r_base):
             return False

@@ -94,8 +94,12 @@ def default_table() -> BernoulliTable:
 
 def _scaled_bernoulli(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
     """(n, |B_2n| / (2n)!) for n = 1..order, the factor every series shares."""
-    if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= table.n_terms:
-        raise DomainError(f"order must be an integer in [1, {table.n_terms}], got {order!r}")
+    try:
+        n_terms = table.n_terms
+    except AttributeError:
+        raise DomainError(f"table must be a BernoulliTable, got {table!r}") from None
+    if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= n_terms:
+        raise DomainError(f"order must be an integer in [1, {n_terms}], got {order!r}")
     return [(n, table.abs_b2n(n) / math.factorial(2 * n)) for n in range(1, order + 1)]
 
 
@@ -353,9 +357,12 @@ def h_eval(fn_id: HFunctionId, x: float) -> float:
         raise DomainError(
             f"{fn_id.value} is defined on the open interval (0, {info.domain_right!r}), got {x!r}"
         )
-    if x >= X_SWITCH:
-        return _DIRECT[fn_id](x)
-    return _SERIES[fn_id](x)
+    try:
+        if x >= X_SWITCH:
+            return _DIRECT[fn_id](x)
+        return _SERIES[fn_id](x)
+    except TypeError:  # a real x the float arithmetic refuses, such as a Decimal
+        raise DomainError(f"{fn_id.value} needs a float argument, got {x!r}") from None
 
 
 def h_limit(fn_id: HFunctionId, endpoint: str) -> float:

@@ -138,6 +138,10 @@ _EVALUATORS = {
 }
 
 
+def _not_a_pair(pair: object) -> DomainError:
+    return DomainError(f"pair must be a PositivePair, got {pair!r}")
+
+
 def eval_mean(kind: MeanKind, pair: PositivePair) -> float:
     """Evaluate one mean of the pair.
 
@@ -146,11 +150,15 @@ def eval_mean(kind: MeanKind, pair: PositivePair) -> float:
     and max(a, b), with equality exactly when a == b; the Seiffert means
     take their continuous-extension value a at a == b.
     """
-    m = pair.a if pair.a >= pair.b else pair.b
-    x = pair.a / m
-    y = pair.b / m
+    try:
+        a, b = pair.a, pair.b
+    except AttributeError:
+        raise _not_a_pair(pair) from None
+    m = a if a >= b else b
+    x = a / m
+    y = b / m
     if x == 0.0 or y == 0.0:
-        raise DomainError(f"ratio of {pair.a!r} to {pair.b!r} exceeds the binary64 range")
+        raise DomainError(f"ratio of {a!r} to {b!r} exceeds the binary64 range")
     try:
         f = _EVALUATORS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
@@ -169,9 +177,13 @@ def half_sum_ratio(pair: PositivePair) -> float:
     beyond ~1e16 would round the quotient to +-1.0 exactly; those are
     clamped to the nearest double inside the open interval.
     """
-    m = pair.a if pair.a >= pair.b else pair.b
-    x = pair.a / m
-    y = pair.b / m
+    try:
+        a, b = pair.a, pair.b
+    except AttributeError:
+        raise _not_a_pair(pair) from None
+    m = a if a >= b else b
+    x = a / m
+    y = b / m
     r = (x - y) / (x + y)
     if r >= 1.0:
         return _ONE_INSIDE
@@ -188,7 +200,11 @@ def seiffert_p_arctan_form(pair: PositivePair) -> float:
     eval_mean(SEIFFERT_P, pair) to ~1e-15 relative across the full
     argument range.  Raises for a == b, where the defining form is 0/0.
     """
-    if pair.degenerate:
+    try:
+        degenerate = pair.degenerate
+    except AttributeError:
+        raise _not_a_pair(pair) from None
+    if degenerate:
         raise DegeneratePairError("(a - b)/(4*atan(sqrt(a/b)) - pi) is 0/0 at a == b")
     m = pair.a if pair.a >= pair.b else pair.b
     x = pair.a / m

@@ -2,9 +2,33 @@
 names, and the package re-exports exactly those plus __version__."""
 
 import inspect
+from decimal import Decimal
+
+import pytest
 
 import meanbound
-from meanbound import bernoulli, bounds, errors, kernels, means
+from meanbound import (
+    SPECS,
+    HFunctionId,
+    MeanBoundError,
+    MeanKind,
+    bernoulli,
+    bounds,
+    certify,
+    certify_many,
+    csc_coefficients,
+    errors,
+    eval_mean,
+    h_eval,
+    half_sum_ratio,
+    kernels,
+    means,
+    numeric_extrema,
+    ratio,
+    ratio_via_kernel,
+    seiffert_p_arctan_form,
+    sharp_bounds,
+)
 
 PUBLIC = {
     "BernoulliTable", "CertificationReport", "ConvergenceError", "DegeneratePairError",
@@ -37,3 +61,30 @@ def test_each_name_comes_from_one_module_all():
 
 def test_equivalence_check_takes_no_arguments():
     assert not inspect.signature(meanbound.equivalence_check).parameters
+
+
+# Arguments of the wrong type: a tuple for a PositivePair, None for a
+# BernoulliTable or an InequalitySpec, an id for a spec, and a Decimal,
+# which compares with floats but fails in the kernels' float arithmetic.
+@pytest.mark.parametrize("call", [
+    lambda: eval_mean(MeanKind.ARITHMETIC, (1, 2)),
+    lambda: ratio(SPECS["prop1.1"], (2.0, 1.0)),
+    lambda: ratio_via_kernel(SPECS["prop1.1"], (2.0, 1.0)),
+    lambda: half_sum_ratio((1, 2)),
+    lambda: seiffert_p_arctan_form((2.0, 1.0)),
+    lambda: csc_coefficients(2, None),
+    lambda: h_eval(HFunctionId.H1, Decimal("0.7")),
+    lambda: h_eval(HFunctionId.H1, Decimal("0.3")),
+    lambda: certify(None, 10, 1, 1e-12),
+    lambda: certify_many([None], 10, 1, 1e-12),
+    lambda: sharp_bounds("prop1.1"),
+    lambda: numeric_extrema(None),
+], ids=[
+    "eval_mean-tuple", "ratio-tuple", "ratio_via_kernel-tuple", "half_sum_ratio-tuple",
+    "seiffert_p_arctan_form-tuple", "csc_coefficients-None", "h_eval-Decimal-direct",
+    "h_eval-Decimal-series", "certify-None", "certify_many-None", "sharp_bounds-str",
+    "numeric_extrema-None",
+])
+def test_wrong_argument_types_raise_meanbound_errors(call):
+    with pytest.raises(MeanBoundError):
+        call()

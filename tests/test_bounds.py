@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from meanbound import (
     ratio_via_kernel,
     sharp_bounds,
 )
-from meanbound.bounds import _LN_X_HI, _LN_X_LO, _certify_chunk, _unit
+from meanbound import bounds
+from meanbound.bounds import _BLOCK, _LN_X_HI, _LN_X_LO, _certify_chunk, _scan, _units
 
 # 60-digit reference values.
 RATIO_PROP11_2_1 = 0.8277638965669817  # h1(asin(1/3))
@@ -257,6 +259,20 @@ class TestNumericExtrema:
             assert inf_v < sup_v
 
 
+def _check_shards_merge(start, stop, shard_bounds):
+    checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta) for spec in SPECS.values()]
+    whole = _certify_chunk(checks, 1e-12, 5, start, stop)
+    shards = [_certify_chunk(checks, 1e-12, 5, i, j) for i, j in shard_bounds]
+    for n, check in enumerate(checks):
+        violations = sum(shard[n][0] for shard in shards)
+        worst, worst_x = math.inf, None
+        for _, margin, x in (shard[n] for shard in shards):
+            if margin < worst or (margin == worst and (worst_x is None or x < worst_x)):
+                worst, worst_x = margin, x
+        assert (violations, worst, worst_x) == whole[n]
+        assert whole[n] == _reference_chunk(*check, 1e-12, 5, start, stop)
+
+
 class TestCertify:
     def test_clean_run(self):
         report = certify(SPECS["prop1.1"], 2000, 42, 1e-12)
@@ -288,17 +304,12 @@ class TestCertify:
     def test_shards_merge_to_the_whole_range(self):
         # the stream is keyed by (seed, index), so split index ranges merged
         # with the same worst-margin / smallest-x tiebreak give the whole
-        checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta)
-                  for spec in SPECS.values()]
-        whole = _certify_chunk(checks, 1e-12, 5, 0, 4000)
-        shards = [_certify_chunk(checks, 1e-12, 5, i, j) for i, j in ((0, 1500), (1500, 4000))]
-        for n in range(len(checks)):
-            violations = sum(shard[n][0] for shard in shards)
-            worst, worst_x = math.inf, None
-            for _, margin, x in (shard[n] for shard in shards):
-                if margin < worst or (margin == worst and (worst_x is None or x < worst_x)):
-                    worst, worst_x = margin, x
-            assert (violations, worst, worst_x) == whole[n]
+        _check_shards_merge(0, 4000, [(0, 1500), (1500, 4000)])
+
+    def test_off_grid_shards_merge_to_the_whole_range(self):
+        # shard ends off the block grid start blocks at other indices
+        assert 255 % _BLOCK and 513 % _BLOCK
+        _check_shards_merge(0, 1000, [(0, 255), (255, 513), (513, 1000)])
 
     def test_lowered_beta_is_violated(self):
         # beta = 0.83 < 5/6 must fail near x -> 1
@@ -359,13 +370,23 @@ class TestCertify:
                 certify(spec, 1000, 1, bad)
 
 
+def _splitmix_unit(seed, index):
+    """The certify stream's uniform for one (seed, index), written apart
+    from the library: the splitmix64 finalizer of the 64-bit state
+    seed*0x9E3779B97F4A7C15 + (index + 1)*0xD1B54A32D192ED03, over 2^64."""
+    z = (seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xD1B54A32D192ED03) % 2**64
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = ((z ^ (z >> shift)) * mult) % 2**64
+    return (z ^ (z >> 31)) / 2.0**64
+
+
 def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
-    """Reference for _certify_chunk: the same sample body through a
-    PositivePair and three eval_mean dispatches per sample."""
+    """Reference for _certify_chunk: one scalar draw, a PositivePair, three
+    eval_mean dispatches and a min of the two margins per sample."""
     span = _LN_X_HI - _LN_X_LO
     violations, worst, worst_x = 0, math.inf, None
     for i in range(start, stop):
-        x = math.exp(_LN_X_LO + span * _unit(seed, i))
+        x = math.exp(_LN_X_LO + span * _splitmix_unit(seed, i))
         pair = PositivePair(x, 1.0)
         t = eval_mean(spec.target, pair)
         h = eval_mean(spec.hi, pair)
@@ -378,6 +399,74 @@ def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
         if margin < -tol:
             violations += 1
     return violations, worst, worst_x
+
+
+class TestStream:
+    @pytest.mark.parametrize("seed", [0, 1, 42, -7, 2**70])
+    @pytest.mark.parametrize("start, stop", [
+        (7, 7), (0, 1), (0, 300), (255, 513), (10**12, 10**12 + 40),
+    ])
+    def test_block_draw_matches_the_scalar_formula(self, seed, start, stop):
+        assert _units(seed, start, stop) == [_splitmix_unit(seed, i) for i in range(start, stop)]
+
+
+def _target_with_zeros(lower_zero, upper_zero):
+    """A target of value 1.0 for which t - lower and upper - t are the
+    given signed zeros.  In binary64, x - x is +0.0 for every finite x, so
+    the two relative margins of a float target can only tie at zeros of
+    one sign; this stand-in lets them tie at 0.0 and -0.0."""
+
+    class Target(float):
+        def __sub__(self, other):
+            return lower_zero
+
+        def __rsub__(self, other):
+            return upper_zero
+
+    return Target(1.0)
+
+
+class TestScan:
+    # hand-built blocks: t = 1, hi = 2, lo = 0 puts the lower bound at
+    # 2*alpha and the upper at 2*beta, so the margins are 1 - 2*alpha and
+    # 2*beta - 1, both exact for alpha and beta in [1/4, 1]
+    FRESH = (0, math.inf, None)
+
+    @pytest.mark.parametrize("xs", [[2.0, 1.5, 3.0], [3.0, 2.0, 1.5], [1.5, 3.0, 2.0]])
+    def test_equal_worst_margins_keep_the_smaller_x(self, xs):
+        result = _scan(xs, [1.0] * 3, [2.0] * 3, [0.0] * 3, 0.375, 0.5, 1e-12, self.FRESH)
+        assert result == (0, 0.0, 1.5)
+
+    @pytest.mark.parametrize("first, second", [(2.0, 1.5), (1.5, 2.0)])
+    def test_equal_worst_margins_across_blocks(self, first, second):
+        state = _scan([first], [1.0], [2.0], [0.0], 0.4375, 0.5625, 1e-12, self.FRESH)
+        assert state == (0, 0.125, first)
+        assert _scan([second], [1.0], [2.0], [0.0], 0.4375, 0.5625, 1e-12, state) == (0, 0.125, 1.5)
+
+    def test_smaller_margin_wins_over_smaller_x(self):
+        # margin 0.125 at x = 1.5 against margin 0.0 at x = 9, in either order
+        wide, tight = (0.4375, 0.5625), (0.375, 0.5)
+        state = _scan([1.5], [1.0], [2.0], [0.0], *wide, 1e-12, self.FRESH)
+        assert _scan([9.0], [1.0], [2.0], [0.0], *tight, 1e-12, state) == (0, 0.0, 9.0)
+        state = _scan([9.0], [1.0], [2.0], [0.0], *tight, 1e-12, self.FRESH)
+        assert _scan([1.5], [1.0], [2.0], [0.0], *wide, 1e-12, state) == (0, 0.0, 9.0)
+
+    @pytest.mark.parametrize("lower_zero, upper_zero", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_tie_keeps_the_lower_side(self, lower_zero, upper_zero):
+        # min(0.0, -0.0) is 0.0 and min(-0.0, 0.0) is -0.0: the first wins
+        t = _target_with_zeros(lower_zero, upper_zero)
+        _, worst, _ = _scan([2.0], [t], [2.0], [0.0], 0.25, 0.75, 1e-12, self.FRESH)
+        assert worst == 0.0
+        assert math.copysign(1.0, worst) == math.copysign(1.0, lower_zero)
+
+    def test_margin_of_exactly_minus_tol_is_not_a_violation(self):
+        # beta = 1/2 - 2^-30 gives the upper margin -2^-29 exactly
+        margin = -(2.0**-29)
+        block = ([2.0], [1.0], [2.0], [0.0], 0.25, 0.5 - 2.0**-30)
+        assert _scan(*block, -margin, self.FRESH) == (0, margin, 2.0)
+        tol = math.nextafter(-margin, 0.0)
+        assert math.nextafter(-tol, -math.inf) == margin
+        assert _scan(*block, tol, self.FRESH) == (1, margin, 2.0)
 
 
 class TestFusedLoop:
@@ -416,6 +505,29 @@ class TestFusedLoop:
         for (spec, _, _), (violations, _, _) in zip(checks, fused):
             if spec.id != perturbed_id:
                 assert violations == 0
+
+    def test_one_evaluator_call_per_sample_and_mean_kind(self, monkeypatch):
+        # the seven checks use all eight kinds; the loop evaluates each kind
+        # once per sample and builds no pair and dispatches no eval_mean
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for kind, f in list(bounds._EVALUATORS.items()):
+            monkeypatch.setitem(bounds._EVALUATORS, kind, counted(kind, f))
+        monkeypatch.setattr(bounds, "PositivePair", counted("PositivePair", bounds.PositivePair))
+        monkeypatch.setattr(bounds, "eval_mean", counted("eval_mean", bounds.eval_mean))
+        checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta) for spec in SPECS.values()]
+        n = 1000
+        _certify_chunk(checks, 1e-12, 42, 0, n)
+        assert len(bounds._EVALUATORS) == 8
+        assert calls == Counter({kind: n for kind in bounds._EVALUATORS})
+        assert sum(calls.values()) == 8 * n
+        assert calls["PositivePair"] == calls["eval_mean"] == 0
 
 
 class TestCertifyMany:
