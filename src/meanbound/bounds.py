@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,9 +59,13 @@ def _check_finite(**named: object) -> None:
             raise DomainError(f"{name} must be a finite real number, got {value!r}")
 
 
+def _not_a_spec(spec: object) -> DomainError:
+    return DomainError(f"spec must be an InequalitySpec, got {spec!r}")
+
+
 def _check_spec(spec: object) -> None:
     if not isinstance(spec, InequalitySpec):
-        raise DomainError(f"spec must be an InequalitySpec, got {spec!r}")
+        raise _not_a_spec(spec)
 
 
 # theta_sub -> right end of the theta range
@@ -168,12 +173,16 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
 def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
     """(target - lo)/(hi - lo), computed from the means themselves."""
     try:
+        target = spec.target
+    except AttributeError:
+        raise _not_a_spec(spec) from None
+    try:
         degenerate = pair.degenerate
     except AttributeError:
         raise _not_a_pair(pair) from None
     if degenerate:
         raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
-    t = eval_mean(spec.target, pair)
+    t = eval_mean(target, pair)
     h = eval_mean(spec.hi, pair)
     lo = eval_mean(spec.lo, pair)
     if h == lo:
@@ -191,13 +200,17 @@ def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
     asin near 1, neither amplifies rounding as a/b grows, and y = 0 gives
     theta_right."""
     try:
+        theta_sub = spec.theta_sub
+    except AttributeError:
+        raise _not_a_spec(spec) from None
+    try:
         degenerate = pair.degenerate
     except AttributeError:
         raise _not_a_pair(pair) from None
     if degenerate:
         raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
     y = pair.b / pair.a if pair.a >= pair.b else pair.a / pair.b
-    theta = math.atan2(1.0 - y, 2.0 * math.sqrt(y) if spec.theta_sub == "sin" else 1.0 + y)
+    theta = math.atan2(1.0 - y, 2.0 * math.sqrt(y) if theta_sub == "sin" else 1.0 + y)
     return spec.p * h_eval(spec.kernel, theta) + spec.q
 
 
@@ -292,17 +305,35 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
 # Per-sample deterministic stream: splitmix64-style finalizer over
 # (seed, index), so any sharding of the index range reproduces the report.
 _M64 = (1 << 64) - 1
+_GAMMA = 0xD1B54A32D192ED03
+
+# Samples are drawn and their means evaluated one block at a time, so the
+# memory a run needs does not grow with n_samples.  The finalizer runs on
+# a whole block at once, as _BLOCK 128-bit lanes of one int: lane i
+# (bits 128i and up) holds sample first + i.  A lane's value is below
+# 2^64 + _BLOCK*_GAMMA before the first mask and below 2^128 after each
+# multiply, so no carry reaches the next lane.  A right shift pulls the
+# next lane's low bits into the top of this one, and a multiply leaves
+# 64 high bits; the mask before each shift and each multiply clears
+# both, so every lane's low 64 bits are the scalar finalizer's.
+_BLOCK = 256
+_LANE_ONES = sum(1 << (128 * i) for i in range(_BLOCK))
+_LANE_M64 = _M64 * _LANE_ONES
+_LANE_STEPS = sum(i * _GAMMA << (128 * i) for i in range(_BLOCK))
 
 
 def _units(seed: int, start: int, stop: int) -> list[float]:
     """The stream's uniforms z / 2^64, one per sample index in [start, stop)."""
     base = seed * 0x9E3779B97F4A7C15
-    units = []
-    for index in range(start + 1, stop + 1):
-        z = (base + index * 0xD1B54A32D192ED03) & _M64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        units.append((z ^ (z >> 31)) / 18446744073709551616.0)  # 2^64
+    units: list[float] = []
+    for first in range(start, stop, _BLOCK):
+        n = min(_BLOCK, stop - first)
+        z = (((base + (first + 1) * _GAMMA) & _M64) * _LANE_ONES + _LANE_STEPS) & _LANE_M64
+        z = (((z ^ (z >> 30)) & _LANE_M64) * 0xBF58476D1CE4E5B9) & _LANE_M64
+        z = (((z ^ (z >> 27)) & _LANE_M64) * 0x94D049BB133111EB) & _LANE_M64
+        z ^= z >> 31
+        lanes = struct.unpack_from(f"<{2 * n}Q", z.to_bytes(16 * _BLOCK, "little"))[::2]
+        units += [lane / 18446744073709551616.0 for lane in lanes]  # 2^64
     return units
 
 
@@ -340,10 +371,6 @@ class CertificationReport:
     def ok(self) -> bool:
         return self.violations == 0
 
-
-# Samples are drawn and their means evaluated one block at a time, so the
-# memory a run needs does not grow with n_samples.
-_BLOCK = 256
 
 _ChunkResult = tuple[int, float, float | None]
 
@@ -510,7 +537,10 @@ def certify_many(
     ``certify(spec, n_samples, seed, tol)``; the stream is drawn and each
     distinct mean evaluated once per sample instead of once per spec.
     """
-    specs = list(specs)
+    try:
+        specs = list(specs)
+    except TypeError:
+        raise DomainError(f"specs must be an iterable of InequalitySpecs, got {specs!r}") from None
     if not specs:
         raise DomainError("certify_many needs at least one spec")
     for spec in specs:

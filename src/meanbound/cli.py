@@ -5,12 +5,14 @@ seven inequalities with their sharp constants), ``certify`` (sample-based
 certification), ``series`` (exact series coefficients), and ``hfun``
 (kernel evaluation).  Exit codes: 0 success, 1 certification violations,
 2 usage or domain errors.  Output is deterministic: rerunning a command
-with the same arguments is byte-identical.
+with the same arguments is byte-identical.  ``main`` builds its parser on
+the first call and reuses it for every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -128,6 +130,7 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
                         help="output format")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meanbound",

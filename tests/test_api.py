@@ -12,6 +12,7 @@ from meanbound import (
     HFunctionId,
     MeanBoundError,
     MeanKind,
+    PositivePair,
     bernoulli,
     bounds,
     certify,
@@ -64,12 +65,15 @@ def test_equivalence_check_takes_no_arguments():
 
 
 # Arguments of the wrong type: a tuple for a PositivePair, None for a
-# BernoulliTable or an InequalitySpec, an id for a spec, and a Decimal,
-# which compares with floats but fails in the kernels' float arithmetic.
+# BernoulliTable or an InequalitySpec, None or an int for a list of specs,
+# an id for a spec, and a Decimal, which compares with floats but fails
+# in the kernels' float arithmetic.
 @pytest.mark.parametrize("call", [
     lambda: eval_mean(MeanKind.ARITHMETIC, (1, 2)),
     lambda: ratio(SPECS["prop1.1"], (2.0, 1.0)),
     lambda: ratio_via_kernel(SPECS["prop1.1"], (2.0, 1.0)),
+    lambda: ratio(None, PositivePair(2.0, 1.0)),
+    lambda: ratio_via_kernel(None, PositivePair(2.0, 1.0)),
     lambda: half_sum_ratio((1, 2)),
     lambda: seiffert_p_arctan_form((2.0, 1.0)),
     lambda: csc_coefficients(2, None),
@@ -77,12 +81,16 @@ def test_equivalence_check_takes_no_arguments():
     lambda: h_eval(HFunctionId.H1, Decimal("0.3")),
     lambda: certify(None, 10, 1, 1e-12),
     lambda: certify_many([None], 10, 1, 1e-12),
+    lambda: certify_many(None, 10, 1, 1e-12),
+    lambda: certify_many(5, 10, 1, 1e-12),
     lambda: sharp_bounds("prop1.1"),
     lambda: numeric_extrema(None),
 ], ids=[
-    "eval_mean-tuple", "ratio-tuple", "ratio_via_kernel-tuple", "half_sum_ratio-tuple",
+    "eval_mean-tuple", "ratio-tuple", "ratio_via_kernel-tuple", "ratio-None",
+    "ratio_via_kernel-None", "half_sum_ratio-tuple",
     "seiffert_p_arctan_form-tuple", "csc_coefficients-None", "h_eval-Decimal-direct",
-    "h_eval-Decimal-series", "certify-None", "certify_many-None", "sharp_bounds-str",
+    "h_eval-Decimal-series", "certify-None", "certify_many-None", "certify_many-not-iterable-None",
+    "certify_many-not-iterable-int", "sharp_bounds-str",
     "numeric_extrema-None",
 ])
 def test_wrong_argument_types_raise_meanbound_errors(call):

@@ -402,9 +402,13 @@ def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
 
 
 class TestStream:
-    @pytest.mark.parametrize("seed", [0, 1, 42, -7, 2**70])
+    # _units draws _BLOCK samples as lanes of one int: lengths around and
+    # past one block, indices past 2^64 and seeds at the edges of 64 bits
+    # check that no lane leaks into the next and that lane i is index i.
+    @pytest.mark.parametrize("seed", [0, 1, 42, -7, 2**70, 2**64 - 1, -(2**64)])
     @pytest.mark.parametrize("start, stop", [
         (7, 7), (0, 1), (0, 300), (255, 513), (10**12, 10**12 + 40),
+        (0, 255), (0, 256), (0, 257), (100, 612), (2**64 - 5, 2**64 + 300),
     ])
     def test_block_draw_matches_the_scalar_formula(self, seed, start, stop):
         assert _units(seed, start, stop) == [_splitmix_unit(seed, i) for i in range(start, stop)]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -287,3 +288,30 @@ class TestHfunCommand:
         header, row = out.strip().split("\n")
         assert header == "id,x,value"
         assert row.startswith("h3,0.25,")
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_and_reused(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ("certify", "--id", "all", "--samples", "300", "--seed", "9", "--format", "json")
+        before = run_cli(capsys, *argv)
+        built_by_first_call = len(built)
+
+        with pytest.raises(SystemExit) as usage:
+            main(["certify", "--id", "nope"])
+        assert usage.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "certify", "--id", "all", "--tol", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tol must be positive")
+        after = run_cli(capsys, *argv)
+
+        assert len(built) == built_by_first_call
+        assert after == before
