@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
-from .means import _EVALUATORS, MeanKind, PositivePair, _not_a_pair, eval_mean
+from .means import _EVALUATORS, MeanKind, PositivePair, _not_a_pair, _reduce, eval_mean
 
 __all__ = [
     "CertificationReport",
@@ -95,8 +95,10 @@ class InequalitySpec:
         if not isinstance(self.kernel, HFunctionId) or not all(
                 isinstance(kind, MeanKind) for kind in (self.target, self.hi, self.lo)):
             raise DomainError(f"kernel must be an HFunctionId and target, hi, lo MeanKinds, got {self!r}")
-        if self.theta_sub not in _THETA_SUBS:
-            raise DomainError(f"theta_sub must be 'sin' or 'tan', got {self.theta_sub!r}")
+        try:
+            _THETA_SUBS[self.theta_sub]
+        except (KeyError, TypeError):  # TypeError: an unhashable theta_sub
+            raise DomainError(f"theta_sub must be 'sin' or 'tan', got {self.theta_sub!r}") from None
         _check_finite(p=self.p, q=self.q)
 
     @property
@@ -163,9 +165,10 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     side, exact from p, q and the rational limit, so a wrong p or q shows).
     """
     _check_spec(spec)
-    if spec.id not in _CLOSED_FORMS:
-        raise DomainError(f"unknown inequality id {spec.id!r}")
-    a_str, a_val = _CLOSED_FORMS[spec.id]
+    try:
+        a_str, a_val = _CLOSED_FORMS[spec.id]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise DomainError(f"unknown inequality id {spec.id!r}") from None
     beta = Fraction(spec.p) * H_INFO[spec.kernel].limit_at_zero + Fraction(spec.q)
     return SharpBounds(alpha=a_val, beta=float(beta), alpha_exact=a_str, beta_exact=str(beta))
 
@@ -195,22 +198,18 @@ def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
 def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
     """The same ratio through the substitution chain, as p*h(theta) + q.
 
-    With y = min(a, b)/max(a, b), sin(theta) or tan(theta) = (1-y)/(1+y)
-    gives theta = atan2(1 - y, 2*sqrt(y)) or atan2(1 - y, 1 + y).  Unlike
-    asin near 1, neither amplifies rounding as a/b grows, and y = 0 gives
+    With r = min(a, b)/max(a, b), sin(theta) or tan(theta) = (1-r)/(1+r)
+    gives theta = atan2(1 - r, 2*sqrt(r)) or atan2(1 - r, 1 + r).  Unlike
+    asin near 1, neither amplifies rounding as a/b grows, and r = 0 gives
     theta_right."""
     try:
         theta_sub = spec.theta_sub
     except AttributeError:
         raise _not_a_spec(spec) from None
-    try:
-        degenerate = pair.degenerate
-    except AttributeError:
-        raise _not_a_pair(pair) from None
-    if degenerate:
+    _, r = _reduce(pair)
+    if r == 1.0:  # exactly when a == b
         raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
-    y = pair.b / pair.a if pair.a >= pair.b else pair.a / pair.b
-    theta = math.atan2(1.0 - y, 2.0 * math.sqrt(y) if theta_sub == "sin" else 1.0 + y)
+    theta = math.atan2(1.0 - r, 2.0 * math.sqrt(r) if theta_sub == "sin" else 1.0 + r)
     return spec.p * h_eval(spec.kernel, theta) + spec.q
 
 
@@ -423,21 +422,19 @@ def _certify_chunk(
     The range is taken in blocks of _BLOCK indices, whose uniforms come
     from one _units draw; since each uniform depends on (seed, index)
     alone, the block bounds do not change any sample.  Every sample is
-    the pair (x, 1) with x in [1 + 1e-12, 1e12], for which eval_mean
-    scales by m = x to the arguments (1.0, 1/x); 1/x cannot underflow
-    there, so calling the scaled evaluators on (1.0, 1/x) and rescaling
-    by x is the same arithmetic without a pair per sample.
+    the pair (x, 1) with x in [1 + 1e-12, 1e12], whose reduction is
+    m = x and r = 1/x, so each mean is x*M(1, 1/x), as in eval_mean.
     """
     kinds = dict.fromkeys(kind for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo))
     span = _LN_X_HI - _LN_X_LO
     results: list[_ChunkResult] = [(0, math.inf, None)] * len(checks)
     for first in range(start, stop, _BLOCK):
         xs = [math.exp(_LN_X_LO + span * u) for u in _units(seed, first, min(first + _BLOCK, stop))]
-        ys = [1.0 / x for x in xs]
+        rs = [1.0 / x for x in xs]
         values = {}
         for kind in kinds:
             f = _EVALUATORS[kind]
-            values[kind] = [x * f(1.0, y) for x, y in zip(xs, ys)]
+            values[kind] = [x * f(r) for x, r in zip(xs, rs)]
         for n, (spec, alpha, beta) in enumerate(checks):
             results[n] = _scan(xs, values[spec.target], values[spec.hi], values[spec.lo],
                                alpha, beta, tol, results[n])

@@ -3,8 +3,10 @@
 Eight means are supported: contra-harmonic, centroidal, arithmetic,
 geometric, harmonic, root-square, and the two Seiffert means defined
 through arcsin and arctan of the normalized difference (a-b)/(a+b).
-Every evaluator is a pure function of an immutable, validated pair and
-extends the Seiffert means continuously to a == b.
+Every mean is symmetric and homogeneous, so each is evaluated as
+m*M(1, r) with m = max(a, b) and r = min(a, b)/m: the evaluators are
+pure functions of r in (0, 1] alone, and the Seiffert means extend
+continuously to a == b (r == 1).
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ class PositivePair:
 
 
 # Truncated even series of u/arcsin(u) and u/arctan(u).  Below the cutoff
-# the direct quotients (a-b)/(2*asin(u)) and (a-b)/(2*atan(u)) would lose
-# one digit per decade of |u| once the arguments have been scaled, while
-# the first omitted series term is under 1e-40.
+# the direct quotients (1-r)/(2*asin(u)) and (1-r)/(2*atan(u)) would lose
+# one digit per decade of u, while the first omitted series term is
+# under 1e-40.
 _U_OVER_ASIN = (1.0, -1.0 / 6.0, -17.0 / 360.0, -367.0 / 15120.0, -27859.0 / 1814400.0)
 _U_OVER_ATAN = (1.0, 1.0 / 3.0, -4.0 / 45.0, 44.0 / 945.0, -428.0 / 14175.0)
 _SERIES_CUTOFF = 1e-4
@@ -81,51 +83,49 @@ def _even_poly(coeffs: tuple[float, ...], u: float) -> float:
     return acc
 
 
-def _contra_harmonic(x: float, y: float) -> float:
-    return (x * x + y * y) / (x + y)
+def _contra_harmonic(r: float) -> float:
+    return (1.0 + r * r) / (1.0 + r)
 
 
-def _centroidal(x: float, y: float) -> float:
-    return 2.0 * ((x * x + y * y) + x * y) / (3.0 * (x + y))
+def _centroidal(r: float) -> float:
+    return 2.0 * ((1.0 + r * r) + r) / (3.0 * (1.0 + r))
 
 
-def _arithmetic(x: float, y: float) -> float:
-    return 0.5 * (x + y)
+def _arithmetic(r: float) -> float:
+    return 0.5 * (1.0 + r)
 
 
-def _geometric(x: float, y: float) -> float:
-    # sqrt(x)*sqrt(y) instead of sqrt(x*y): the product underflows for
-    # ratios beyond ~1e308, the factored form never does.
-    return math.sqrt(x) * math.sqrt(y)
+def _geometric(r: float) -> float:
+    return math.sqrt(r)
 
 
-def _harmonic(x: float, y: float) -> float:
-    return 2.0 * (x * y) / (x + y)
+def _harmonic(r: float) -> float:
+    return 2.0 * r / (1.0 + r)
 
 
-def _root_square(x: float, y: float) -> float:
-    return math.sqrt(0.5 * (x * x + y * y))
+def _root_square(r: float) -> float:
+    return math.sqrt(0.5 * (1.0 + r * r))
 
 
-def _seiffert_p(x: float, y: float) -> float:
-    s = x + y
-    u = (x - y) / s
-    if -_SERIES_CUTOFF < u < _SERIES_CUTOFF:
+def _seiffert_p(r: float) -> float:
+    s = 1.0 + r
+    u = (1.0 - r) / s
+    if u < _SERIES_CUTOFF:
         return 0.5 * s * _even_poly(_U_OVER_ASIN, u)
-    # asin((x-y)/(x+y)) == atan((x-y)/(2*sqrt(xy))); asin amplifies the
+    # asin((1-r)/(1+r)) == atan((1-r)/(2*sqrt(r))); asin amplifies the
     # quotient's rounding by 1/sqrt(1-u^2) as u -> 1, atan does not
-    t = (x - y) / (2.0 * math.sqrt(x) * math.sqrt(y))
-    return (x - y) / (2.0 * math.atan(t))
+    return (1.0 - r) / (2.0 * math.atan((1.0 - r) / (2.0 * math.sqrt(r))))
 
 
-def _seiffert_t(x: float, y: float) -> float:
-    s = x + y
-    u = (x - y) / s
-    if -_SERIES_CUTOFF < u < _SERIES_CUTOFF:
+def _seiffert_t(r: float) -> float:
+    s = 1.0 + r
+    u = (1.0 - r) / s
+    if u < _SERIES_CUTOFF:
         return 0.5 * s * _even_poly(_U_OVER_ATAN, u)
-    return (x - y) / (2.0 * math.atan(u))
+    return (1.0 - r) / (2.0 * math.atan(u))
 
 
+# kind -> the function r -> M(1, r), for r in (0, 1]
 _EVALUATORS = {
     MeanKind.CONTRA_HARMONIC: _contra_harmonic,
     MeanKind.CENTROIDAL: _centroidal,
@@ -142,29 +142,35 @@ def _not_a_pair(pair: object) -> DomainError:
     return DomainError(f"pair must be a PositivePair, got {pair!r}")
 
 
-def eval_mean(kind: MeanKind, pair: PositivePair) -> float:
-    """Evaluate one mean of the pair.
-
-    The arguments are scaled by 1/max(a, b) and the result rescaled, so
-    extreme magnitudes cannot overflow.  The result lies between min(a, b)
-    and max(a, b), with equality exactly when a == b; the Seiffert means
-    take their continuous-extension value a at a == b.
-    """
+def _reduce(pair: PositivePair) -> tuple[float, float]:
+    """(m, r) = (max(a, b), min(a, b)/max(a, b)), so M(a, b) == m*M(1, r)."""
     try:
         a, b = pair.a, pair.b
     except AttributeError:
         raise _not_a_pair(pair) from None
-    m = a if a >= b else b
-    x = a / m
-    y = b / m
-    if x == 0.0 or y == 0.0:
-        raise DomainError(f"ratio of {a!r} to {b!r} exceeds the binary64 range")
+    if a >= b:
+        return a, b / a
+    return b, a / b
+
+
+def eval_mean(kind: MeanKind, pair: PositivePair) -> float:
+    """Evaluate one mean of the pair as m*M(1, r).
+
+    Every mean is symmetric and homogeneous, so with m = max(a, b) and
+    r = min(a, b)/m the result is m times the mean of (1, r); extreme
+    magnitudes cannot overflow.  The result lies between min(a, b) and
+    max(a, b), with equality exactly when a == b; the Seiffert means take
+    their continuous-extension value a at a == b.
+    """
+    m, r = _reduce(pair)
+    if r == 0.0:
+        raise DomainError(f"ratio of {pair.a!r} to {pair.b!r} exceeds the binary64 range")
     try:
         f = _EVALUATORS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         kinds = ", ".join(str(k) for k in MeanKind)
         raise DomainError(f"kind must be one of {kinds}, got {kind!r}") from None
-    return m * f(x, y)
+    return m * f(r)
 
 
 _ONE_INSIDE = math.nextafter(1.0, 0.0)
@@ -177,19 +183,11 @@ def half_sum_ratio(pair: PositivePair) -> float:
     beyond ~1e16 would round the quotient to +-1.0 exactly; those are
     clamped to the nearest double inside the open interval.
     """
-    try:
-        a, b = pair.a, pair.b
-    except AttributeError:
-        raise _not_a_pair(pair) from None
-    m = a if a >= b else b
-    x = a / m
-    y = b / m
-    r = (x - y) / (x + y)
-    if r >= 1.0:
-        return _ONE_INSIDE
-    if r <= -1.0:
-        return -_ONE_INSIDE
-    return r
+    _, r = _reduce(pair)
+    t = (1.0 - r) / (1.0 + r)
+    if t >= 1.0:
+        t = _ONE_INSIDE
+    return t if pair.a >= pair.b else -t
 
 
 def seiffert_p_arctan_form(pair: PositivePair) -> float:
@@ -200,14 +198,8 @@ def seiffert_p_arctan_form(pair: PositivePair) -> float:
     eval_mean(SEIFFERT_P, pair) to ~1e-15 relative across the full
     argument range.  Raises for a == b, where the defining form is 0/0.
     """
-    try:
-        degenerate = pair.degenerate
-    except AttributeError:
-        raise _not_a_pair(pair) from None
-    if degenerate:
+    m, r = _reduce(pair)
+    if r == 1.0:  # exactly when a == b
         raise DegeneratePairError("(a - b)/(4*atan(sqrt(a/b)) - pi) is 0/0 at a == b")
-    m = pair.a if pair.a >= pair.b else pair.b
-    x = pair.a / m
-    y = pair.b / m
-    w = (x - y) / (x + y + 2.0 * math.sqrt(x) * math.sqrt(y))
-    return m * (x - y) / (4.0 * math.atan(w))
+    w = (1.0 - r) / (1.0 + r + 2.0 * math.sqrt(r))
+    return m * (1.0 - r) / (4.0 * math.atan(w))

@@ -1,6 +1,7 @@
 """The public API: each module's __all__ is the one list of its public
 names, and the package re-exports exactly those plus __version__."""
 
+import dataclasses
 import inspect
 from decimal import Decimal
 
@@ -10,6 +11,7 @@ import meanbound
 from meanbound import (
     SPECS,
     HFunctionId,
+    InequalitySpec,
     MeanBoundError,
     MeanKind,
     PositivePair,
@@ -66,8 +68,8 @@ def test_equivalence_check_takes_no_arguments():
 
 # Arguments of the wrong type: a tuple for a PositivePair, None for a
 # BernoulliTable or an InequalitySpec, None or an int for a list of specs,
-# an id for a spec, and a Decimal, which compares with floats but fails
-# in the kernels' float arithmetic.
+# an id for a spec, an unhashable theta_sub or spec id, and a Decimal,
+# which compares with floats but fails in the kernels' float arithmetic.
 @pytest.mark.parametrize("call", [
     lambda: eval_mean(MeanKind.ARITHMETIC, (1, 2)),
     lambda: ratio(SPECS["prop1.1"], (2.0, 1.0)),
@@ -85,13 +87,19 @@ def test_equivalence_check_takes_no_arguments():
     lambda: certify_many(5, 10, 1, 1e-12),
     lambda: sharp_bounds("prop1.1"),
     lambda: numeric_extrema(None),
+    lambda: InequalitySpec("x", MeanKind.SEIFFERT_P, MeanKind.ARITHMETIC, MeanKind.HARMONIC,
+                           HFunctionId.H1, [], 1.0, 0.0),
+    lambda: sharp_bounds(dataclasses.replace(SPECS["prop1.1"], id=["prop1.1"])),
+    lambda: certify(dataclasses.replace(SPECS["prop1.1"], id=["prop1.1"]), 10, 1, 1e-12),
+    lambda: certify_many([dataclasses.replace(SPECS["prop1.1"], id={"prop1.1": 1})], 10, 1, 1e-12),
 ], ids=[
     "eval_mean-tuple", "ratio-tuple", "ratio_via_kernel-tuple", "ratio-None",
     "ratio_via_kernel-None", "half_sum_ratio-tuple",
     "seiffert_p_arctan_form-tuple", "csc_coefficients-None", "h_eval-Decimal-direct",
     "h_eval-Decimal-series", "certify-None", "certify_many-None", "certify_many-not-iterable-None",
     "certify_many-not-iterable-int", "sharp_bounds-str",
-    "numeric_extrema-None",
+    "numeric_extrema-None", "InequalitySpec-theta_sub-list", "sharp_bounds-id-list",
+    "certify-id-list", "certify_many-id-dict",
 ])
 def test_wrong_argument_types_raise_meanbound_errors(call):
     with pytest.raises(MeanBoundError):

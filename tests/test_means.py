@@ -15,6 +15,7 @@ from meanbound import (
     half_sum_ratio,
     seiffert_p_arctan_form,
 )
+from meanbound.means import _SERIES_CUTOFF, _U_OVER_ASIN, _U_OVER_ATAN, _even_poly
 
 # Reference values computed with a 60-digit arbitrary-precision evaluator
 # and rounded to binary64.
@@ -26,14 +27,6 @@ T_1P0001 = 1.0000500008332918
 P_1P001 = 1.0004999583541532      # direct branch, u ~ 5e-4
 T_1P001 = 1.000500083291682
 
-ALGEBRAIC = [
-    MeanKind.CONTRA_HARMONIC,
-    MeanKind.CENTROIDAL,
-    MeanKind.ARITHMETIC,
-    MeanKind.GEOMETRIC,
-    MeanKind.HARMONIC,
-    MeanKind.ROOT_SQUARE,
-]
 ALL_KINDS = list(MeanKind)
 
 positive = st.floats(min_value=1e-150, max_value=1e150, allow_nan=False, allow_infinity=False)
@@ -119,6 +112,12 @@ class TestEvalMean:
         with pytest.raises(DomainError, match="MeanKind.CONTRA_HARMONIC, MeanKind.CENTROIDAL"):
             eval_mean(kind, PositivePair(2, 1))
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_refuses_a_ratio_beyond_the_binary64_range(self, kind):
+        for pair in (PositivePair(1e300, 1e-300), PositivePair(1e-30, 1e300)):
+            with pytest.raises(DomainError, match="exceeds the binary64 range"):
+                eval_mean(kind, pair)
+
     def test_extreme_magnitudes(self):
         for kind in ALL_KINDS:
             big = eval_mean(kind, PositivePair(1e300, 3e299))
@@ -152,10 +151,22 @@ class TestInvariants:
     def test_symmetry(self, a, b):
         fwd = PositivePair(a, b)
         rev = PositivePair(b, a)
-        for kind in ALGEBRAIC:
+        for kind in ALL_KINDS:
             assert eval_mean(kind, fwd) == eval_mean(kind, rev)
-        for kind in (MeanKind.SEIFFERT_P, MeanKind.SEIFFERT_T):
-            assert eval_mean(kind, fwd) == approx(eval_mean(kind, rev), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            # Seiffert series branch, |a-b|/(a+b) < 1e-4
+            (1.0001, 1.0), (1.00019, 1.0), (1.0 + 2**-52, 1.0), (3.0, 3.00003),
+            (1e300, 1.00001e300), (1e-300, 1.00001e-300),
+            # extreme magnitudes, direct branch
+            (1e300, 3e299), (1e-300, 3e-299), (1e300, 1e10), (1e-300, 1e-10), (1e150, 1e-150),
+        ],
+    )
+    def test_symmetry_bitwise_at_branch_and_range_edges(self, a, b):
+        for kind in ALL_KINDS:
+            assert eval_mean(kind, PositivePair(a, b)) == eval_mean(kind, PositivePair(b, a))
 
     @given(
         a=st.floats(min_value=1e-30, max_value=1e30),
@@ -243,3 +254,92 @@ class TestSeiffertPArctanForm:
 
     def test_symmetric(self):
         assert seiffert_p_arctan_form(PositivePair(1, 9)) == approx(P_ARCTAN_9_1, rel=1e-14)
+
+
+# The two-argument forms M(x, y) on x, y = a/m, b/m with m = max(a, b),
+# kept as an oracle: the one-variable evaluators m*M(1, r) must give the
+# same bits, sign included, since one of x and y is exactly 1.0.
+def _ref_seiffert_p(x, y):
+    s = x + y
+    u = (x - y) / s
+    if -_SERIES_CUTOFF < u < _SERIES_CUTOFF:
+        return 0.5 * s * _even_poly(_U_OVER_ASIN, u)
+    t = (x - y) / (2.0 * math.sqrt(x) * math.sqrt(y))
+    return (x - y) / (2.0 * math.atan(t))
+
+
+def _ref_seiffert_t(x, y):
+    s = x + y
+    u = (x - y) / s
+    if -_SERIES_CUTOFF < u < _SERIES_CUTOFF:
+        return 0.5 * s * _even_poly(_U_OVER_ATAN, u)
+    return (x - y) / (2.0 * math.atan(u))
+
+
+REFERENCE_MEANS = {
+    MeanKind.CONTRA_HARMONIC: lambda x, y: (x * x + y * y) / (x + y),
+    MeanKind.CENTROIDAL: lambda x, y: 2.0 * ((x * x + y * y) + x * y) / (3.0 * (x + y)),
+    MeanKind.ARITHMETIC: lambda x, y: 0.5 * (x + y),
+    MeanKind.GEOMETRIC: lambda x, y: math.sqrt(x) * math.sqrt(y),
+    MeanKind.HARMONIC: lambda x, y: 2.0 * (x * y) / (x + y),
+    MeanKind.ROOT_SQUARE: lambda x, y: math.sqrt(0.5 * (x * x + y * y)),
+    MeanKind.SEIFFERT_P: _ref_seiffert_p,
+    MeanKind.SEIFFERT_T: _ref_seiffert_t,
+}
+
+
+def _ref_half_sum_ratio(x, y):
+    r = (x - y) / (x + y)
+    if r >= 1.0:
+        return math.nextafter(1.0, 0.0)
+    if r <= -1.0:
+        return -math.nextafter(1.0, 0.0)
+    return r
+
+
+def _ref_seiffert_p_arctan_form(m, x, y):
+    w = (x - y) / (x + y + 2.0 * math.sqrt(x) * math.sqrt(y))
+    return m * (x - y) / (4.0 * math.atan(w))
+
+
+def _reference_pairs():
+    """Both argument orders of pairs with a/b - 1 log-uniform on
+    [1e-16, 1e300] or uniform on [0, 3e-4], at magnitudes 10^U(-300, 300)."""
+    rng = random.Random(20261018)
+    ds = [10.0 ** rng.uniform(-16.0, 300.0) for _ in range(3000)]
+    ds += [rng.uniform(0.0, 3e-4) for _ in range(1500)] + [0.0, 1e-4, 2**-52]
+    for d in ds:
+        m = 10.0 ** rng.uniform(-300.0, 300.0)
+        lo = m / (1.0 + d)
+        if lo > 0.0:
+            yield m, lo
+            yield lo, m
+
+
+def _same_bits(got, want):
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestReferenceForms:
+    def test_eval_mean_matches_the_two_argument_forms_bitwise(self):
+        checked = 0
+        for a, b in _reference_pairs():
+            pair = PositivePair(a, b)
+            m = max(a, b)
+            x, y = a / m, b / m
+            for kind, ref in REFERENCE_MEANS.items():
+                got, want = eval_mean(kind, pair), m * ref(x, y)
+                assert _same_bits(got, want), (kind, a, b, got, want)
+                checked += 1
+        assert checked > 60_000
+
+    def test_ratio_forms_match_the_two_argument_forms_bitwise(self):
+        for a, b in _reference_pairs():
+            pair = PositivePair(a, b)
+            m = max(a, b)
+            x, y = a / m, b / m
+            assert _same_bits(half_sum_ratio(pair), _ref_half_sum_ratio(x, y)), (a, b)
+            if a == b:
+                continue
+            got, want = seiffert_p_arctan_form(pair), _ref_seiffert_p_arctan_form(m, x, y)
+            assert _same_bits(got, want), (a, b, got, want)
