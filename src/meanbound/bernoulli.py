@@ -16,8 +16,8 @@ k <= 100 plus an Euler-Maclaurin tail (error bound at _zeta_even).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -55,8 +55,7 @@ def _zeta_even(s: int, cutoff: int = 100) -> float:
     return 1.0 + acc + tail
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
+class BernoulliTable(NamedTuple):
     """B_2, B_4, ..., B_max_index as exact rationals."""
 
     max_index: int

@@ -27,8 +27,8 @@ import math
 import numbers
 import struct
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
@@ -72,16 +72,7 @@ def _check_spec(spec: object) -> None:
 _THETA_SUBS = {"sin": 0.5 * math.pi, "tan": 0.25 * math.pi}
 
 
-@dataclass(frozen=True)
-class InequalitySpec:
-    """One double inequality and its kernel reduction.
-
-    The claim is alpha*hi + (1-alpha)*lo < target < beta*hi + (1-beta)*lo,
-    and (target - lo)/(hi - lo) == p*h(theta) + q with t = (x-1)/(x+1) and
-    t = sin(theta) ('sin') or t = tan(theta) ('tan'), theta in
-    (0, theta_right), where theta_right is pi/2 or pi/4 accordingly.
-    """
-
+class _SpecFields(NamedTuple):
     id: str
     target: MeanKind
     hi: MeanKind
@@ -91,7 +82,20 @@ class InequalitySpec:
     p: float
     q: float
 
-    def __post_init__(self) -> None:
+
+class InequalitySpec(_SpecFields):
+    """One double inequality and its kernel reduction.
+
+    The claim is alpha*hi + (1-alpha)*lo < target < beta*hi + (1-beta)*lo,
+    and (target - lo)/(hi - lo) == p*h(theta) + q with t = (x-1)/(x+1) and
+    t = sin(theta) ('sin') or t = tan(theta) ('tan'), theta in
+    (0, theta_right), where theta_right is pi/2 or pi/4 accordingly.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> InequalitySpec:
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.kernel, HFunctionId) or not all(
                 isinstance(kind, MeanKind) for kind in (self.target, self.hi, self.lo)):
             raise DomainError(f"kernel must be an HFunctionId and target, hi, lo MeanKinds, got {self!r}")
@@ -100,6 +104,11 @@ class InequalitySpec:
         except (KeyError, TypeError):  # TypeError: an unhashable theta_sub
             raise DomainError(f"theta_sub must be 'sin' or 'tan', got {self.theta_sub!r}") from None
         _check_finite(p=self.p, q=self.q)
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> InequalitySpec:
+        return cls(*iterable)  # so _replace validates too
 
     @property
     def theta_right(self) -> float:
@@ -127,8 +136,7 @@ SPECS: dict[str, InequalitySpec] = {
 }
 
 
-@dataclass(frozen=True)
-class SharpBounds:
+class SharpBounds(NamedTuple):
     """Best-possible constants of one inequality, numeric and symbolic.
 
     alpha is the infimum of the ratio, approached as a/b -> inf; beta is
@@ -346,8 +354,7 @@ _ALPHA_PROBE_TOL = 1e-3
 _TOL_MAX = 1e-9
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     """Outcome of one certification run.
 
     ``worst_margin`` is the smallest relative margin seen on either side

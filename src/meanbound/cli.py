@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Any
 
@@ -186,6 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "text":
         print("\n".join(lines))
     elif args.format == "json":
+        import json  # here, not at the top: text and CSV calls never load it
+
         record = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,

@@ -32,10 +32,10 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .bernoulli import MAX_INDEX, BernoulliTable, bernoulli_table
 from .errors import DomainError
@@ -69,8 +69,7 @@ X_SWITCH = 0.5
 _REL_STOP = 1e-18
 
 
-@dataclass(frozen=True)
-class SeriesEvaluation:
+class SeriesEvaluation(NamedTuple):
     """A truncated series value plus truncation diagnostics.
 
     ``truncation_bound`` is the magnitude of the first term not added (or
@@ -225,8 +224,7 @@ class HFunctionId(enum.Enum):
     H4 = "h4"
 
 
-@dataclass(frozen=True)
-class HFunctionInfo:
+class HFunctionInfo(NamedTuple):
     """Domain, monotonicity direction, and endpoint limits of one kernel."""
 
     domain_right: float

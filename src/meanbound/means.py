@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DegeneratePairError, DomainError
 
@@ -39,31 +39,40 @@ class MeanKind(enum.Enum):
     SEIFFERT_T = "T"
 
 
-@dataclass(frozen=True)
-class PositivePair:
-    """A validated pair of positive finite reals.
-
-    ``degenerate`` records whether a == b; the Seiffert evaluators use it
-    to route to the continuous extension M(a, a) = a.
-    """
-
+class _PairFields(NamedTuple):
     a: float
     b: float
-    degenerate: bool = field(init=False, compare=False)
 
-    def __post_init__(self) -> None:
+
+class PositivePair(_PairFields):
+    """A validated pair of positive finite reals, stored as floats.
+
+    ``degenerate`` says whether a == b; ``bounds.ratio`` refuses such a
+    pair, whose ratio is 0/0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float) -> PositivePair:
         try:
-            a = float(self.a)
-            b = float(self.b)
+            fa = float(a)
+            fb = float(b)
         except (TypeError, ValueError, OverflowError):
-            a = b = math.nan  # refused just below, like any non-positive value
-        if not (a > 0.0 and b > 0.0) or a == math.inf or b == math.inf:
-            raise DomainError(
-                f"means are defined for positive finite reals, got a={self.a!r}, b={self.b!r}"
-            )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "degenerate", a == b)
+            fa = fb = math.nan  # refused just below, like any non-positive value
+        if not (fa > 0.0 and fb > 0.0) or fa == math.inf or fb == math.inf:
+            raise DomainError(f"means are defined for positive finite reals, got a={a!r}, b={b!r}")
+        return super().__new__(cls, fa, fb)
+
+    @classmethod
+    def _make(cls, iterable) -> PositivePair:
+        return cls(*iterable)  # so _replace validates too
+
+    @property
+    def degenerate(self) -> bool:
+        return self.a == self.b
+
+    def __repr__(self) -> str:
+        return f"PositivePair(a={self.a!r}, b={self.b!r}, degenerate={self.degenerate!r})"
 
 
 # Truncated even series of u/arcsin(u) and u/arctan(u).  Below the cutoff

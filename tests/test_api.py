@@ -1,7 +1,6 @@
 """The public API: each module's __all__ is the one list of its public
 names, and the package re-exports exactly those plus __version__."""
 
-import dataclasses
 import inspect
 from decimal import Decimal
 
@@ -89,9 +88,9 @@ def test_equivalence_check_takes_no_arguments():
     lambda: numeric_extrema(None),
     lambda: InequalitySpec("x", MeanKind.SEIFFERT_P, MeanKind.ARITHMETIC, MeanKind.HARMONIC,
                            HFunctionId.H1, [], 1.0, 0.0),
-    lambda: sharp_bounds(dataclasses.replace(SPECS["prop1.1"], id=["prop1.1"])),
-    lambda: certify(dataclasses.replace(SPECS["prop1.1"], id=["prop1.1"]), 10, 1, 1e-12),
-    lambda: certify_many([dataclasses.replace(SPECS["prop1.1"], id={"prop1.1": 1})], 10, 1, 1e-12),
+    lambda: sharp_bounds(SPECS["prop1.1"]._replace(id=["prop1.1"])),
+    lambda: certify(SPECS["prop1.1"]._replace(id=["prop1.1"]), 10, 1, 1e-12),
+    lambda: certify_many([SPECS["prop1.1"]._replace(id={"prop1.1": 1})], 10, 1, 1e-12),
 ], ids=[
     "eval_mean-tuple", "ratio-tuple", "ratio_via_kernel-tuple", "ratio-None",
     "ratio_via_kernel-None", "half_sum_ratio-tuple",

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -84,7 +83,7 @@ class TestRegistry:
     ])
     def test_bad_reduction_rejected(self, changes):
         with pytest.raises(DomainError):
-            dataclasses.replace(SPECS["prop1.1"], **changes)
+            SPECS["prop1.1"]._replace(**changes)
 
 
 class TestSharpBounds:
@@ -144,7 +143,7 @@ class TestSharpBounds:
             assert H_INFO[spec.kernel].increasing == (spec.p < 0)
 
     def test_unknown_id(self):
-        bogus = dataclasses.replace(SPECS["prop1.1"], id="prop9.9")
+        bogus = SPECS["prop1.1"]._replace(id="prop9.9")
         with pytest.raises(DomainError):
             sharp_bounds(bogus)
 
@@ -332,7 +331,7 @@ class TestCertify:
     @pytest.mark.parametrize("p", [0.51, 0.49])
     def test_crooked_p_is_caught(self, p):
         # beta follows p, so the beta probe sees a p that no longer fits
-        crooked = dataclasses.replace(SPECS["prop1.2"], p=p)
+        crooked = SPECS["prop1.2"]._replace(p=p)
         assert not certify(crooked, 2000, 42, 1e-12).ok
 
     def test_raised_alpha_is_violated(self):
@@ -576,7 +575,7 @@ class TestEquivalence:
         # the factors are read from SPECS, so a crooked p there shows
         for spec_id, p in (("prop1.2", 0.51), ("prop1.4", 0.74)):
             with monkeypatch.context() as m:
-                m.setitem(SPECS, spec_id, dataclasses.replace(SPECS[spec_id], p=p))
+                m.setitem(SPECS, spec_id, SPECS[spec_id]._replace(p=p))
                 assert not equivalence_check()
         assert equivalence_check()
 

@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -315,3 +318,29 @@ class TestParserReuse:
 
         assert len(built) == built_by_first_call
         assert after == before
+
+
+class TestImportFootprint:
+    # Every CLI call is a fresh interpreter, so each of these stdlib modules
+    # would cost every call its import time.  -I -S keeps the environment
+    # and site .pth files from importing any of them first.
+    HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+    PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+from meanbound import cli
+cli.main(["mean", "--kind", "P", "--a", "2", "--b", "1"])
+cli.main(["hfun", "--id", "h3", "--x", "0.7"])
+print(sorted(name for name in {heavy!r} if name in sys.modules))
+cli.main(["mean", "--kind", "P", "--a", "2", "--b", "1", "--format", "json"])
+print("json" in sys.modules)
+"""
+
+    def test_text_calls_leave_heavy_modules_unloaded(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = self.PROBE.format(src=src, heavy=self.HEAVY)
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                              capture_output=True, text=True, check=True, timeout=60)
+        lines = done.stdout.strip().split("\n")
+        assert lines[:3] == [P_2_1_REPR, "0.7134834077705436", "[]"]
+        assert lines[-1] == "True"
