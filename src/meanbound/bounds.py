@@ -17,8 +17,10 @@ a -> b and alpha as a/b -> inf, and neither constant can be improved.
 
 This module states each reduction once, as data, derives the sharp
 constants from it (alpha in closed form, beta exactly), recovers them
-independently by golden-section probing plus Richardson extrapolation
-of the kernel, and certifies the inequalities on deterministic samples.
+independently from the kernel (Richardson extrapolation to the limit at
+0+, a direct evaluation at theta_right, and a scan that checks the
+monotonicity in between), and certifies the inequalities on
+deterministic samples.
 """
 
 from __future__ import annotations
@@ -226,84 +228,51 @@ def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
 
 _RICHARDSON_KS = range(4, 17)
 _RICHARDSON_TOL = 1e-9
-_GOLDEN_SLACK = 1e-12
-_GOLDEN_ITERS = 80
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SCAN_STEPS = 64
 
 
-def _richardson(values: list[float], step_factor: float) -> tuple[float, float]:
-    """Extrapolate f(h_0 / r^i) -> f(0) from successively halved steps.
+def _richardson(values: list[float]) -> tuple[float, float]:
+    """Extrapolate f(h_0 / 2^i) -> f(0) from successively halved steps.
 
-    ``step_factor`` is the per-column error reduction (r^2 = 4 for even
-    expansions probed with halved steps, r = 2 for full expansions).
-    Returns the extrapolated limit and a coarse error estimate.
+    f is even, so each halving cuts a column's error by 4.  Returns the
+    extrapolated limit and, as its error estimate, the gap between the two
+    extrapolations of the column before it.
     """
     row = list(values)
-    best = row[-1]
-    prev = row[-1]
     factor = 1.0
-    for _ in range(1, len(values)):
-        factor *= step_factor
+    while len(row) > 1:
+        spread = abs(row[-1] - row[-2])
+        factor *= 4.0
         row = [(factor * row[i + 1] - row[i]) / (factor - 1.0) for i in range(len(row) - 1)]
-        prev, best = best, row[-1]
-    return best, abs(best - prev)
-
-
-def _golden_min(f, a: float, b: float) -> float:
-    """Smallest value probed by a golden-section search on [a, b]."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(_GOLDEN_ITERS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return min(fc, fd)
+    return row[0], spread
 
 
 def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
     """Recover (inf, sup) of the ratio over theta in (0, theta_right).
 
-    Golden-section probes confirm no interior extremum beats the interval
-    ends (the kernel is monotone), and Richardson extrapolation of the
-    ratio along theta = 2^-k and theta = theta_right*(1 - 2^-k), k = 4..16,
-    recovers the two endpoint limits.  Agrees with sharp_bounds to better
-    than 1e-8 absolute; raises ConvergenceError when the internal error
-    estimates say otherwise, which would signal an implementation bug.
+    As in the paper, the ratio p*h(theta) + q is monotone, in the direction
+    that H_INFO and the sign of p give, so its inf and sup are its end
+    values.  The limit at 0+ is Richardson-extrapolated along theta = 2^-k,
+    k = 4..16; theta_right lies inside the kernel's domain, so the ratio
+    is evaluated there directly.  One scan over those probes and the grid
+    theta_right*i/64, i = 1..64, checks the monotonicity.  Agrees with
+    sharp_bounds to 2.5e-16; raises ConvergenceError when the limit does
+    not settle or the scan is not monotone, which would signal a bug.
     """
     _check_spec(spec)
-
-    def g(theta: float) -> float:
-        return spec.p * h_eval(spec.kernel, theta) + spec.q
-
-    left_vals = [g(2.0**-k) for k in _RICHARDSON_KS]
-    # the kernels are even around 0, so halving the step cuts the error by 4
-    lim_left, err_left = _richardson(left_vals, 4.0)
-    right_vals = [g(spec.theta_right * (1.0 - 2.0**-k)) for k in _RICHARDSON_KS]
-    lim_right, err_right = _richardson(right_vals, 2.0)
-    if err_left > _RICHARDSON_TOL or err_right > _RICHARDSON_TOL:
-        raise ConvergenceError(
-            f"{spec.id}: endpoint extrapolation did not settle "
-            f"(error estimates {err_left:.3e}, {err_right:.3e})"
-        )
-
-    k_last = max(_RICHARDSON_KS)
-    a = 2.0**-k_last
-    b = spec.theta_right * (1.0 - 2.0**-k_last)
-    end_hi = max(g(a), g(b))
-    end_lo = min(g(a), g(b))
-    interior_max = -_golden_min(lambda th: -g(th), a, b)
-    interior_min = _golden_min(g, a, b)
-    if interior_max > end_hi + _GOLDEN_SLACK or interior_min < end_lo - _GOLDEN_SLACK:
-        raise ConvergenceError(f"{spec.id}: interior extremum beats the endpoints")
-
-    return min(lim_left, lim_right), max(lim_left, lim_right)
+    thetas = [2.0**-k for k in _RICHARDSON_KS]
+    thetas += [spec.theta_right * i / _SCAN_STEPS for i in range(1, _SCAN_STEPS + 1)]
+    values = [spec.p * h_eval(spec.kernel, theta) + spec.q for theta in thetas]
+    lim_left, err_left = _richardson(values[:len(_RICHARDSON_KS)])
+    if err_left > _RICHARDSON_TOL:
+        raise ConvergenceError(f"{spec.id}: the limit at 0+ did not settle (error estimate {err_left:.3e})")
+    right_end = values[-1]  # theta_right*64/64 is theta_right exactly
+    decreasing = H_INFO[spec.kernel].increasing == (spec.p < 0.0)
+    # ordered so that a monotone ratio never falls along the scan
+    scan = [value for _, value in sorted(zip(thetas, values), reverse=decreasing)]
+    if any(later < earlier for earlier, later in zip(scan, scan[1:])):
+        raise ConvergenceError(f"{spec.id}: the ratio is not {'de' if decreasing else 'in'}creasing in theta")
+    return (right_end, lim_left) if decreasing else (lim_left, right_end)
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,9 @@ class PositivePair(_PairFields):
 
 
 # Truncated even series of u/arcsin(u) and u/arctan(u).  Below the cutoff
-# the direct quotients (1-r)/(2*asin(u)) and (1-r)/(2*atan(u)) would lose
-# one digit per decade of u, while the first omitted series term is
-# under 1e-40.
+# the series is the more accurate form (the direct quotients stay within a
+# few ulp there too, against mpmath), it is finite at r == 1, where the
+# quotients are 0/0, and its first omitted term is under 1e-40.
 _U_OVER_ASIN = (1.0, -1.0 / 6.0, -17.0 / 360.0, -367.0 / 15120.0, -27859.0 / 1814400.0)
 _U_OVER_ATAN = (1.0, 1.0 / 3.0, -4.0 / 45.0, 44.0 / 945.0, -428.0 / 14175.0)
 _SERIES_CUTOFF = 1e-4

@@ -8,6 +8,7 @@ from pytest import approx
 from meanbound import (
     H_INFO,
     SPECS,
+    ConvergenceError,
     DegeneratePairError,
     DomainError,
     HFunctionId,
@@ -244,18 +245,65 @@ class TestRatio:
             ratio(SPECS["thm5.2"], PositivePair(1 + 1e-15, 1.0))
 
 
+def _wrap_h_eval(monkeypatch, shift):
+    """Make bounds.h_eval return h(x) + shift(fn_id, x)."""
+    monkeypatch.setattr(bounds, "h_eval", lambda fn_id, x: h_eval(fn_id, x) + shift(fn_id, x))
+
+
 class TestNumericExtrema:
     def test_recovers_sharp_constants(self):
         for spec in SPECS.values():
             sb = sharp_bounds(spec)
             inf_v, sup_v = numeric_extrema(spec)
-            assert abs(inf_v - sb.alpha) <= 1e-8
-            assert abs(sup_v - sb.beta) <= 1e-8
+            assert abs(inf_v - sb.alpha) <= 2.5e-16, spec.id
+            assert abs(sup_v - sb.beta) <= math.ulp(sb.beta), spec.id
 
     def test_ordering(self):
         for spec in SPECS.values():
             inf_v, sup_v = numeric_extrema(spec)
             assert inf_v < sup_v
+
+    @pytest.mark.parametrize("spec_id", sorted(SPECS))
+    def test_kernel_call_budget(self, monkeypatch, spec_id):
+        calls = []
+
+        def count(fn_id, x):
+            calls.append(x)
+            return 0.0
+
+        _wrap_h_eval(monkeypatch, count)
+        numeric_extrema(SPECS[spec_id])
+        assert len(calls) <= 80
+
+    def test_interior_bump_between_the_ends_is_caught(self, monkeypatch):
+        # h1 falls from 5/6 to 2/pi on (0, pi/2); a narrow bump near 0.8
+        # rises faster than h1 falls but stays inside (2/pi, 5/6), so no
+        # interior value beats an end value and only the scan sees it
+        def bump(fn_id, x):
+            return 0.02 * math.exp(-(((x - 0.8) / 0.03) ** 2))
+
+        bumped = [h_eval(HFunctionId.H1, x) + bump(HFunctionId.H1, x) for x in (0.7, 0.75, 0.8, 0.85, 0.9)]
+        assert bumped[2] > bumped[0] and 2 / math.pi < max(bumped) < 5 / 6
+        _wrap_h_eval(monkeypatch, bump)
+        with pytest.raises(ConvergenceError, match=r"prop1\.1: the ratio is not decreasing"):
+            numeric_extrema(SPECS["prop1.1"])
+
+    @pytest.mark.parametrize("spec_id", [i for i, s in SPECS.items() if s.kernel is HFunctionId.H1])
+    def test_wrong_monotonicity_direction_is_caught(self, monkeypatch, spec_id):
+        monkeypatch.setitem(H_INFO, HFunctionId.H1, H_INFO[HFunctionId.H1]._replace(increasing=True))
+        with pytest.raises(ConvergenceError, match=f"{spec_id}: the ratio is not increasing"):
+            numeric_extrema(SPECS[spec_id])
+
+    @pytest.mark.parametrize("shift", [
+        # +-1e-6, alternating in sign over the probes theta = 2^-k, k = 4..16
+        lambda fn_id, x: 0.0 if x >= 0.1 else 1e-6 if math.frexp(x)[1] % 2 else -1e-6,
+        # a bias that keeps the ratio decreasing, so only the limit can show it
+        lambda fn_id, x: -1e-3 * math.sqrt(x),
+    ], ids=["alternating-1e-6", "monotone-sqrt-bias"])
+    def test_unsettled_limit_at_zero_is_caught(self, monkeypatch, shift):
+        _wrap_h_eval(monkeypatch, shift)
+        with pytest.raises(ConvergenceError, match=r"prop1\.1: the limit at 0\+ did not settle"):
+            numeric_extrema(SPECS["prop1.1"])
 
 
 def _check_shards_merge(start, stop, shard_bounds):
