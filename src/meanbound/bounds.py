@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
-from .means import _EVALUATORS, MeanKind, PositivePair, _not_a_pair, _reduce, eval_mean
+from .means import _EXCESSES, MeanKind, PositivePair, _reduce
+from .means import eval_mean  # noqa: F401  (unused, but perfbench/tracing.py wraps it here)
 
 __all__ = [
     "CertificationReport",
@@ -184,25 +185,22 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
 
 
 def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
-    """(target - lo)/(hi - lo), computed from the means themselves."""
+    """(target - lo)/(hi - lo) as (e_target - e_lo)/(e_hi - e_lo), e the means'
+    excesses: each mean is A*(1 + t^2*e), A the arithmetic mean, t = (1-r)/(1+r)
+    and r = min(a, b)/max(a, b), so nothing cancels as a -> b.  For the seven
+    SPECS it is within 16 ulp for a/b - 1 in [2^-52, 1e300], r underflowing to
+    0 gives alpha, and only a == b is refused."""
     try:
-        target = spec.target
-    except AttributeError:
+        excesses = _EXCESSES[spec.target], _EXCESSES[spec.hi], _EXCESSES[spec.lo]
+    except (AttributeError, KeyError, TypeError):
         raise _not_a_spec(spec) from None
-    try:
-        degenerate = pair.degenerate
-    except AttributeError:
-        raise _not_a_pair(pair) from None
-    if degenerate:
+    _, r = _reduce(pair)
+    if r == 1.0:  # exactly when a == b
         raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
-    t = eval_mean(target, pair)
-    h = eval_mean(spec.hi, pair)
-    lo = eval_mean(spec.lo, pair)
-    if h == lo:
-        raise DegeneratePairError(
-            f"ratio of {spec.id} is 0/0: hi - lo rounds to 0 at a={pair.a!r}, b={pair.b!r}"
-        )
-    return (t - lo) / (h - lo)
+    e_target, e_hi, e_lo = [e(r) if callable(e) else e for e in excesses]
+    if e_hi == e_lo:  # only for a pair of means outside SPECS
+        raise DegeneratePairError(f"ratio of {spec.id} is 0/0: hi - lo rounds to 0 at a={pair.a!r}, b={pair.b!r}")
+    return (e_target - e_lo) / (e_hi - e_lo)
 
 
 def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
@@ -283,7 +281,7 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
 _M64 = (1 << 64) - 1
 _GAMMA = 0xD1B54A32D192ED03
 
-# Samples are drawn and their means evaluated one block at a time, so the
+# Samples are drawn and their excesses evaluated one block at a time, so the
 # memory a run needs does not grow with n_samples.  The finalizer runs on
 # a whole block at once, as _BLOCK 128-bit lanes of one int: lane i
 # (bits 128i and up) holds sample first + i.  A lane's value is below
@@ -313,8 +311,9 @@ def _units(seed: int, start: int, stop: int) -> list[float]:
     return units
 
 
-_LN_X_LO = math.log1p(1e-12)
-_LN_X_HI = math.log(1e12)
+# certify's samples: (x, 1), x = 1 + d, d log-uniform on [1e-15, 1e300]
+_LN_D_LO = math.log(1e-15)
+_LN_D_HI = math.log(1e300)
 
 _BETA_PROBE_X = 1.0 + 1e-4
 _ALPHA_PROBE_X = 1e8
@@ -326,10 +325,12 @@ _TOL_MAX = 1e-9
 class CertificationReport(NamedTuple):
     """Outcome of one certification run.
 
-    ``worst_margin`` is the smallest relative margin seen on either side
-    (negative means the bound was crossed at ``worst_x``); the probe gaps
-    measure how closely the ratio approaches the sharp constants near the
-    two ends of the sampling range.
+    ``worst_margin`` is min(min rho - alpha, beta - max rho) over the samples'
+    ratios rho, negative where a bound was crossed (at the sharp constants, by
+    a few ulp of rounding); ``worst_x`` is x = a/b (b = 1) of the first sample
+    in the stream at that extreme, the lower side on a tie, and
+    ratio(spec, PositivePair(worst_x, 1)) reproduces it.  The probe gaps show
+    how closely the ratio approaches the sharp constants at x = 1 + 1e-4, 1e8.
     """
 
     id: str
@@ -347,40 +348,13 @@ class CertificationReport(NamedTuple):
         return self.violations == 0
 
 
-_ChunkResult = tuple[int, float, float | None]
-
-
-def _scan(
-    xs: list[float],
-    targets: list[float],
-    his: list[float],
-    los: list[float],
-    alpha: float,
-    beta: float,
-    tol: float,
-    state: _ChunkResult,
-) -> _ChunkResult:
-    """Fold one check's margins over a block into (violations, worst, worst_x).
-
-    The margin is the smaller of the two relative margins, the lower side
-    on a tie (as min keeps its first argument); the worst margin keeps the
-    smallest x among equal ones.  The loop calls no function per sample.
-    """
-    violations, worst, worst_x = state
-    one_minus_alpha = 1.0 - alpha
-    one_minus_beta = 1.0 - beta
-    neg_tol = -tol
-    for x, t, h, lo_v in zip(xs, targets, his, los):
-        margin = (t - (alpha * h + one_minus_alpha * lo_v)) / t
-        upper_margin = (beta * h + one_minus_beta * lo_v - t) / t
-        if upper_margin < margin:
-            margin = upper_margin
-        if margin <= worst and (margin < worst or (worst_x is not None and x < worst_x)):
-            worst = margin
-            worst_x = x
-        if margin < neg_tol:
-            violations += 1
-    return violations, worst, worst_x
+def _ratio_map(spec: InequalitySpec) -> tuple[float, float, bool]:
+    """(shift, scale, shared): the ratio is (key - shift)/scale, the key being
+    the target's excess if hi and lo have constant ones (p*h + q), else rho."""
+    e_hi, e_lo = _EXCESSES[spec.hi], _EXCESSES[spec.lo]
+    if callable(e_hi) or callable(e_lo) or e_hi <= e_lo:
+        return 0.0, 1.0, False
+    return e_lo, e_hi - e_lo, True
 
 
 def _certify_chunk(
@@ -389,31 +363,40 @@ def _certify_chunk(
     seed: int,
     start: int,
     stop: int,
-) -> list[_ChunkResult]:
-    """Violation count, worst margin and its x over sample indices
-    [start, stop), one triple per (spec, alpha, beta) check.
-
-    All checks share one sample stream: each x is drawn once and each
-    distinct mean kind evaluated once at it, however many checks use it.
-    The range is taken in blocks of _BLOCK indices, whose uniforms come
-    from one _units draw; since each uniform depends on (seed, index)
-    alone, the block bounds do not change any sample.  Every sample is
-    the pair (x, 1) with x in [1 + 1e-12, 1e12], whose reduction is
-    m = x and r = 1/x, so each mean is x*M(1, 1/x), as in eval_mean.
-    """
-    kinds = dict.fromkeys(kind for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo))
-    span = _LN_X_HI - _LN_X_LO
-    results: list[_ChunkResult] = [(0, math.inf, None)] * len(checks)
+) -> list[tuple]:
+    """(violations, min key, its x, max key, its x) over sample indices
+    [start, stop), per (spec, alpha, beta) check.  The checks share one stream,
+    drawn in blocks of _BLOCK indices (each uniform depends on (seed, index)
+    alone), each varying excess is evaluated once per sample, and a check
+    folds a block with min and max, counting its violations only when an
+    extreme crosses alpha - tol or beta + tol."""
+    maps = [_ratio_map(spec) for spec, _, _ in checks]
+    kinds = {kind: _EXCESSES[kind] for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo)}
+    span = _LN_D_HI - _LN_D_LO
+    results: list[tuple] = [(0, math.inf, None, -math.inf, None)] * len(checks)
     for first in range(start, stop, _BLOCK):
-        xs = [math.exp(_LN_X_LO + span * u) for u in _units(seed, first, min(first + _BLOCK, stop))]
+        xs = [1.0 + math.exp(_LN_D_LO + span * u) for u in _units(seed, first, min(first + _BLOCK, stop))]
         rs = [1.0 / x for x in xs]
-        values = {}
-        for kind in kinds:
-            f = _EVALUATORS[kind]
-            values[kind] = [x * f(r) for x, r in zip(xs, rs)]
-        for n, (spec, alpha, beta) in enumerate(checks):
-            results[n] = _scan(xs, values[spec.target], values[spec.hi], values[spec.lo],
-                               alpha, beta, tol, results[n])
+        excess = {kind: list(map(e, rs)) if callable(e) else [e] * len(rs) for kind, e in kinds.items()}
+        folds = {}
+        for n, ((spec, alpha, beta), (shift, scale, shared)) in enumerate(zip(checks, maps)):
+            fold = spec.target if shared else n
+            if fold not in folds:
+                keys = excess[spec.target] if shared else [
+                    (e_t - e_l) / (e_h - e_l)
+                    for e_t, e_h, e_l in zip(excess[spec.target], excess[spec.hi], excess[spec.lo])]
+                lo, hi = min(keys), max(keys)
+                folds[fold] = keys, lo, xs[keys.index(lo)], hi, xs[keys.index(hi)]
+            keys, lo, lo_x, hi, hi_x = folds[fold]
+            violations, lo_0, lo_x0, hi_0, hi_x0 = results[n]
+            if lo < lo_0:  # on a tie the earlier block's sample stays
+                lo_0, lo_x0 = lo, lo_x
+            if hi > hi_0:
+                hi_0, hi_x0 = hi, hi_x
+            if (lo - shift) / scale - alpha < -tol or beta - (hi - shift) / scale < -tol:
+                rhos = [(key - shift) / scale for key in keys]
+                violations += sum(rho - alpha < -tol or beta - rho < -tol for rho in rhos)
+            results[n] = violations, lo_0, lo_x0, hi_0, hi_x0
     return results
 
 
@@ -444,10 +427,16 @@ def _certify_specs(
         (spec, sharp.alpha if alpha is None else float(alpha), sharp.beta if beta is None else float(beta))
         for spec, sharp in zip(specs, sharps)
     ]
+    try:
+        results = _certify_chunk(checks, tol, seed, 0, n_samples)
+    except ZeroDivisionError:  # only for a pair of means outside SPECS
+        raise DomainError("hi - lo rounds to 0 at a sample of " + ", ".join(spec.id for spec in specs)) from None
     reports = []
-    for spec, sharp, (violations, worst, worst_x) in zip(
-        specs, sharps, _certify_chunk(checks, tol, seed, 0, n_samples)
-    ):
+    for (spec, check_alpha, check_beta), sharp, (violations, lo, lo_x, hi, hi_x) in zip(checks, sharps, results):
+        shift, scale, _ = _ratio_map(spec)
+        lower = (lo - shift) / scale - check_alpha
+        upper = check_beta - (hi - shift) / scale
+        worst, worst_x = (upper, hi_x) if upper < lower else (lower, lo_x)
         beta_gap = abs(ratio(spec, PositivePair(_BETA_PROBE_X, 1.0)) - sharp.beta)
         alpha_gap = abs(ratio(spec, PositivePair(_ALPHA_PROBE_X, 1.0)) - sharp.alpha)
         violations += int(beta_gap > _BETA_PROBE_TOL) + int(alpha_gap > _ALPHA_PROBE_TOL)
@@ -478,16 +467,17 @@ def certify(
 ) -> CertificationReport:
     """Sample-based certification of one double inequality.
 
-    Draws ``n_samples`` ratios x = a/b log-uniformly over [1 + 1e-12, 1e12]
-    with b = 1 (homogeneity covers every other pair) and checks the strict
-    double inequality at (alpha, beta), which default to the sharp
-    constants.  A sample counts as a violation when its relative margin
-    drops below -tol; tol, in (0, 1e-9], absorbs the rounding noise of
-    the mean differences near a == b, where the true margins vanish.
+    Draws ``n_samples`` pairs (x, 1), x = 1 + d with d = a/b - 1
+    log-uniform over [1e-15, 1e300] (homogeneity covers every other pair),
+    so both ends are reached, and checks the strict double inequality at
+    (alpha, beta), which default to the sharp constants, on the ratio rho of
+    ``ratio``.  A sample is a violation when rho - alpha or beta - rho is
+    below -tol: tol, in (0, 1e-9], is an absolute slack on the ratio for
+    its rounding, which stays within 4e-16 at the sharp constants.
 
-    Sharpness of the sharp constants is probed at x = 1 + 1e-4 (ratio
-    within 1e-6 of beta) and x = 1e8 (within 1e-3 of alpha); a failed
-    probe counts as one violation.
+    The probes at x = 1 + 1e-4 (ratio within 1e-6 of the sharp beta) and
+    x = 1e8 (within 1e-3 of the sharp alpha) count one violation each when
+    they fail; they stay because n_samples can be 1.
 
     The report is a value, never an exception, and is deterministic for a
     fixed seed.
@@ -507,8 +497,9 @@ def certify_many(
     shared sample stream.
 
     Returns one report per spec, in order, each equal to
-    ``certify(spec, n_samples, seed, tol)``; the stream is drawn and each
-    distinct mean evaluated once per sample instead of once per spec.
+    ``certify(spec, n_samples, seed, tol)``.  The excesses of G, S, P and T
+    are evaluated once per sample, and prop1.1, prop1.2, prop1.4 and thm5.1,
+    whose hi and lo excesses are constants, share their target's extremes.
     """
     try:
         specs = list(specs)
@@ -525,8 +516,6 @@ def certify_many(
 # ---------------------------------------------------------------------------
 # equivalence of the three h1-based inequalities
 
-_EQ_LN_LO = math.log(1.3)
-_EQ_LN_HI = math.log(1e12)
 _EQ_SAMPLES = 1000
 _EQ_SEED = 20260808
 _EQ_REL_TOL = 1e-12
@@ -535,23 +524,19 @@ _EQ_REL_TOL = 1e-12
 def equivalence_check() -> bool:
     """True when the three h1-based inequalities share one kernel up to
     their affine maps: ratio(prop1.2) = (1/2) ratio(prop1.1) and
-    ratio(prop1.4) = (3/4) ratio(prop1.1), to 1e-12 relative, on 1000
-    fixed pairs (x, 1) with x log-uniform in [1.3, 1e12].
+    ratio(prop1.4) = (3/4) ratio(prop1.1), to 1e-12 relative, on the first
+    1000 pairs of certify's stream for seed 20260808.
 
     The expected factors come from the p fields in SPECS, so a crooked p
-    there makes the check fail.  Samples keep x = a/b >= 1.3: the ratios
-    are quotients of mean differences, whose rounding noise near a == b
-    would swamp a 1e-12 comparison.
+    there makes the check fail.
     """
-    base, half, three_quarters = SPECS["prop1.1"], SPECS["prop1.2"], SPECS["prop1.4"]
-    f_half = half.p / base.p
-    f_tq = three_quarters.p / base.p
-    span = _EQ_LN_HI - _EQ_LN_LO
+    base = SPECS["prop1.1"]
+    span = _LN_D_HI - _LN_D_LO
     for u in _units(_EQ_SEED, 0, _EQ_SAMPLES):
-        pair = PositivePair(math.exp(_EQ_LN_LO + span * u), 1.0)
+        pair = PositivePair(1.0 + math.exp(_LN_D_LO + span * u), 1.0)
         r_base = ratio(base, pair)
-        if abs(ratio(half, pair) - f_half * r_base) > _EQ_REL_TOL * abs(f_half * r_base):
-            return False
-        if abs(ratio(three_quarters, pair) - f_tq * r_base) > _EQ_REL_TOL * abs(f_tq * r_base):
-            return False
+        for spec in (SPECS["prop1.2"], SPECS["prop1.4"]):
+            expected = spec.p / base.p * r_base
+            if abs(ratio(spec, pair) - expected) > _EQ_REL_TOL * abs(expected):
+                return False
     return True

@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_certify.add_argument("--samples", type=int, default=100_000)
     p_certify.add_argument("--seed", type=int, default=42)
     p_certify.add_argument("--tol", type=float, default=1e-12,
-                           help="relative margin slack per sample, in (0, 1e-9]")
+                           help="absolute slack on the ratio per sample, in (0, 1e-9]")
     _add_format(p_certify)
     p_certify.set_defaults(handler=_cmd_certify)
 

@@ -86,8 +86,8 @@ _SERIES_CUTOFF = 1e-4
 
 def _even_poly(coeffs: tuple[float, ...], u: float) -> float:
     w = u * u
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+    acc = 0.0
+    for c in reversed(coeffs):
         acc = acc * w + c
     return acc
 
@@ -144,6 +144,59 @@ _EVALUATORS = {
     MeanKind.ROOT_SQUARE: _root_square,
     MeanKind.SEIFFERT_P: _seiffert_p,
     MeanKind.SEIFFERT_T: _seiffert_t,
+}
+
+
+# Excesses: with t = (1 - r)/(1 + r), each mean is M(1, r) == A*(1 + t^2*e),
+# A = (1 + r)/2; e is 1, 1/3, 0 or -1 for C, Cbar, A and H and, for G, S, P
+# and T, a function of r in [0, 1) free of cancellation as r -> 1.  P and T
+# are (t - theta)/(theta*t^2), theta = asin t or atan t: below the cutoff,
+# series in theta^2 with coefficients (-1)^k/(2k+3)! and (-1)^(k+1)/((2k+1)*
+# (2k-1)!); above it, from theta = pi/2 - 2*atan(sqrt r) or pi/4 - atan r.
+_SINE_GAP = (1 / 6, -1 / 120, 1 / 5040, -1 / 362880, 1 / 39916800, -1 / 6227020800,
+             1 / 1307674368000, -1 / 355687428096000, 1 / 121645100408832000)
+_TANGENT_GAP = (1 / 3, -1 / 30, 1 / 840, -1 / 45360, 1 / 3991680, -1 / 518918400,
+                1 / 93405312000, -1 / 22230464256000)
+_EXCESS_CUTOFF = 0.9
+_HALF_PI, _ONE_MINUS_HALF_PI = 1.5707963267948966, -0.5707963267948967  # correctly rounded
+_QUARTER_PI, _ONE_MINUS_QUARTER_PI = 0.7853981633974483, 0.2146018366025517
+
+
+def _excess_g(r: float) -> float:
+    g = 1.0 + math.sqrt(r)
+    return -(1.0 + r) / (g * g)
+
+
+def _excess_s(r: float) -> float:
+    return (1.0 + r) / (1.0 + r + math.sqrt(2.0 * (1.0 + r * r)))
+
+
+def _excess_p(r: float) -> float:
+    s = 1.0 + r
+    t = (1.0 - r) / s
+    if t < _EXCESS_CUTOFF:
+        theta = math.atan2(1.0 - r, 2.0 * math.sqrt(r))  # asin t, as in _seiffert_p
+        q = theta / t
+        return -q * q * _even_poly(_SINE_GAP, theta)
+    v = math.atan(math.sqrt(r))
+    return (_ONE_MINUS_HALF_PI + 2.0 * (v - r / s)) / ((_HALF_PI - 2.0 * v) * t * t)
+
+
+def _excess_t(r: float) -> float:
+    s = 1.0 + r
+    t = (1.0 - r) / s
+    if t < _EXCESS_CUTOFF:
+        theta = math.atan(t)
+        q = theta / t
+        return q * q * math.sqrt(1.0 + t * t) * _even_poly(_TANGENT_GAP, theta)
+    v = math.atan(r)
+    return (_ONE_MINUS_QUARTER_PI + (v - 2.0 * r / s)) / ((_QUARTER_PI - v) * t * t)
+
+
+_EXCESSES = {
+    MeanKind.CONTRA_HARMONIC: 1.0, MeanKind.CENTROIDAL: 1 / 3, MeanKind.ARITHMETIC: 0.0,
+    MeanKind.HARMONIC: -1.0, MeanKind.GEOMETRIC: _excess_g, MeanKind.ROOT_SQUARE: _excess_s,
+    MeanKind.SEIFFERT_P: _excess_p, MeanKind.SEIFFERT_T: _excess_t,
 }
 
 

@@ -26,7 +26,8 @@ from meanbound import (
     sharp_bounds,
 )
 from meanbound import bounds
-from meanbound.bounds import _BLOCK, _LN_X_HI, _LN_X_LO, _certify_chunk, _scan, _units
+from meanbound.bounds import _BLOCK, _LN_D_HI, _LN_D_LO, _certify_chunk, _units
+from meanbound.means import _EXCESSES
 
 # 60-digit reference values.
 RATIO_PROP11_2_1 = 0.8277638965669817  # h1(asin(1/3))
@@ -149,6 +150,26 @@ class TestSharpBounds:
             sharp_bounds(bogus)
 
 
+def _exact_mean(mpmath, kind, a, b):
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    s = a + b
+    return {
+        MeanKind.CONTRA_HARMONIC: lambda: (a * a + b * b) / s,
+        MeanKind.CENTROIDAL: lambda: 2 * (a * a + a * b + b * b) / (3 * s),
+        MeanKind.ARITHMETIC: lambda: s / 2,
+        MeanKind.GEOMETRIC: lambda: mpmath.sqrt(a * b),
+        MeanKind.HARMONIC: lambda: 2 * a * b / s,
+        MeanKind.ROOT_SQUARE: lambda: mpmath.sqrt((a * a + b * b) / 2),
+        MeanKind.SEIFFERT_P: lambda: (a - b) / (2 * mpmath.asin((a - b) / s)),
+        MeanKind.SEIFFERT_T: lambda: (a - b) / (2 * mpmath.atan((a - b) / s)),
+    }[kind]()
+
+
+def _exact_ratio(mpmath, spec, a, b):
+    t, hi, lo = (_exact_mean(mpmath, kind, a, b) for kind in (spec.target, spec.hi, spec.lo))
+    return (t - lo) / (hi - lo)
+
+
 class TestRatio:
     def test_prop11_anchor(self):
         pair = PositivePair(2, 1)
@@ -166,10 +187,9 @@ class TestRatio:
                 fn(SPECS["prop1.3"], PositivePair(1, 1))
 
     def test_mean_route_equals_kernel_route(self):
-        # the reduction identity, checked across the sampling range; x stays
-        # >= 1.1 because the mean differences behind the ratio are pure
-        # rounding noise closer to a == b than that at this tolerance
-        ln_lo, ln_hi = math.log(1.1), math.log(1e8)
+        # the reduction identity, checked across the sampling range, down to
+        # 1e-12 from a == b, where both routes cancel nothing
+        ln_lo, ln_hi = math.log1p(1e-12), math.log(1e8)
         for spec in SPECS.values():
             for i in range(60):
                 x = math.exp(ln_lo + (ln_hi - ln_lo) * i / 59.0)
@@ -206,21 +226,6 @@ class TestRatio:
         # the ratio from the means at 60 digits, on exact binary64 pairs
         # with d = a/b - 1 from 1e-12 up to where 1 + d nears 2^52
         mpmath = pytest.importorskip("mpmath")
-
-        def exact_mean(kind, a, b):
-            a, b = mpmath.mpf(a), mpmath.mpf(b)
-            s = a + b
-            return {
-                MeanKind.CONTRA_HARMONIC: lambda: (a * a + b * b) / s,
-                MeanKind.CENTROIDAL: lambda: 2 * (a * a + a * b + b * b) / (3 * s),
-                MeanKind.ARITHMETIC: lambda: s / 2,
-                MeanKind.GEOMETRIC: lambda: mpmath.sqrt(a * b),
-                MeanKind.HARMONIC: lambda: 2 * a * b / s,
-                MeanKind.ROOT_SQUARE: lambda: mpmath.sqrt((a * a + b * b) / 2),
-                MeanKind.SEIFFERT_P: lambda: (a - b) / (2 * mpmath.asin((a - b) / s)),
-                MeanKind.SEIFFERT_T: lambda: (a - b) / (2 * mpmath.atan((a - b) / s)),
-            }[kind]()
-
         ln_lo, ln_hi = math.log(1e-12), math.log(3.7e15)
         ds = [math.exp(ln_lo + (ln_hi - ln_lo) * i / 99.0) for i in range(100)]
         worst = 0.0
@@ -228,8 +233,7 @@ class TestRatio:
             for spec in SPECS.values():
                 for d in ds:
                     for a, b in ((1.0 + d, 1.0), (1.0, 1.0 + d)):
-                        t, hi, lo = (exact_mean(k, a, b) for k in (spec.target, spec.hi, spec.lo))
-                        ref = (t - lo) / (hi - lo)
+                        ref = _exact_ratio(mpmath, spec, a, b)
                         got = ratio_via_kernel(spec, PositivePair(a, b))
                         worst = max(worst, float(abs(got - ref) / abs(ref)))
         assert worst <= 4e-15
@@ -240,9 +244,63 @@ class TestRatio:
             for pair in (PositivePair(1e300, 1e-300), PositivePair(1e-300, 1e300)):
                 assert ratio_via_kernel(spec, pair) == approx(sharp_bounds(spec).alpha, rel=1e-14)
 
-    def test_zero_denominator_names_the_spec(self):
+    def test_only_a_equal_b_is_refused_and_the_error_names_the_spec(self):
+        # hi - lo used to round to 0 here, and thm5.2 refused; the excesses
+        # cancel nothing, so only a == b is 0/0
+        for spec in SPECS.values():
+            beta = sharp_bounds(spec).beta
+            for d in (2.0**-52, 1e-15, 1e-10, 1e-8):
+                for pair in (PositivePair(1.0 + d, 1.0), PositivePair(1.0, 1.0 + d)):
+                    assert ratio(spec, pair) == approx(beta, abs=1e-15)
         with pytest.raises(DegeneratePairError, match="thm5.2"):
-            ratio(SPECS["thm5.2"], PositivePair(1 + 1e-15, 1.0))
+            ratio(SPECS["thm5.2"], PositivePair(1.0, 1.0))
+
+    def test_against_mpmath_per_decade(self):
+        # the ratio of the means at 100 digits, on exact binary64 pairs with
+        # d = a/b - 1 three per decade from 2^-52 to 1e300, in both orders;
+        # swapping a and b leaves every bit of ratio alone
+        mpmath = pytest.importorskip("mpmath")
+        ln_lo, ln_hi = math.log(2.0**-52), math.log(1e300)
+        ds = [math.exp(ln_lo + (ln_hi - ln_lo) * i / 959) for i in range(960)]
+        worst = 0.0
+        with mpmath.workdps(100):
+            for d in ds:
+                a = 1.0 + d
+                for spec in SPECS.values():
+                    got = ratio(spec, PositivePair(a, 1.0))
+                    assert got == ratio(spec, PositivePair(1.0, a)), (spec.id, d)
+                    ref = float(_exact_ratio(mpmath, spec, a, 1.0))
+                    worst = max(worst, abs(got - ref) / math.ulp(ref))
+        assert worst <= 16.0
+
+    def test_ratio_range_past_binary64_gives_alpha(self):
+        # min/max underflows to 0 (or below the normal range): t is 1 and the
+        # ratio is its limit alpha, not a refusal
+        for spec in SPECS.values():
+            alpha = sharp_bounds(spec).alpha
+            for pair in (PositivePair(1e300, 1e-300), PositivePair(1e-300, 1e300), PositivePair(1e300, 1e-10)):
+                assert ratio(spec, pair) == approx(alpha, abs=1e-15)
+
+    @pytest.mark.parametrize("changes", [
+        {"hi": MeanKind.HARMONIC},  # hi == lo
+        {"target": MeanKind.ROOT_SQUARE, "hi": MeanKind.GEOMETRIC},  # e_G rounds to -1 = e_H far out
+    ], ids=["hi-is-lo", "G-meets-H"])
+    def test_a_vanishing_hi_minus_lo_is_a_domain_error(self, changes):
+        # only specs outside SPECS can make e_hi - e_lo round to 0
+        spec = SPECS["prop1.1"]._replace(**changes)
+        with pytest.raises(DegeneratePairError, match="hi - lo rounds to 0"):
+            ratio(spec, PositivePair(1e300, 1.0))
+        with pytest.raises(DomainError, match="hi - lo rounds to 0"):
+            certify(spec, 1000, 42, 1e-12)
+
+    def test_excess_route_is_the_mean_route_where_well_conditioned(self):
+        # (P; A, H) and (T; S, A) from eval_mean at d >= 1, where hi - lo
+        # is at least 5% of the means and their quotient loses a few bits
+        for spec in (SPECS["prop1.1"], SPECS["prop1.3"]):
+            for d in (1.0, 3.0, 10.0, 1e3, 1e6, 1e12):
+                pair = PositivePair(1.0 + d, 1.0)
+                t, hi, lo = (eval_mean(kind, pair) for kind in (spec.target, spec.hi, spec.lo))
+                assert ratio(spec, pair) == approx((t - lo) / (hi - lo), rel=1e-13)
 
 
 def _wrap_h_eval(monkeypatch, shift):
@@ -311,12 +369,16 @@ def _check_shards_merge(start, stop, shard_bounds):
     whole = _certify_chunk(checks, 1e-12, 5, start, stop)
     shards = [_certify_chunk(checks, 1e-12, 5, i, j) for i, j in shard_bounds]
     for n, check in enumerate(checks):
-        violations = sum(shard[n][0] for shard in shards)
-        worst, worst_x = math.inf, None
-        for _, margin, x in (shard[n] for shard in shards):
-            if margin < worst or (margin == worst and (worst_x is None or x < worst_x)):
-                worst, worst_x = margin, x
-        assert (violations, worst, worst_x) == whole[n]
+        # shards in index order; a later shard's extreme wins only when
+        # strictly beyond, so ties keep the earliest sample
+        violations, lo, lo_x, hi, hi_x = 0, math.inf, None, -math.inf, None
+        for v, shard_lo, shard_lo_x, shard_hi, shard_hi_x in (shard[n] for shard in shards):
+            violations += v
+            if shard_lo < lo:
+                lo, lo_x = shard_lo, shard_lo_x
+            if shard_hi > hi:
+                hi, hi_x = shard_hi, shard_hi_x
+        assert (violations, lo, lo_x, hi, hi_x) == whole[n]
         assert whole[n] == _reference_chunk(*check, 1e-12, 5, start, stop)
 
 
@@ -327,7 +389,13 @@ class TestCertify:
         assert report.violations == 0
         assert report.samples == 2000
         assert report.seed == 42
-        assert report.worst_margin > 0.0
+        # the samples reach both ends, so the ratio meets a sharp constant
+        # to within rounding
+        assert abs(report.worst_margin) <= 1e-15
+        assert ratio(SPECS["prop1.1"], PositivePair(report.worst_x, 1.0)) in (
+            sharp_bounds(SPECS["prop1.1"]).alpha + report.worst_margin,
+            sharp_bounds(SPECS["prop1.1"]).beta - report.worst_margin,
+        )
         assert report.alpha_probe_gap <= 1e-3
         assert report.beta_probe_gap <= 1e-6
 
@@ -428,24 +496,25 @@ def _splitmix_unit(seed, index):
 
 
 def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
-    """Reference for _certify_chunk: one scalar draw, a PositivePair, three
-    eval_mean dispatches and a min of the two margins per sample."""
-    span = _LN_X_HI - _LN_X_LO
-    violations, worst, worst_x = 0, math.inf, None
+    """Reference for _certify_chunk: one scalar draw, a PositivePair and a
+    ratio call per sample, folded one sample at a time.  The key is the
+    target's excess when hi and lo have constant ones (the ratio is then
+    (key - e_lo)/(e_hi - e_lo)), else the ratio; ties keep the first sample."""
+    e_hi, e_lo = _EXCESSES[spec.hi], _EXCESSES[spec.lo]
+    on_excess = not callable(e_hi) and not callable(e_lo) and e_hi > e_lo
+    span = _LN_D_HI - _LN_D_LO
+    violations, lo, lo_x, hi, hi_x = 0, math.inf, None, -math.inf, None
     for i in range(start, stop):
-        x = math.exp(_LN_X_LO + span * _splitmix_unit(seed, i))
-        pair = PositivePair(x, 1.0)
-        t = eval_mean(spec.target, pair)
-        h = eval_mean(spec.hi, pair)
-        lo_v = eval_mean(spec.lo, pair)
-        lower = alpha * h + (1.0 - alpha) * lo_v
-        upper = beta * h + (1.0 - beta) * lo_v
-        margin = min((t - lower) / t, (upper - t) / t)
-        if margin < worst or (margin == worst and worst_x is not None and x < worst_x):
-            worst, worst_x = margin, x
-        if margin < -tol:
+        x = 1.0 + math.exp(_LN_D_LO + span * _splitmix_unit(seed, i))
+        rho = ratio(spec, PositivePair(x, 1.0))
+        key = _EXCESSES[spec.target](1.0 / x) if on_excess else rho
+        if key < lo:
+            lo, lo_x = key, x
+        if key > hi:
+            hi, hi_x = key, x
+        if rho - alpha < -tol or beta - rho < -tol:
             violations += 1
-    return violations, worst, worst_x
+    return violations, lo, lo_x, hi, hi_x
 
 
 class TestStream:
@@ -461,63 +530,87 @@ class TestStream:
         assert _units(seed, start, stop) == [_splitmix_unit(seed, i) for i in range(start, stop)]
 
 
-def _target_with_zeros(lower_zero, upper_zero):
-    """A target of value 1.0 for which t - lower and upper - t are the
-    given signed zeros.  In binary64, x - x is +0.0 for every finite x, so
-    the two relative margins of a float target can only tie at zeros of
-    one sign; this stand-in lets them tie at 0.0 and -0.0."""
-
-    class Target(float):
-        def __sub__(self, other):
-            return lower_zero
-
-        def __rsub__(self, other):
-            return upper_zero
-
-    return Target(1.0)
+def _ratio_is(monkeypatch, rho):
+    """Make prop1.3's ratio e_T/e_S the given function of r: e_S is 1."""
+    monkeypatch.setitem(_EXCESSES, MeanKind.ROOT_SQUARE, lambda r: 1.0)
+    monkeypatch.setitem(_EXCESSES, MeanKind.SEIFFERT_T, rho)
+    return SPECS["prop1.3"]
 
 
-class TestScan:
-    # hand-built blocks: t = 1, hi = 2, lo = 0 puts the lower bound at
-    # 2*alpha and the upper at 2*beta, so the margins are 1 - 2*alpha and
-    # 2*beta - 1, both exact for alpha and beta in [1/4, 1]
-    FRESH = (0, math.inf, None)
+def _log_ratio(r):
+    return 0.5 - math.log(r) / 2800
 
-    @pytest.mark.parametrize("xs", [[2.0, 1.5, 3.0], [3.0, 2.0, 1.5], [1.5, 3.0, 2.0]])
-    def test_equal_worst_margins_keep_the_smaller_x(self, xs):
-        result = _scan(xs, [1.0] * 3, [2.0] * 3, [0.0] * 3, 0.375, 0.5, 1e-12, self.FRESH)
-        assert result == (0, 0.0, 1.5)
 
-    @pytest.mark.parametrize("first, second", [(2.0, 1.5), (1.5, 2.0)])
-    def test_equal_worst_margins_across_blocks(self, first, second):
-        state = _scan([first], [1.0], [2.0], [0.0], 0.4375, 0.5625, 1e-12, self.FRESH)
-        assert state == (0, 0.125, first)
-        assert _scan([second], [1.0], [2.0], [0.0], 0.4375, 0.5625, 1e-12, state) == (0, 0.125, 1.5)
+def _stream_xs(seed, n):
+    span = _LN_D_HI - _LN_D_LO
+    return [1.0 + math.exp(_LN_D_LO + span * _splitmix_unit(seed, i)) for i in range(n)]
 
-    def test_smaller_margin_wins_over_smaller_x(self):
-        # margin 0.125 at x = 1.5 against margin 0.0 at x = 9, in either order
-        wide, tight = (0.4375, 0.5625), (0.375, 0.5)
-        state = _scan([1.5], [1.0], [2.0], [0.0], *wide, 1e-12, self.FRESH)
-        assert _scan([9.0], [1.0], [2.0], [0.0], *tight, 1e-12, state) == (0, 0.0, 9.0)
-        state = _scan([9.0], [1.0], [2.0], [0.0], *tight, 1e-12, self.FRESH)
-        assert _scan([1.5], [1.0], [2.0], [0.0], *wide, 1e-12, state) == (0, 0.0, 9.0)
 
-    @pytest.mark.parametrize("lower_zero, upper_zero", [(0.0, -0.0), (-0.0, 0.0)])
-    def test_signed_zero_tie_keeps_the_lower_side(self, lower_zero, upper_zero):
-        # min(0.0, -0.0) is 0.0 and min(-0.0, 0.0) is -0.0: the first wins
-        t = _target_with_zeros(lower_zero, upper_zero)
-        _, worst, _ = _scan([2.0], [t], [2.0], [0.0], 0.25, 0.75, 1e-12, self.FRESH)
-        assert worst == 0.0
-        assert math.copysign(1.0, worst) == math.copysign(1.0, lower_zero)
+class TestFold:
+    # hand-made ratios through prop1.3, whose ratio is e_T/e_S
+    @pytest.mark.parametrize("n", [200, 256, 700])
+    def test_ties_keep_the_first_sample(self, monkeypatch, n):
+        # a constant ratio ties every sample, within a block and across blocks
+        spec = _ratio_is(monkeypatch, lambda r: 0.5)
+        report = certify(spec, n, 3, 1e-12, alpha=0.25, beta=0.875)
+        assert (report.worst_margin, report.worst_x) == (0.25, _stream_xs(3, 1)[0])
 
-    def test_margin_of_exactly_minus_tol_is_not_a_violation(self):
-        # beta = 1/2 - 2^-30 gives the upper margin -2^-29 exactly
+    def test_smaller_ratio_wins_over_an_earlier_sample(self, monkeypatch):
+        # rho = 1/2 - ln(r)/2800 lies in [1/2, 3/4] and grows with x
+        spec = _ratio_is(monkeypatch, _log_ratio)
+        xs = _stream_xs(11, 600)
+        rhos = [_log_ratio(1.0 / x) for x in xs]
+        lo_x, hi_x = xs[rhos.index(min(rhos))], xs[rhos.index(max(rhos))]
+        assert xs.index(lo_x) > 0 and xs.index(hi_x) > 0
+        assert certify(spec, 600, 11, 1e-12, alpha=0.375, beta=1.0).worst_x == lo_x
+        assert certify(spec, 600, 11, 1e-12, alpha=0.0, beta=0.875).worst_x == hi_x
+
+    @pytest.mark.parametrize("nudge, side", [(0, "lower"), (1, "upper")])
+    def test_a_tie_between_the_sides_keeps_the_lower_side(self, monkeypatch, nudge, side):
+        # rho in [1/2, 3/4], so rho -/+ 1/8 and both margins are exact
+        spec = _ratio_is(monkeypatch, _log_ratio)
+        xs = _stream_xs(11, 600)
+        rhos = [_log_ratio(1.0 / x) for x in xs]
+        lo, hi = min(rhos), max(rhos)
+        alpha, beta = lo - 0.125, hi + 0.125
+        assert lo - alpha == beta - hi == 0.125
+        beta = math.nextafter(beta, 0.0) if nudge else beta
+        report = certify(spec, 600, 11, 1e-12, alpha=alpha, beta=beta)
+        assert report.worst_x == xs[rhos.index(lo if side == "lower" else hi)]
+        assert report.worst_margin == (0.125 if side == "lower" else beta - hi)
+
+    def test_margin_of_exactly_minus_tol_is_not_a_violation(self, monkeypatch):
+        # rho = 1/2 against alpha = 1/2 + 2^-29 gives the margin -2^-29
+        # exactly; the samples with r <= 1e-100 sit 2^-27 lower, so only they
+        # violate once any does
+        spec = _ratio_is(monkeypatch, lambda r: 0.5 if r > 1e-100 else 0.5 - 2.0**-27)
+        lower = sum(x >= 1e100 for x in _stream_xs(5, 300))
+        assert 0 < lower < 300
         margin = -(2.0**-29)
-        block = ([2.0], [1.0], [2.0], [0.0], 0.25, 0.5 - 2.0**-30)
-        assert _scan(*block, -margin, self.FRESH) == (0, margin, 2.0)
+        checks = [(spec, 0.5 - margin, 0.75)]
+        assert _certify_chunk(checks, -margin, 5, 0, 300)[0][0] == lower
         tol = math.nextafter(-margin, 0.0)
         assert math.nextafter(-tol, -math.inf) == margin
-        assert _scan(*block, tol, self.FRESH) == (1, margin, 2.0)
+        assert _certify_chunk(checks, tol, 5, 0, 300)[0][0] == 300
+
+
+class TestSensitivity:
+    def test_sharp_constants_hold_on_ten_seeds(self):
+        for seed in range(10):
+            for report in certify_many(SPECS.values(), 100_000, seed, 1e-14):
+                assert report.violations == 0, (seed, report)
+                assert abs(report.worst_margin) <= 1e-15
+
+    def test_shifts_of_1e_12_are_caught_on_every_spec(self):
+        # both ends are sampled: beta - 1e-12 near a == b and alpha + 1e-12
+        # toward a/b -> inf, on one shared pass over the stream
+        checks = []
+        for spec in SPECS.values():
+            sb = sharp_bounds(spec)
+            checks += [(spec, sb.alpha, sb.beta - 1e-12), (spec, sb.alpha + 1e-12, sb.beta)]
+        results = _certify_chunk(checks, 1e-14, 42, 0, 100_000)
+        caught = [violations for violations, *_ in results]
+        assert min(caught) > 1000, dict(zip(((s.id, a, b) for s, a, b in checks), caught))
 
 
 class TestFusedLoop:
@@ -553,13 +646,13 @@ class TestFusedLoop:
             checks.append((spec, alpha, beta))
         fused = _certify_chunk(checks, 1e-12, 42, 0, 3000)
         assert fused == [_reference_chunk(*check, 1e-12, 42, 0, 3000) for check in checks]
-        for (spec, _, _), (violations, _, _) in zip(checks, fused):
-            if spec.id != perturbed_id:
-                assert violations == 0
+        for (spec, _, _), (violations, *_) in zip(checks, fused):
+            assert (violations > 0) == (spec.id == perturbed_id)
 
-    def test_one_evaluator_call_per_sample_and_mean_kind(self, monkeypatch):
-        # the seven checks use all eight kinds; the loop evaluates each kind
-        # once per sample and builds no pair and dispatches no eval_mean
+    def test_four_excess_evaluations_per_sample(self, monkeypatch):
+        # the seven checks use all eight kinds; the loop evaluates each of
+        # the four varying excesses once per sample, builds no pair and
+        # dispatches no eval_mean
         calls = Counter()
 
         def counted(name, f):
@@ -568,16 +661,16 @@ class TestFusedLoop:
                 return f(*args, **kwargs)
             return wrapper
 
-        for kind, f in list(bounds._EVALUATORS.items()):
-            monkeypatch.setitem(bounds._EVALUATORS, kind, counted(kind, f))
+        varying = [kind for kind, e in _EXCESSES.items() if callable(e)]
+        for kind in varying:
+            monkeypatch.setitem(_EXCESSES, kind, counted(kind, _EXCESSES[kind]))
         monkeypatch.setattr(bounds, "PositivePair", counted("PositivePair", bounds.PositivePair))
         monkeypatch.setattr(bounds, "eval_mean", counted("eval_mean", bounds.eval_mean))
         checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta) for spec in SPECS.values()]
         n = 1000
         _certify_chunk(checks, 1e-12, 42, 0, n)
-        assert len(bounds._EVALUATORS) == 8
-        assert calls == Counter({kind: n for kind in bounds._EVALUATORS})
-        assert sum(calls.values()) == 8 * n
+        assert sorted(kind.value for kind in varying) == ["G", "P", "S", "T"]
+        assert calls == Counter({kind: n for kind in varying})
         assert calls["PositivePair"] == calls["eval_mean"] == 0
 
 

