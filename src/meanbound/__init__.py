@@ -4,8 +4,8 @@ The package evaluates eight means of two positive reals, the four
 monotone kernel functions h1..h4 that the sharp-bounds reductions rest
 on (with cancellation-safe series branches near 0), and the seven named
 double inequalities with their best-possible convex-combination
-constants, recovered in closed form, re-derived numerically, and
-certified on large deterministic samples.
+constants, taken exactly from the means' end values, re-derived
+numerically, and certified on large deterministic samples.
 """
 
 from . import bernoulli, bounds, errors, kernels, means

@@ -15,12 +15,11 @@ kernels are strictly monotone, so the ratio
 moves strictly between its two endpoint limits: beta is approached as
 a -> b and alpha as a/b -> inf, and neither constant can be improved.
 
-This module states each reduction once, as data, derives the sharp
-constants from it (alpha in closed form, beta exactly), recovers them
-independently from the kernel (Richardson extrapolation to the limit at
-0+, a direct evaluation at theta_right, and a scan that checks the
-monotonicity in between), and certifies the inequalities on
-deterministic samples.
+This module takes both constants from the three means' exact end values,
+checks each reduction, stated once as data, against them, recovers them
+from the kernel (Richardson extrapolation to the limit at 0+, a direct
+evaluation at theta_right, and a scan that checks the monotonicity in
+between), and certifies each inequality on deterministic samples.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import NamedTuple
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
-from .means import _EXCESSES, MeanKind, PositivePair, _reduce
+from .means import _ENDS, _EXCESSES, MeanKind, PositivePair, _reduce
 from .means import eval_mean  # noqa: F401  (unused, but perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -152,36 +151,39 @@ class SharpBounds(NamedTuple):
     beta_exact: str
 
 
-# Closed forms of the affine images p*h(theta_right) + q, evaluated
-# exactly on 50-digit pi and sqrt(2) and rounded once, so pi - 2*sqrt2
-# (thm5.2) does not cancel away the low bits of its float.
-_PI = Fraction("3.1415926535897932384626433832795028841971693993751")
-_SQRT2 = Fraction("1.4142135623730950488016887242096980785696718753769")
-_CLOSED_FORMS: dict[str, tuple[str, float]] = {
-    "prop1.1": ("2/pi", float(2 / _PI)),
-    "prop1.2": ("1/pi", float(1 / _PI)),
-    "prop1.3": ("(4-pi)/((sqrt2-1)*pi)", float((4 - _PI) / ((_SQRT2 - 1) * _PI))),
-    "prop1.4": ("3/(2*pi)", float(3 / (2 * _PI))),
-    "thm5.1": ("2/pi", float(2 / _PI)),
-    "thm5.2": ("(pi-2*sqrt2)/(sqrt2*pi-2*sqrt2)", float((_PI - 2 * _SQRT2) / (_SQRT2 * _PI - 2 * _SQRT2))),
-    "thm5.3": ("2/pi", float(2 / _PI)),
+# alpha as the paper states it, for bounds-table; sharp_bounds computes the
+# float from the means.  A spec outside SPECS has none, so it is refused.
+_ALPHA_EXACT = {
+    "prop1.1": "2/pi", "prop1.2": "1/pi", "prop1.3": "(4-pi)/((sqrt2-1)*pi)", "prop1.4": "3/(2*pi)",
+    "thm5.1": "2/pi", "thm5.2": "(pi-2*sqrt2)/(sqrt2*pi-2*sqrt2)", "thm5.3": "2/pi",
 }
 
 
 def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     """Best-possible (alpha, beta) for one of the seven inequalities.
 
-    The constants are the affine images p*h + q of the kernel's value at
-    theta_right (alpha side, in closed form) and of its limit at 0+ (beta
-    side, exact from p, q and the rational limit, so a wrong p or q shows).
+    Each is (target - lo)/(hi - lo) over the three means' end values
+    (means._ENDS): beta exactly, alpha rounded once.  DomainError refuses
+    an id outside SPECS, a hi and lo that meet at an end, and a reduction
+    unless p*h(0+) + q == beta and p*h(theta_right) + q is within 16 ulp
+    of alpha (thm5.2's is 4 ulp off).
     """
     _check_spec(spec)
     try:
-        a_str, a_val = _CLOSED_FORMS[spec.id]
+        alpha_exact = _ALPHA_EXACT[spec.id]
     except (KeyError, TypeError):  # TypeError: an unhashable id
         raise DomainError(f"unknown inequality id {spec.id!r}") from None
-    beta = Fraction(spec.p) * H_INFO[spec.kernel].limit_at_zero + Fraction(spec.q)
-    return SharpBounds(alpha=a_val, beta=float(beta), alpha_exact=a_str, beta_exact=str(beta))
+    (t_0, t_1), (h_0, h_1), (l_0, l_1) = (_ENDS[kind] for kind in (spec.target, spec.hi, spec.lo))
+    try:
+        beta = (t_0 - l_0) / (h_0 - l_0)
+        alpha = float((t_1 - l_1) / (h_1 - l_1))
+    except ZeroDivisionError:  # hi - lo would round to 0 near that end
+        raise DomainError(f"{spec.id}: hi and lo meet at an end of the a/b range") from None
+    if Fraction(spec.p) * H_INFO[spec.kernel].limit_at_zero + Fraction(spec.q) != beta:
+        raise DomainError(f"{spec.id}: p*h(0+) + q is not its beta {beta}")
+    if not abs(spec.p * h_eval(spec.kernel, spec.theta_right) + spec.q - alpha) <= 16 * math.ulp(alpha):
+        raise DomainError(f"{spec.id}: p*h(theta_right) + q is not its alpha {alpha!r}")
+    return SharpBounds(alpha=alpha, beta=float(beta), alpha_exact=alpha_exact, beta_exact=str(beta))
 
 
 def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
@@ -427,10 +429,7 @@ def _certify_specs(
         (spec, sharp.alpha if alpha is None else float(alpha), sharp.beta if beta is None else float(beta))
         for spec, sharp in zip(specs, sharps)
     ]
-    try:
-        results = _certify_chunk(checks, tol, seed, 0, n_samples)
-    except ZeroDivisionError:  # only for a pair of means outside SPECS
-        raise DomainError("hi - lo rounds to 0 at a sample of " + ", ".join(spec.id for spec in specs)) from None
+    results = _certify_chunk(checks, tol, seed, 0, n_samples)
     reports = []
     for (spec, check_alpha, check_beta), sharp, (violations, lo, lo_x, hi, hi_x) in zip(checks, sharps, results):
         shift, scale, _ = _ratio_map(spec)
@@ -514,7 +513,7 @@ def certify_many(
 
 
 # ---------------------------------------------------------------------------
-# equivalence of the three h1-based inequalities
+# equivalence of the two routes to each ratio
 
 _EQ_SAMPLES = 1000
 _EQ_SEED = 20260808
@@ -522,21 +521,17 @@ _EQ_REL_TOL = 1e-12
 
 
 def equivalence_check() -> bool:
-    """True when the three h1-based inequalities share one kernel up to
-    their affine maps: ratio(prop1.2) = (1/2) ratio(prop1.1) and
-    ratio(prop1.4) = (3/4) ratio(prop1.1), to 1e-12 relative, on the first
-    1000 pairs of certify's stream for seed 20260808.
-
-    The expected factors come from the p fields in SPECS, so a crooked p
-    there makes the check fail.
+    """True when ratio (from the means' excesses) and ratio_via_kernel (the
+    paper's p*h(theta) + q) agree to 1e-12 relative for every spec in SPECS,
+    on the first 1000 pairs of certify's stream for seed 20260808, so a
+    crooked reduction there fails it.  This implies the h1 proportions
+    ratio(prop1.2) = ratio(prop1.1)/2 and ratio(prop1.4) = 3 ratio(prop1.1)/4.
     """
-    base = SPECS["prop1.1"]
     span = _LN_D_HI - _LN_D_LO
     for u in _units(_EQ_SEED, 0, _EQ_SAMPLES):
         pair = PositivePair(1.0 + math.exp(_LN_D_LO + span * u), 1.0)
-        r_base = ratio(base, pair)
-        for spec in (SPECS["prop1.2"], SPECS["prop1.4"]):
-            expected = spec.p / base.p * r_base
-            if abs(ratio(spec, pair) - expected) > _EQ_REL_TOL * abs(expected):
+        for spec in SPECS.values():
+            expected = ratio_via_kernel(spec, pair)
+            if not abs(ratio(spec, pair) - expected) <= _EQ_REL_TOL * abs(expected):
                 return False
     return True

@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 from .bernoulli import MAX_INDEX, BernoulliTable, bernoulli_table
 from .errors import DomainError
+from .means import _poly
 
 __all__ = [
     "HFunctionId",
@@ -290,13 +291,6 @@ _H4_DEN = tuple(
     float(Fraction((-1) ** (k + 1) * 2 ** (2 * k), math.factorial(2 * k + 1)))
     for k in range(1, _QUOT_TERMS + 1)
 )
-
-
-def _poly(coeffs: tuple[float, ...], w: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * w + c
-    return acc
 
 
 def _h1_series(x: float) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegeneratePairError, DomainError
@@ -84,8 +85,7 @@ _U_OVER_ATAN = (1.0, 1.0 / 3.0, -4.0 / 45.0, 44.0 / 945.0, -428.0 / 14175.0)
 _SERIES_CUTOFF = 1e-4
 
 
-def _even_poly(coeffs: tuple[float, ...], u: float) -> float:
-    w = u * u
+def _poly(coeffs: tuple[float, ...], w: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * w + c
@@ -120,7 +120,7 @@ def _seiffert_p(r: float) -> float:
     s = 1.0 + r
     u = (1.0 - r) / s
     if u < _SERIES_CUTOFF:
-        return 0.5 * s * _even_poly(_U_OVER_ASIN, u)
+        return 0.5 * s * _poly(_U_OVER_ASIN, u * u)
     # asin((1-r)/(1+r)) == atan((1-r)/(2*sqrt(r))); asin amplifies the
     # quotient's rounding by 1/sqrt(1-u^2) as u -> 1, atan does not
     return (1.0 - r) / (2.0 * math.atan((1.0 - r) / (2.0 * math.sqrt(r))))
@@ -130,7 +130,7 @@ def _seiffert_t(r: float) -> float:
     s = 1.0 + r
     u = (1.0 - r) / s
     if u < _SERIES_CUTOFF:
-        return 0.5 * s * _even_poly(_U_OVER_ATAN, u)
+        return 0.5 * s * _poly(_U_OVER_ATAN, u * u)
     return (1.0 - r) / (2.0 * math.atan(u))
 
 
@@ -177,7 +177,7 @@ def _excess_p(r: float) -> float:
     if t < _EXCESS_CUTOFF:
         theta = math.atan2(1.0 - r, 2.0 * math.sqrt(r))  # asin t, as in _seiffert_p
         q = theta / t
-        return -q * q * _even_poly(_SINE_GAP, theta)
+        return -q * q * _poly(_SINE_GAP, theta * theta)
     v = math.atan(math.sqrt(r))
     return (_ONE_MINUS_HALF_PI + 2.0 * (v - r / s)) / ((_HALF_PI - 2.0 * v) * t * t)
 
@@ -188,14 +188,24 @@ def _excess_t(r: float) -> float:
     if t < _EXCESS_CUTOFF:
         theta = math.atan(t)
         q = theta / t
-        return q * q * math.sqrt(1.0 + t * t) * _even_poly(_TANGENT_GAP, theta)
+        return q * q * math.sqrt(1.0 + t * t) * _poly(_TANGENT_GAP, theta * theta)
     v = math.atan(r)
     return (_ONE_MINUS_QUARTER_PI + (v - 2.0 * r / s)) / ((_QUARTER_PI - v) * t * t)
 
 
-_EXCESSES = {
-    MeanKind.CONTRA_HARMONIC: 1.0, MeanKind.CENTROIDAL: 1 / 3, MeanKind.ARITHMETIC: 0.0,
-    MeanKind.HARMONIC: -1.0, MeanKind.GEOMETRIC: _excess_g, MeanKind.ROOT_SQUARE: _excess_s,
+# Each mean's two end values, exact on 50-digit pi and sqrt(2): its excess at t = 0
+# (a == b) and M(1, 0) (a/b -> inf).  Over a triple, (target - lo)/(hi - lo) of a
+# column is its sharp beta or alpha.  C, Cbar, A and H keep their t = 0 excess.
+_PI = Fraction("3.1415926535897932384626433832795028841971693993751")
+_SQRT2 = Fraction("1.4142135623730950488016887242096980785696718753769")
+_ENDS = {
+    MeanKind.CONTRA_HARMONIC: (Fraction(1), Fraction(1)), MeanKind.CENTROIDAL: (Fraction(1, 3), Fraction(2, 3)),
+    MeanKind.ARITHMETIC: (Fraction(0), Fraction(1, 2)), MeanKind.GEOMETRIC: (Fraction(-1, 2), Fraction(0)),
+    MeanKind.HARMONIC: (Fraction(-1), Fraction(0)), MeanKind.ROOT_SQUARE: (Fraction(1, 2), _SQRT2 / 2),
+    MeanKind.SEIFFERT_P: (Fraction(-1, 6), 1 / _PI), MeanKind.SEIFFERT_T: (Fraction(1, 3), 2 / _PI),
+}
+_EXCESSES = {kind: float(e_0) for kind, (e_0, _) in _ENDS.items()} | {
+    MeanKind.GEOMETRIC: _excess_g, MeanKind.ROOT_SQUARE: _excess_s,
     MeanKind.SEIFFERT_P: _excess_p, MeanKind.SEIFFERT_T: _excess_t,
 }
 

@@ -121,22 +121,15 @@ class TestSharpBounds:
             assert abs(sb.alpha - alpha_img) <= 16 * math.ulp(sb.alpha)
 
     def test_alphas_are_correctly_rounded(self):
-        # in binary64, thm5.2's pi - 2*sqrt2 cancels and leaves its alpha
-        # 6 ulp off
+        # each printed alpha_exact, evaluated at 50 digits, rounds to the
+        # alpha taken from the means; in binary64, thm5.2's pi - 2*sqrt2
+        # cancels and leaves its alpha 6 ulp off
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            pi, sqrt2 = mpmath.pi, mpmath.sqrt(2)
-            exact = {
-                "prop1.1": 2 / pi,
-                "prop1.2": 1 / pi,
-                "prop1.3": (4 - pi) / ((sqrt2 - 1) * pi),
-                "prop1.4": 3 / (2 * pi),
-                "thm5.1": 2 / pi,
-                "thm5.2": (pi - 2 * sqrt2) / (sqrt2 * pi - 2 * sqrt2),
-                "thm5.3": 2 / pi,
-            }
-            expected = {spec_id: float(value) for spec_id, value in exact.items()}
-        assert {spec_id: sharp_bounds(spec).alpha for spec_id, spec in SPECS.items()} == expected
+        for spec in SPECS.values():
+            sb = sharp_bounds(spec)
+            with mpmath.workdps(50):
+                exact = eval(sb.alpha_exact, {"__builtins__": {}, "pi": mpmath.pi, "sqrt2": mpmath.sqrt(2)})
+                assert float(exact) == sb.alpha, spec.id
 
     def test_images_decrease_in_theta(self):
         # beta is the limit at 0+ and alpha the value at theta_right only
@@ -145,9 +138,53 @@ class TestSharpBounds:
             assert H_INFO[spec.kernel].increasing == (spec.p < 0)
 
     def test_unknown_id(self):
+        # alpha_exact is known by id only, so a right reduction under a new
+        # id is refused too
         bogus = SPECS["prop1.1"]._replace(id="prop9.9")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="unknown inequality id"):
             sharp_bounds(bogus)
+
+
+def _crooked_specs():
+    """The reduction of prop1.3 with p = 1.1, q = -1/15, whose beta is within
+    1 ulp of the sharp 2/3 while its alpha is 7e-4 off; each spec with p
+    scaled by 1 + 2^-30 or q raised by 2^-30; and thm5.3 on the tan
+    substitution or on h3, which keep its exact beta 2/3 but not its alpha."""
+    yield pytest.param(SPECS["prop1.3"]._replace(p=1.1, q=-1 / 15), id="prop1.3-p1.1-q-1/15")
+    for spec in SPECS.values():
+        yield pytest.param(spec._replace(p=spec.p * (1 + 2.0**-30)), id=f"{spec.id}-p")
+        yield pytest.param(spec._replace(q=spec.q + 2.0**-30), id=f"{spec.id}-q")
+    yield pytest.param(SPECS["thm5.3"]._replace(theta_sub="tan"), id="thm5.3-tan")
+    yield pytest.param(SPECS["thm5.3"]._replace(kernel=HFunctionId.H3), id="thm5.3-h3")
+
+
+class TestCrookedReduction:
+    # the constants come from the means, so a reduction p*h + q that does
+    # not reach them is refused wherever they are needed
+    @pytest.mark.parametrize("crooked", _crooked_specs())
+    def test_sharp_bounds_refuses(self, crooked):
+        with pytest.raises(DomainError, match=f"{crooked.id}: p\\*h"):
+            sharp_bounds(crooked)
+
+    @pytest.mark.parametrize("changes", [{"theta_sub": "tan"}, {"kernel": HFunctionId.H3}], ids=["tan", "h3"])
+    def test_the_right_beta_with_the_wrong_alpha_is_refused(self, changes):
+        crooked = SPECS["thm5.3"]._replace(**changes)
+        assert Fraction(crooked.p) * H_INFO[crooked.kernel].limit_at_zero + Fraction(crooked.q) == Fraction(2, 3)
+        with pytest.raises(DomainError, match=r"thm5\.3: p\*h\(theta_right\) \+ q is not its alpha"):
+            sharp_bounds(crooked)
+
+    @pytest.mark.parametrize("crooked", _crooked_specs())
+    def test_certify_refuses(self, crooked):
+        with pytest.raises(DomainError):
+            certify(crooked, 100, 42, 1e-12)
+        with pytest.raises(DomainError):
+            certify(crooked, 100, 42, 1e-12, alpha=0.5, beta=0.9)
+
+    @pytest.mark.parametrize("crooked", _crooked_specs())
+    def test_certify_many_refuses(self, crooked):
+        others = [spec for spec in SPECS.values() if spec.id != crooked.id]
+        with pytest.raises(DomainError):
+            certify_many(others + [crooked], 100, 42, 1e-12)
 
 
 def _exact_mean(mpmath, kind, a, b):
@@ -290,7 +327,7 @@ class TestRatio:
         spec = SPECS["prop1.1"]._replace(**changes)
         with pytest.raises(DegeneratePairError, match="hi - lo rounds to 0"):
             ratio(spec, PositivePair(1e300, 1.0))
-        with pytest.raises(DomainError, match="hi - lo rounds to 0"):
+        with pytest.raises(DomainError, match="hi and lo meet"):
             certify(spec, 1000, 42, 1e-12)
 
     def test_excess_route_is_the_mean_route_where_well_conditioned(self):
@@ -446,9 +483,11 @@ class TestCertify:
 
     @pytest.mark.parametrize("p", [0.51, 0.49])
     def test_crooked_p_is_caught(self, p):
-        # beta follows p, so the beta probe sees a p that no longer fits
+        # beta comes from the means, so a p that no longer reaches it is
+        # refused before any sample is drawn
         crooked = SPECS["prop1.2"]._replace(p=p)
-        assert not certify(crooked, 2000, 42, 1e-12).ok
+        with pytest.raises(DomainError, match=r"prop1\.2: p\*h\(0\+\) \+ q is not its beta 5/12"):
+            certify(crooked, 2000, 42, 1e-12)
 
     def test_raised_alpha_is_violated(self):
         sb = sharp_bounds(SPECS["thm5.2"])
@@ -719,6 +758,12 @@ class TestEquivalence:
                 m.setitem(SPECS, spec_id, SPECS[spec_id]._replace(p=p))
                 assert not equivalence_check()
         assert equivalence_check()
+
+    @pytest.mark.parametrize("crooked", _crooked_specs())
+    def test_crooked_reduction_fails(self, monkeypatch, crooked):
+        # ratio_via_kernel follows the reduction in SPECS and ratio does not
+        monkeypatch.setitem(SPECS, crooked.id, crooked)
+        assert not equivalence_check()
 
     def test_exact_proportions_at_3_1(self):
         pair = PositivePair(3, 1)

@@ -17,6 +17,7 @@ from meanbound import (
     seiffert_p_arctan_form,
 )
 from meanbound.means import (
+    _ENDS,
     _EXCESS_CUTOFF,
     _EXCESSES,
     _HALF_PI,
@@ -28,7 +29,7 @@ from meanbound.means import (
     _TANGENT_GAP,
     _U_OVER_ASIN,
     _U_OVER_ATAN,
-    _even_poly,
+    _poly,
 )
 
 # Reference values computed with a 60-digit arbitrary-precision evaluator
@@ -277,7 +278,7 @@ def _ref_seiffert_p(x, y):
     s = x + y
     u = (x - y) / s
     if -_SERIES_CUTOFF < u < _SERIES_CUTOFF:
-        return 0.5 * s * _even_poly(_U_OVER_ASIN, u)
+        return 0.5 * s * _poly(_U_OVER_ASIN, u * u)
     t = (x - y) / (2.0 * math.sqrt(x) * math.sqrt(y))
     return (x - y) / (2.0 * math.atan(t))
 
@@ -286,7 +287,7 @@ def _ref_seiffert_t(x, y):
     s = x + y
     u = (x - y) / s
     if -_SERIES_CUTOFF < u < _SERIES_CUTOFF:
-        return 0.5 * s * _even_poly(_U_OVER_ATAN, u)
+        return 0.5 * s * _poly(_U_OVER_ATAN, u * u)
     return (x - y) / (2.0 * math.atan(u))
 
 
@@ -367,6 +368,23 @@ def _inverse_series(coeffs):
     return inverse
 
 
+def _mp_means(mpmath, r):
+    """M(1, r) for every kind, and t = (1 - r)/(1 + r), at mpmath's precision."""
+    mr = mpmath.mpf(r)
+    s = 1 + mr
+    t = (1 - mr) / s
+    return t, {
+        MeanKind.CONTRA_HARMONIC: (1 + mr * mr) / s,
+        MeanKind.CENTROIDAL: 2 * (1 + mr + mr * mr) / (3 * s),
+        MeanKind.ARITHMETIC: s / 2,
+        MeanKind.HARMONIC: 2 * mr / s,
+        MeanKind.GEOMETRIC: mpmath.sqrt(mr),
+        MeanKind.ROOT_SQUARE: mpmath.sqrt((1 + mr * mr) / 2),
+        MeanKind.SEIFFERT_P: (1 - mr) / (2 * mpmath.asin(t)),
+        MeanKind.SEIFFERT_T: (1 - mr) / (2 * mpmath.atan(t)),
+    }
+
+
 # asin(t)/t and atan(t)/t as series in w = t^2, 40 terms
 _ASIN_OVER_T = [Fraction(math.comb(2 * k, k), 4**k * (2 * k + 1)) for k in range(40)]
 _ATAN_OVER_T = [Fraction((-1) ** k, 2 * k + 1) for k in range(40)]
@@ -411,23 +429,11 @@ class TestExcesses:
         with mpmath.workdps(100):
             for d in ds:
                 r = 1.0 / (1.0 + d)
-                mr = mpmath.mpf(r)
-                s = 1 + mr
-                t = (1 - mr) / s
-                means = {
-                    MeanKind.CONTRA_HARMONIC: (1 + mr * mr) / s,
-                    MeanKind.CENTROIDAL: 2 * (1 + mr + mr * mr) / (3 * s),
-                    MeanKind.ARITHMETIC: s / 2,
-                    MeanKind.HARMONIC: 2 * mr / s,
-                    MeanKind.GEOMETRIC: mpmath.sqrt(mr),
-                    MeanKind.ROOT_SQUARE: mpmath.sqrt((1 + mr * mr) / 2),
-                    MeanKind.SEIFFERT_P: (1 - mr) / (2 * mpmath.asin(t)),
-                    MeanKind.SEIFFERT_T: (1 - mr) / (2 * mpmath.atan(t)),
-                }
+                t, means = _mp_means(mpmath, r)
                 for kind, mean in means.items():
                     excess = _EXCESSES[kind]
                     got = excess(r) if callable(excess) else excess
-                    want = float((2 * mean / s - 1) / (t * t))
+                    want = float((2 * mean / (1 + mpmath.mpf(r)) - 1) / (t * t))
                     worst[kind] = max(worst.get(kind, 0.0), abs(got - want) / math.ulp(want))
         assert {kind for kind, e in _EXCESSES.items() if not callable(e)} == {
             MeanKind.CONTRA_HARMONIC, MeanKind.CENTROIDAL, MeanKind.ARITHMETIC, MeanKind.HARMONIC,
@@ -436,3 +442,22 @@ class TestExcesses:
         with mpmath.workdps(50):
             assert (_HALF_PI, _ONE_MINUS_HALF_PI, _QUARTER_PI, _ONE_MINUS_QUARTER_PI) == tuple(
                 float(value) for value in (mpmath.pi / 2, 1 - mpmath.pi / 2, mpmath.pi / 4, 1 - mpmath.pi / 4))
+
+
+class TestEnds:
+    # each mean's excess at t = 0 and its value M(1, 0), which fix every
+    # sharp constant, against the means at 120 digits
+    def test_against_mpmath_limits(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(120):
+            # the excess (2M/(1 + r) - 1)/t^2 at t = 1e-25 is its limit at
+            # t = 0 to O(t^2), and rounding costs it 50 of the 120 digits;
+            # M(1, r) at r = 0 is the limit as a/b -> inf
+            t_small = mpmath.mpf(10) ** -25
+            t, near = _mp_means(mpmath, (1 - t_small) / (1 + t_small))
+            _, far = _mp_means(mpmath, 0)
+            for kind, (e_0, m_inf) in _ENDS.items():
+                assert isinstance(e_0, Fraction) and isinstance(m_inf, Fraction), kind
+                excess = (near[kind] * (1 + t) - 1) / (t * t)
+                assert abs(excess - mpmath.mpf(e_0.numerator) / e_0.denominator) < 1e-45, kind
+                assert abs(far[kind] - mpmath.mpf(m_inf.numerator) / m_inf.denominator) < 1e-48, kind
