@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
-from .means import _ENDS, _EXCESSES, MeanKind, PositivePair, _reduce
+from .means import _ENDS, _EXCESSES, _HALF_PI, _QUARTER_PI, MeanKind, PositivePair, _reduce
 from .means import eval_mean  # noqa: F401  (unused, but perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -71,7 +71,7 @@ def _check_spec(spec: object) -> None:
 
 
 # theta_sub -> right end of the theta range
-_THETA_SUBS = {"sin": 0.5 * math.pi, "tan": 0.25 * math.pi}
+_THETA_SUBS = {"sin": _HALF_PI, "tan": _QUARTER_PI}
 
 
 class _SpecFields(NamedTuple):
@@ -98,9 +98,10 @@ class InequalitySpec(_SpecFields):
 
     def __new__(cls, *args, **kwargs) -> InequalitySpec:
         self = super().__new__(cls, *args, **kwargs)
-        if not isinstance(self.kernel, HFunctionId) or not all(
+        if not isinstance(self.id, str) or not isinstance(self.kernel, HFunctionId) or not all(
                 isinstance(kind, MeanKind) for kind in (self.target, self.hi, self.lo)):
-            raise DomainError(f"kernel must be an HFunctionId and target, hi, lo MeanKinds, got {self!r}")
+            raise DomainError(
+                f"id must be a str, kernel an HFunctionId and target, hi, lo MeanKinds, got {self!r}")
         try:
             _THETA_SUBS[self.theta_sub]
         except (KeyError, TypeError):  # TypeError: an unhashable theta_sub
@@ -151,11 +152,12 @@ class SharpBounds(NamedTuple):
     beta_exact: str
 
 
-# alpha as the paper states it, for bounds-table; sharp_bounds computes the
-# float from the means.  A spec outside SPECS has none, so it is refused.
+# alpha as the paper states it, for bounds-table, by (target, hi, lo) codes; the
+# float comes from the means.  A triple outside SPECS has none and is refused.
 _ALPHA_EXACT = {
-    "prop1.1": "2/pi", "prop1.2": "1/pi", "prop1.3": "(4-pi)/((sqrt2-1)*pi)", "prop1.4": "3/(2*pi)",
-    "thm5.1": "2/pi", "thm5.2": "(pi-2*sqrt2)/(sqrt2*pi-2*sqrt2)", "thm5.3": "2/pi",
+    ("P", "A", "H"): "2/pi", ("P", "C", "H"): "1/pi", ("T", "S", "A"): "(4-pi)/((sqrt2-1)*pi)",
+    ("P", "Cbar", "H"): "3/(2*pi)", ("T", "C", "H"): "2/pi", ("S", "C", "T"): "(pi-2*sqrt2)/(sqrt2*pi-2*sqrt2)",
+    ("P", "A", "G"): "2/pi",
 }
 
 
@@ -164,26 +166,25 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
 
     Each is (target - lo)/(hi - lo) over the three means' end values
     (means._ENDS): beta exactly, alpha rounded once.  DomainError refuses
-    an id outside SPECS, a hi and lo that meet at an end, and a reduction
-    unless p*h(0+) + q == beta and p*h(theta_right) + q is within 16 ulp
-    of alpha (thm5.2's is 4 ulp off).
+    a hi and lo that meet at an end, a (target, hi, lo) outside SPECS,
+    whatever its id, and a reduction unless p*h(0+) + q == beta and
+    p*h(theta_right) + q is within 16 ulp of alpha (thm5.2's is 4 ulp off).
     """
     _check_spec(spec)
-    try:
-        alpha_exact = _ALPHA_EXACT[spec.id]
-    except (KeyError, TypeError):  # TypeError: an unhashable id
-        raise DomainError(f"unknown inequality id {spec.id!r}") from None
     (t_0, t_1), (h_0, h_1), (l_0, l_1) = (_ENDS[kind] for kind in (spec.target, spec.hi, spec.lo))
     try:
         beta = (t_0 - l_0) / (h_0 - l_0)
         alpha = float((t_1 - l_1) / (h_1 - l_1))
     except ZeroDivisionError:  # hi - lo would round to 0 near that end
         raise DomainError(f"{spec.id}: hi and lo meet at an end of the a/b range") from None
+    codes = spec.target.value, spec.hi.value, spec.lo.value
+    if codes not in _ALPHA_EXACT:
+        raise DomainError(f"{spec.id}: no closed form is known for {codes[0]} between {codes[1]} and {codes[2]}")
     if Fraction(spec.p) * H_INFO[spec.kernel].limit_at_zero + Fraction(spec.q) != beta:
         raise DomainError(f"{spec.id}: p*h(0+) + q is not its beta {beta}")
     if not abs(spec.p * h_eval(spec.kernel, spec.theta_right) + spec.q - alpha) <= 16 * math.ulp(alpha):
         raise DomainError(f"{spec.id}: p*h(theta_right) + q is not its alpha {alpha!r}")
-    return SharpBounds(alpha=alpha, beta=float(beta), alpha_exact=alpha_exact, beta_exact=str(beta))
+    return SharpBounds(alpha=alpha, beta=float(beta), alpha_exact=_ALPHA_EXACT[codes], beta_exact=str(beta))
 
 
 def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
@@ -331,7 +332,9 @@ class CertificationReport(NamedTuple):
     ratios rho, negative where a bound was crossed (at the sharp constants, by
     a few ulp of rounding); ``worst_x`` is x = a/b (b = 1) of the first sample
     in the stream at that extreme, the lower side on a tie, and
-    ratio(spec, PositivePair(worst_x, 1)) reproduces it.  The probe gaps show
+    ratio(spec, PositivePair(worst_x, 1)) reproduces it.  For prop1.1, 1.2, 1.4
+    and thm5.1, folded on the target's excess, it is the first at the extreme
+    excess; an earlier sample may round to the same ratio.  The probe gaps show
     how closely the ratio approaches the sharp constants at x = 1 + 1e-4, 1e8.
     """
 
@@ -367,11 +370,11 @@ def _certify_chunk(
     stop: int,
 ) -> list[tuple]:
     """(violations, min key, its x, max key, its x) over sample indices
-    [start, stop), per (spec, alpha, beta) check.  The checks share one stream,
-    drawn in blocks of _BLOCK indices (each uniform depends on (seed, index)
-    alone), each varying excess is evaluated once per sample, and a check
-    folds a block with min and max, counting its violations only when an
-    extreme crosses alpha - tol or beta + tol."""
+    [start, stop), per (spec, alpha, beta) check, x the first at that key
+    (_ratio_map's).  The checks share one stream, drawn in blocks of _BLOCK
+    indices (each uniform depends on (seed, index) alone), each varying excess
+    is evaluated once per sample, and a check folds a block with min and max,
+    counting its violations only when an extreme crosses alpha - tol or beta + tol."""
     maps = [_ratio_map(spec) for spec, _, _ in checks]
     kinds = {kind: _EXCESSES[kind] for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo)}
     span = _LN_D_HI - _LN_D_LO

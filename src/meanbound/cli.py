@@ -27,7 +27,6 @@ __all__ = ["main"]
 
 SCHEMA_VERSION = 1
 
-_KIND_BY_CODE = {kind.value: kind for kind in MeanKind}
 _SERIES_MAX_ORDER = 16
 
 
@@ -57,7 +56,7 @@ _CERTIFY_COLUMNS = (
 
 
 def _cmd_mean(args: argparse.Namespace) -> _Result:
-    value = eval_mean(_KIND_BY_CODE[args.kind], PositivePair(args.a, args.b))
+    value = eval_mean(MeanKind(args.kind), PositivePair(args.a, args.b))
     inputs = {"kind": args.kind, "a": args.a, "b": args.b}
     return inputs, [{**inputs, "value": value}], [repr(value)], 0
 
@@ -138,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mean = sub.add_parser("mean", help="evaluate one mean of a positive pair")
-    p_mean.add_argument("--kind", required=True, choices=sorted(_KIND_BY_CODE),
+    p_mean.add_argument("--kind", required=True, choices=sorted(kind.value for kind in MeanKind),
                         help="mean to evaluate")
     p_mean.add_argument("--a", required=True, type=float)
     p_mean.add_argument("--b", required=True, type=float)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -39,7 +39,6 @@ from typing import NamedTuple
 
 from .bernoulli import MAX_INDEX, BernoulliTable, bernoulli_table
 from .errors import DomainError
-from .means import _poly
 
 __all__ = [
     "HFunctionId",
@@ -269,28 +268,33 @@ def _h4_direct(x: float) -> float:
 
 
 # Maclaurin coefficients (exact, converted once) for the quotient forms of
-# h2 and h4 below X_SWITCH:
+# h2 and h4 below X_SWITCH, all by one rule:
 #     sin x - x cos x  = sum_k (-1)^(k+1) 2k      x^(2k+1) / (2k+1)!
-#     x (1 - cos x)    = sum_k (-1)^(k+1)         x^(2k+1) / (2k)!
+#     x (1 - cos x)    = sum_k (-1)^(k+1) (2k+1)  x^(2k+1) / (2k+1)!
 #     x - sin x        = sum_k (-1)^(k+1)         x^(2k+1) / (2k+1)!
 #     x - sin x cos x  = sum_k (-1)^(k+1) 2^(2k)  x^(2k+1) / (2k+1)!
 # The common x^3 factor cancels in each quotient; ten terms leave the
-# remainder below 1e-24 relative everywhere on (0, 1/2).
+# remainder below 1e-24 relative everywhere on (0, 1/2).  means takes the
+# P and T excess series as prefixes of _H4_NUM and _H2_NUM.
 _QUOT_TERMS = 10
-_H2_NUM = tuple(
-    float(Fraction((-1) ** (k + 1) * 2 * k, math.factorial(2 * k + 1)))
-    for k in range(1, _QUOT_TERMS + 1)
-)
-_H2_DEN = tuple(
-    float(Fraction((-1) ** (k + 1), math.factorial(2 * k))) for k in range(1, _QUOT_TERMS + 1)
-)
-_H4_NUM = tuple(
-    float(Fraction((-1) ** (k + 1), math.factorial(2 * k + 1))) for k in range(1, _QUOT_TERMS + 1)
-)
-_H4_DEN = tuple(
-    float(Fraction((-1) ** (k + 1) * 2 ** (2 * k), math.factorial(2 * k + 1)))
-    for k in range(1, _QUOT_TERMS + 1)
-)
+
+
+def _maclaurin(c: Callable[[int], int]) -> tuple[float, ...]:
+    return tuple(float(Fraction((-1) ** (k + 1) * c(k), math.factorial(2 * k + 1)))
+                 for k in range(1, _QUOT_TERMS + 1))
+
+
+_H2_NUM = _maclaurin(lambda k: 2 * k)
+_H2_DEN = _maclaurin(lambda k: 2 * k + 1)
+_H4_NUM = _maclaurin(lambda k: 1)
+_H4_DEN = _maclaurin(lambda k: 4**k)
+
+
+def _poly(coeffs: tuple[float, ...], w: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * w + c
+    return acc
 
 
 def _h1_series(x: float) -> float:

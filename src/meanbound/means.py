@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegeneratePairError, DomainError
+from .kernels import _H2_NUM, _H4_NUM, _poly
 
 __all__ = [
     "MeanKind",
@@ -85,13 +86,6 @@ _U_OVER_ATAN = (1.0, 1.0 / 3.0, -4.0 / 45.0, 44.0 / 945.0, -428.0 / 14175.0)
 _SERIES_CUTOFF = 1e-4
 
 
-def _poly(coeffs: tuple[float, ...], w: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * w + c
-    return acc
-
-
 def _contra_harmonic(r: float) -> float:
     return (1.0 + r * r) / (1.0 + r)
 
@@ -150,13 +144,12 @@ _EVALUATORS = {
 # Excesses: with t = (1 - r)/(1 + r), each mean is M(1, r) == A*(1 + t^2*e),
 # A = (1 + r)/2; e is 1, 1/3, 0 or -1 for C, Cbar, A and H and, for G, S, P
 # and T, a function of r in [0, 1) free of cancellation as r -> 1.  P and T
-# are (t - theta)/(theta*t^2), theta = asin t or atan t: below the cutoff,
-# series in theta^2 with coefficients (-1)^k/(2k+3)! and (-1)^(k+1)/((2k+1)*
-# (2k-1)!); above it, from theta = pi/2 - 2*atan(sqrt r) or pi/4 - atan r.
-_SINE_GAP = (1 / 6, -1 / 120, 1 / 5040, -1 / 362880, 1 / 39916800, -1 / 6227020800,
-             1 / 1307674368000, -1 / 355687428096000, 1 / 121645100408832000)
-_TANGENT_GAP = (1 / 3, -1 / 30, 1 / 840, -1 / 45360, 1 / 3991680, -1 / 518918400,
-                1 / 93405312000, -1 / 22230464256000)
+# are (t - theta)/(theta*t^2), theta = asin t or atan t: below the cutoff, via
+# series in theta^2, the first 9 and 8 terms (ten would move last bits) of
+# kernels' (theta - sin theta)/theta^3 and (sin theta - theta cos theta)/theta^3;
+# above it, from theta = pi/2 - 2*atan(sqrt r) or pi/4 - atan r.
+_SINE_GAP = _H4_NUM[:9]
+_TANGENT_GAP = _H2_NUM[:8]
 _EXCESS_CUTOFF = 0.9
 _HALF_PI, _ONE_MINUS_HALF_PI = 1.5707963267948966, -0.5707963267948967  # correctly rounded
 _QUARTER_PI, _ONE_MINUS_QUARTER_PI = 0.7853981633974483, 0.2146018366025517

@@ -137,12 +137,23 @@ class TestSharpBounds:
         for spec in SPECS.values():
             assert H_INFO[spec.kernel].increasing == (spec.p < 0)
 
-    def test_unknown_id(self):
-        # alpha_exact is known by id only, so a right reduction under a new
-        # id is refused too
-        bogus = SPECS["prop1.1"]._replace(id="prop9.9")
-        with pytest.raises(DomainError, match="unknown inequality id"):
-            sharp_bounds(bogus)
+    def test_closed_form_follows_the_triple(self):
+        # alpha_exact is kept per (target, hi, lo), not per id: prop1.2's
+        # triple and reduction under prop1.1's id print prop1.2's 1/pi, a
+        # SPECS triple under a new id is accepted, and a triple outside SPECS
+        # is refused even with a right reduction
+        moved = SPECS["prop1.1"]._replace(hi=MeanKind.CONTRA_HARMONIC, p=0.5)
+        assert sharp_bounds(moved) == sharp_bounds(SPECS["prop1.2"])
+        assert sharp_bounds(moved).alpha_exact == "1/pi"
+        renamed = SPECS["prop1.1"]._replace(id="prop9.9")
+        assert sharp_bounds(renamed) == sharp_bounds(SPECS["prop1.1"])
+        with pytest.raises(DomainError, match="no closed form is known for T between A and H"):
+            sharp_bounds(SPECS["prop1.1"]._replace(target=MeanKind.SEIFFERT_T))
+
+    def test_id_must_be_a_str(self):
+        for bad in (None, 1.1, ("prop1.1",)):
+            with pytest.raises(DomainError, match="id must be a str"):
+                SPECS["prop1.1"]._replace(id=bad)
 
 
 def _crooked_specs():

@@ -1,0 +1,48 @@
+"""The package's imports, read from its source: the runtime needs only the
+standard library, and each module imports only from the layers below it."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import meanbound
+
+SOURCES = sorted(Path(meanbound.__file__).parent.glob("*.py"))
+
+# lowest first: a module may import only modules listed before it, so kernels,
+# which holds the sin/cos Maclaurin tables, imports nothing from means, bounds
+# or cli
+LAYERS = ("errors", "bernoulli", "kernels", "means", "bounds", "cli", "__main__", "__init__")
+
+
+def _imports(path):
+    """(absolute top-level module names, package-relative module names)."""
+    absolute, relative = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            absolute.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            absolute.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            # "from . import kernels" names modules; "from .kernels import x" one
+            relative.update([node.module] if node.module else [alias.name for alias in node.names])
+    return absolute, relative
+
+
+def test_every_module_is_layered():
+    assert sorted(path.stem for path in SOURCES) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
+def test_absolute_imports_are_standard_library(path):
+    absolute, _ = _imports(path)
+    assert absolute <= sys.stdlib_module_names, absolute - sys.stdlib_module_names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
+def test_relative_imports_come_from_lower_layers(path):
+    _, relative = _imports(path)
+    below = set(LAYERS[:LAYERS.index(path.stem)])
+    assert relative <= below, relative - below

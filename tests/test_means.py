@@ -16,6 +16,7 @@ from meanbound import (
     half_sum_ratio,
     seiffert_p_arctan_form,
 )
+from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM
 from meanbound.means import (
     _ENDS,
     _EXCESS_CUTOFF,
@@ -398,6 +399,21 @@ class TestExcesses:
         assert _TANGENT_GAP == tuple(
             float(Fraction((-1) ** (k + 1), (2 * k + 1) * factorial(2 * k - 1))) for k in range(1, 9)
         )
+        # the kernels' h2 and h4 tables: coefficients of x^(2k+1), k = 1..10, in
+        # the numerators and denominators, exact from the sin and cos series
+        sin = [Fraction((-1) ** (n // 2), factorial(n)) if n % 2 else Fraction(0) for n in range(22)]
+        cos = [Fraction(0) if n % 2 else Fraction((-1) ** (n // 2), factorial(n)) for n in range(22)]
+        x = [Fraction(n == 1) for n in range(22)]
+        x_cos = [Fraction(0), *cos[:-1]]
+        sin_cos = [sum(sin[i] * cos[n - i] for i in range(n + 1)) for n in range(22)]
+        for table, series in [
+            (_H2_NUM, [s - c for s, c in zip(sin, x_cos)]),  # sin x - x cos x
+            (_H2_DEN, [u - c for u, c in zip(x, x_cos)]),  # x (1 - cos x)
+            (_H4_NUM, [u - s for u, s in zip(x, sin)]),  # x - sin x
+            (_H4_DEN, [u - s for u, s in zip(x, sin_cos)]),  # x - sin x cos x
+        ]:
+            assert table == tuple(float(c) for c in series[3::2])
+        assert _SINE_GAP == _H4_NUM[:9] and _TANGENT_GAP == _H2_NUM[:8]
 
     @pytest.mark.parametrize("kind, series", [
         (MeanKind.SEIFFERT_P, _ASIN_OVER_T), (MeanKind.SEIFFERT_T, _ATAN_OVER_T),
