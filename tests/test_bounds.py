@@ -27,7 +27,7 @@ from meanbound import (
 )
 from meanbound import bounds
 from meanbound.bounds import _BLOCK, _LN_D_HI, _LN_D_LO, _certify_chunk, _units
-from meanbound.means import _EXCESSES
+from meanbound.means import _END_CUT, _END_EXCESSES, _EXCESSES
 
 # 60-digit reference values.
 RATIO_PROP11_2_1 = 0.8277638965669817  # h1(asin(1/3))
@@ -259,6 +259,16 @@ class TestRatio:
             ]
             assert all(b < a for a, b in zip(values, values[1:]))
 
+    def test_prop13_rises_at_most_one_ulp_on_a_finer_grid(self):
+        # the strict fall above holds on that grid only: near x = 1e12 prop1.3's
+        # ratio falls by 1-5 ulp a step here, which its rounding can outweigh
+        # (it rises by 1 ulp once, at x = 9.6e11)
+        ln_lo, ln_hi = math.log(1.01), math.log(1e12)
+        spec = SPECS["prop1.3"]
+        values = [ratio(spec, PositivePair(math.exp(ln_lo + (ln_hi - ln_lo) * i / 1999.0), 1.0))
+                  for i in range(2000)]
+        assert all(b - a <= math.ulp(a) for a, b in zip(values, values[1:]))
+
     def test_near_diagonal_is_finite_or_refused(self):
         # hi - lo rounds to 0 this close to a == b; that must surface as a
         # MeanBoundError, never as a bare ZeroDivisionError
@@ -334,11 +344,12 @@ class TestRatio:
         {"target": MeanKind.ROOT_SQUARE, "hi": MeanKind.GEOMETRIC},  # e_G rounds to -1 = e_H far out
     ], ids=["hi-is-lo", "G-meets-H"])
     def test_a_vanishing_hi_minus_lo_is_a_domain_error(self, changes):
-        # only specs outside SPECS can make e_hi - e_lo round to 0
+        # only specs outside SPECS can make e_hi - e_lo round to 0, and certify
+        # refuses those by their triple before any end quotient is taken
         spec = SPECS["prop1.1"]._replace(**changes)
         with pytest.raises(DegeneratePairError, match="hi - lo rounds to 0"):
             ratio(spec, PositivePair(1e300, 1.0))
-        with pytest.raises(DomainError, match="hi and lo meet"):
+        with pytest.raises(DomainError, match="no closed form"):
             certify(spec, 1000, 42, 1e-12)
 
     def test_excess_route_is_the_mean_route_where_well_conditioned(self):
@@ -591,9 +602,9 @@ def _log_ratio(r):
     return 0.5 - math.log(r) / 2800
 
 
-def _stream_xs(seed, n):
+def _stream_xs(seed, stop, start=0):
     span = _LN_D_HI - _LN_D_LO
-    return [1.0 + math.exp(_LN_D_LO + span * _splitmix_unit(seed, i)) for i in range(n)]
+    return [1.0 + math.exp(_LN_D_LO + span * _splitmix_unit(seed, i)) for i in range(start, stop)]
 
 
 class TestFold:
@@ -699,10 +710,12 @@ class TestFusedLoop:
         for (spec, _, _), (violations, *_) in zip(checks, fused):
             assert (violations > 0) == (spec.id == perturbed_id)
 
-    def test_four_excess_evaluations_per_sample(self, monkeypatch):
+    def test_four_excess_evaluations_per_live_sample(self, monkeypatch):
         # the seven checks use all eight kinds; the loop evaluates each of
-        # the four varying excesses once per sample, builds no pair and
-        # dispatches no eval_mean
+        # the four varying excesses once per sample with r >= _END_CUT and
+        # takes the others' end values, builds no pair and dispatches no
+        # eval_mean.  Each counting wrapper gets its excess's end value, so
+        # the shortcut stays on
         calls = Counter()
 
         def counted(name, f):
@@ -713,15 +726,45 @@ class TestFusedLoop:
 
         varying = [kind for kind, e in _EXCESSES.items() if callable(e)]
         for kind in varying:
-            monkeypatch.setitem(_EXCESSES, kind, counted(kind, _EXCESSES[kind]))
+            wrapper = counted(kind, _EXCESSES[kind])
+            monkeypatch.setitem(_END_EXCESSES, wrapper, _END_EXCESSES[_EXCESSES[kind]])
+            monkeypatch.setitem(_EXCESSES, kind, wrapper)
         monkeypatch.setattr(bounds, "PositivePair", counted("PositivePair", bounds.PositivePair))
         monkeypatch.setattr(bounds, "eval_mean", counted("eval_mean", bounds.eval_mean))
         checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta) for spec in SPECS.values()]
         n = 1000
+        live = sum(1.0 / x >= _END_CUT for x in _stream_xs(42, n))
+        assert 0 < live < n
         _certify_chunk(checks, 1e-12, 42, 0, n)
         assert sorted(kind.value for kind in varying) == ["G", "P", "S", "T"]
-        assert calls == Counter({kind: n for kind in varying})
+        assert calls == Counter({kind: live for kind in varying})
         assert calls["PositivePair"] == calls["eval_mean"] == 0
+
+    @pytest.mark.parametrize("start, stop, ended", [
+        (7897, 7902, "none"),  # five samples with r >= _END_CUT
+        (1969, 2019, "all"),  # fifty with r < _END_CUT
+        (0, 3000, "some"),
+        (24, 300, "some"),  # sample 24 is live, but its P excess is already the end value
+    ])
+    def test_ended_samples_fold_like_the_reference(self, start, stop, ended):
+        # an ended sample's key is the end key; it ties with a live sample
+        # that rounds to it, and the first in the stream stays.  At alpha +
+        # 1e-3 every ended sample is a violation
+        xs = _stream_xs(42, stop, start)
+        flags = [1.0 / x < _END_CUT for x in xs]
+        assert {"none": not any(flags), "all": all(flags), "some": any(flags) and not all(flags)}[ended]
+        checks = []
+        for spec in SPECS.values():
+            sb = sharp_bounds(spec)
+            checks += [(spec, sb.alpha, sb.beta), (spec, sb.alpha + 1e-3, sb.beta)]
+        fused = _certify_chunk(checks, 1e-12, 42, start, stop)
+        assert fused == [_reference_chunk(*check, 1e-12, 42, start, stop) for check in checks]
+        for (spec, alpha, _), (violations, *_) in zip(checks, fused):
+            assert (violations >= sum(flags)) if alpha > sharp_bounds(spec).alpha else (violations == 0)
+        if start == 24:
+            e_p = _EXCESSES[MeanKind.SEIFFERT_P]
+            assert not flags[0] and e_p(1.0 / xs[0]) == _END_EXCESSES[e_p] and any(flags)
+            assert fused[0][2] == xs[0]  # prop1.1's lowest key, shared by the ended samples after it
 
 
 class TestCertifyMany:

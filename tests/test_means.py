@@ -18,6 +18,8 @@ from meanbound import (
 )
 from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM
 from meanbound.means import (
+    _END_CUT,
+    _END_EXCESSES,
     _ENDS,
     _EXCESS_CUTOFF,
     _EXCESSES,
@@ -477,3 +479,18 @@ class TestEnds:
                 excess = (near[kind] * (1 + t) - 1) / (t * t)
                 assert abs(excess - mpmath.mpf(e_0.numerator) / e_0.denominator) < 1e-45, kind
                 assert abs(far[kind] - mpmath.mpf(m_inf.numerator) / m_inf.denominator) < 1e-48, kind
+
+    def test_varying_excesses_are_their_end_values_past_the_cut(self):
+        # below _END_CUT each varying excess returns its stated end value bit for
+        # bit, so certify lets one sample stand for all such samples of a block;
+        # the end value is the t = 1 excess 2*M(1, 0) - 1 to 1 ulp
+        assert set(_END_EXCESSES) == {e for e in _EXCESSES.values() if callable(e)}
+        rs = [0.0, math.nextafter(_END_CUT, 0.0), 2.0**-1074]
+        rs += [math.ldexp(1.0 + j / 7, -k) for k in range(121, 1075) for j in range(7)]  # every binade
+        assert all(r < _END_CUT for r in rs)
+        for kind, excess in _EXCESSES.items():
+            if callable(excess):
+                end = _END_EXCESSES[excess]
+                assert [r for r in rs if excess(r) != end] == [], kind
+                want = float(2 * _ENDS[kind][1] - 1)
+                assert abs(end - want) <= math.ulp(want), kind
