@@ -312,9 +312,11 @@ def _units(seed: int, start: int, stop: int) -> list[float]:
     return units
 
 
-# certify's samples: (x, 1), x = 1 + d, d log-uniform on [1e-15, 1e300]
+# certify's samples: (x, 1), x = 1 + d, d log-uniform on [1e-15, 1e300]; a
+# uniform above _U_END gives x > 1/means._END_CUT, where every excess has ended
 _LN_D_LO = math.log(1e-15)
 _LN_D_HI = math.log(1e300)
+_U_END = (math.log(1.0 / _END_CUT - 1.0) - _LN_D_LO) / (_LN_D_HI - _LN_D_LO)
 
 _BETA_PROBE_X = 1.0 + 1e-4
 _ALPHA_PROBE_X = 1e8
@@ -371,29 +373,25 @@ def _certify_chunk(
     [start, stop), per (spec, alpha, beta) check, x the first at that key
     (_ratio_map's).  The checks share one stream, drawn in blocks of _BLOCK
     indices (each uniform depends on (seed, index) alone).  A block's samples
-    with r < means._END_CUT (about 84% of them) share every excess, their end
-    values, so one entry, at the first such index, stands for all of them; each
-    varying excess is evaluated once per other sample.  A check folds a block
-    with min and max, counting its violations only when an extreme crosses
-    alpha - tol or beta + tol."""
+    with u > _U_END (about 84% of them) share every excess, their end values:
+    the first of them is evaluated like the samples below _U_END, and the
+    others count as copies of it.  A check folds a block with min and max,
+    counting its violations only when an extreme crosses alpha - tol or
+    beta + tol."""
     maps = [_ratio_map(spec) for spec, _, _ in checks]
     kinds = {kind: _EXCESSES[kind] for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo)}
-    ends = {kind: _END_EXCESSES.get(e) if callable(e) else e for kind, e in kinds.items()}
-    cut = _END_CUT if None not in ends.values() else 0.0  # 0: an excess without an end value
+    # inf: a substituted excess without an end value
+    u_end = _U_END if all(e in _END_EXCESSES for e in kinds.values() if callable(e)) else math.inf
     span = _LN_D_HI - _LN_D_LO
     results: list[tuple] = [(0, math.inf, None, -math.inf, None)] * len(checks)
     for first in range(start, stop, _BLOCK):
-        xs = [1.0 + math.exp(_LN_D_LO + span * u) for u in _units(seed, first, min(first + _BLOCK, stop))]
+        units = _units(seed, first, min(first + _BLOCK, stop))
+        end = next((i for i, u in enumerate(units) if u > u_end), len(units))  # the first ended sample
+        kept = units[:end + 1] + [u for u in units[end + 1:] if u <= u_end]
+        copies = len(units) - len(kept)
+        xs = [1.0 + math.exp(_LN_D_LO + span * u) for u in kept]
         rs = [1.0 / x for x in xs]
-        reps = [i for i, r in enumerate(rs) if r >= cut]  # the block index of each entry
-        live = [rs[i] for i in reps]
-        excess = {kind: list(map(e, live)) if callable(e) else [e] * len(live) for kind, e in kinds.items()}
-        ended = len(rs) - len(reps)
-        if ended:  # every index before the first ended one is live, so it goes in at its own index
-            end = next(i for i, r in enumerate(rs) if r < cut)
-            reps.insert(end, end)
-            for kind, values in excess.items():
-                values.insert(end, ends[kind])
+        excess = {kind: list(map(e, rs)) if callable(e) else [e] * len(rs) for kind, e in kinds.items()}
         folds = {}
         for n, ((spec, alpha, beta), (shift, scale, shared)) in enumerate(zip(checks, maps)):
             fold = spec.target if shared else n
@@ -402,7 +400,7 @@ def _certify_chunk(
                     (e_t - e_l) / (e_h - e_l)
                     for e_t, e_h, e_l in zip(excess[spec.target], excess[spec.hi], excess[spec.lo])]
                 lo, hi = min(keys), max(keys)
-                folds[fold] = keys, lo, xs[reps[keys.index(lo)]], hi, xs[reps[keys.index(hi)]]
+                folds[fold] = keys, lo, xs[keys.index(lo)], hi, xs[keys.index(hi)]
             keys, lo, lo_x, hi, hi_x = folds[fold]
             violations, lo_0, lo_x0, hi_0, hi_x0 = results[n]
             if lo < lo_0:  # on a tie the earlier block's sample stays
@@ -412,7 +410,7 @@ def _certify_chunk(
             if (lo - shift) / scale - alpha < -tol or beta - (hi - shift) / scale < -tol:
                 rhos = [(key - shift) / scale for key in keys]
                 crossed = [rho - alpha < -tol or beta - rho < -tol for rho in rhos]
-                violations += sum(crossed) + (crossed[end] * (ended - 1) if ended else 0)
+                violations += sum(crossed) + (crossed[end] * copies if copies else 0)
             results[n] = violations, lo_0, lo_x0, hi_0, hi_x0
     return results
 
@@ -512,10 +510,10 @@ def certify_many(
 
     Returns one report per spec, in order, each equal to
     ``certify(spec, n_samples, seed, tol)``.  The excesses of G, S, P and T
-    are evaluated once per sample with r >= means._END_CUT; the other 84%
-    of samples (a/b - 1 > 1.3e36) share their end values, taken once per
-    block.  prop1.1, prop1.2, prop1.4 and thm5.1, whose hi and lo excesses
-    are constants, share their target's extremes.
+    are evaluated once per sample with a/b - 1 <= 1.3e36; the other 84% of
+    samples share their end values, evaluated at one sample per block.
+    prop1.1, prop1.2, prop1.4 and thm5.1, whose hi and lo excesses are
+    constants, share their target's extremes.
     """
     try:
         specs = list(specs)

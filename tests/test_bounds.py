@@ -26,7 +26,7 @@ from meanbound import (
     sharp_bounds,
 )
 from meanbound import bounds
-from meanbound.bounds import _BLOCK, _LN_D_HI, _LN_D_LO, _certify_chunk, _units
+from meanbound.bounds import _BLOCK, _LN_D_HI, _LN_D_LO, _U_END, _certify_chunk, _units
 from meanbound.means import _END_CUT, _END_EXCESSES, _EXCESSES
 
 # 60-digit reference values.
@@ -268,6 +268,21 @@ class TestRatio:
         values = [ratio(spec, PositivePair(math.exp(ln_lo + (ln_hi - ln_lo) * i / 1999.0), 1.0))
                   for i in range(2000)]
         assert all(b - a <= math.ulp(a) for a, b in zip(values, values[1:]))
+
+    def test_rises_at_most_32_ulp_above_its_running_minimum(self):
+        # a bound on the rounding that holds whatever the grid step: ratio is
+        # within 16 ulp, so a falling ratio never reads more than twice that
+        # above an earlier value (11 ulp at most, for thm5.2), from near a == b
+        # to far past the alpha end, x = 1 + d with d log-spaced like certify's
+        ln_lo, ln_hi = math.log(2.0**-40), math.log(1e300)
+        xs = [1.0 + math.exp(ln_lo + (ln_hi - ln_lo) * i / 19999.0) for i in range(20000)]
+        for spec in SPECS.values():
+            lowest, worst = math.inf, 0.0
+            for x in xs:
+                value = ratio(spec, PositivePair(x, 1.0))
+                lowest = min(lowest, value)
+                worst = max(worst, (value - lowest) / math.ulp(lowest))
+            assert worst <= 32, spec.id
 
     def test_near_diagonal_is_finite_or_refused(self):
         # hi - lo rounds to 0 this close to a == b; that must surface as a
@@ -712,10 +727,11 @@ class TestFusedLoop:
 
     def test_four_excess_evaluations_per_live_sample(self, monkeypatch):
         # the seven checks use all eight kinds; the loop evaluates each of
-        # the four varying excesses once per sample with r >= _END_CUT and
-        # takes the others' end values, builds no pair and dispatches no
-        # eval_mean.  Each counting wrapper gets its excess's end value, so
-        # the shortcut stays on
+        # the four varying excesses once per sample with u <= _U_END and once
+        # per block for its first sample past _U_END, which the block's other
+        # such samples copy; it builds no pair and dispatches no eval_mean.
+        # Each counting wrapper gets its excess's end value, so the shortcut
+        # stays on
         calls = Counter()
 
         def counted(name, f):
@@ -733,11 +749,13 @@ class TestFusedLoop:
         monkeypatch.setattr(bounds, "eval_mean", counted("eval_mean", bounds.eval_mean))
         checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta) for spec in SPECS.values()]
         n = 1000
-        live = sum(1.0 / x >= _END_CUT for x in _stream_xs(42, n))
-        assert 0 < live < n
+        units = _units(42, 0, n)
+        live = sum(u <= _U_END for u in units)
+        evaluated = live + sum(max(units[i:i + _BLOCK]) > _U_END for i in range(0, n, _BLOCK))
+        assert 0 < live < evaluated < n
         _certify_chunk(checks, 1e-12, 42, 0, n)
         assert sorted(kind.value for kind in varying) == ["G", "P", "S", "T"]
-        assert calls == Counter({kind: live for kind in varying})
+        assert calls == Counter({kind: evaluated for kind in varying})
         assert calls["PositivePair"] == calls["eval_mean"] == 0
 
     @pytest.mark.parametrize("start, stop, ended", [
