@@ -255,21 +255,21 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
     k = 4..16; theta_right lies inside the kernel's domain, so the ratio
     is evaluated there directly.  One scan over those probes and the grid
     theta_right*i/64, i = 1..64, checks the monotonicity.  Agrees with
-    sharp_bounds to 2.5e-16; raises ConvergenceError when the limit does
-    not settle or the scan is not monotone, which would signal a bug.
+    sharp_bounds to 2.5e-16; raises ConvergenceError, a sign of a bug, when
+    the limit does not settle or the scan is not monotone (NaN fails both).
     """
     _check_spec(spec)
     thetas = [2.0**-k for k in _RICHARDSON_KS]
     thetas += [spec.theta_right * i / _SCAN_STEPS for i in range(1, _SCAN_STEPS + 1)]
     values = [spec.p * h_eval(spec.kernel, theta) + spec.q for theta in thetas]
     lim_left, err_left = _richardson(values[:len(_RICHARDSON_KS)])
-    if err_left > _RICHARDSON_TOL:
+    if not err_left <= _RICHARDSON_TOL:
         raise ConvergenceError(f"{spec.id}: the limit at 0+ did not settle (error estimate {err_left:.3e})")
     right_end = values[-1]  # theta_right*64/64 is theta_right exactly
     decreasing = H_INFO[spec.kernel].increasing == (spec.p < 0.0)
     # ordered so that a monotone ratio never falls along the scan
     scan = [value for _, value in sorted(zip(thetas, values), reverse=decreasing)]
-    if any(later < earlier for earlier, later in zip(scan, scan[1:])):
+    if not all(later >= earlier for earlier, later in zip(scan, scan[1:])):
         raise ConvergenceError(f"{spec.id}: the ratio is not {'de' if decreasing else 'in'}creasing in theta")
     return (right_end, lim_left) if decreasing else (lim_left, right_end)
 

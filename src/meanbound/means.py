@@ -77,12 +77,9 @@ class PositivePair(_PairFields):
         return f"PositivePair(a={self.a!r}, b={self.b!r}, degenerate={self.degenerate!r})"
 
 
-# Truncated even series of u/arcsin(u) and u/arctan(u).  Below the cutoff
-# the series is the more accurate form (the direct quotients stay within a
-# few ulp there too, against mpmath), it is finite at r == 1, where the
-# quotients are 0/0, and its first omitted term is under 1e-40.
-_U_OVER_ASIN = (1.0, -1.0 / 6.0, -17.0 / 360.0, -367.0 / 15120.0, -27859.0 / 1814400.0)
-_U_OVER_ATAN = (1.0, 1.0 / 3.0, -4.0 / 45.0, 44.0 / 945.0, -428.0 / 14175.0)
+# Below the cutoff P and T are A*(1 + u^2*e), e their excess (below): the more
+# accurate form there (the direct quotients stay within a few ulp too, against
+# mpmath).  At r == 1 both the quotients and the excesses are 0/0; P = T = A.
 _SERIES_CUTOFF = 1e-4
 
 
@@ -114,7 +111,7 @@ def _seiffert_p(r: float) -> float:
     s = 1.0 + r
     u = (1.0 - r) / s
     if u < _SERIES_CUTOFF:
-        return 0.5 * s * _poly(_U_OVER_ASIN, u * u)
+        return 0.5 * s * (1.0 + u * u * _excess_p(r)) if u else 1.0
     # asin((1-r)/(1+r)) == atan((1-r)/(2*sqrt(r))); asin amplifies the
     # quotient's rounding by 1/sqrt(1-u^2) as u -> 1, atan does not
     return (1.0 - r) / (2.0 * math.atan((1.0 - r) / (2.0 * math.sqrt(r))))
@@ -124,7 +121,7 @@ def _seiffert_t(r: float) -> float:
     s = 1.0 + r
     u = (1.0 - r) / s
     if u < _SERIES_CUTOFF:
-        return 0.5 * s * _poly(_U_OVER_ATAN, u * u)
+        return 0.5 * s * (1.0 + u * u * _excess_t(r)) if u else 1.0
     return (1.0 - r) / (2.0 * math.atan(u))
 
 

@@ -377,6 +377,13 @@ class TestRatio:
                 assert ratio(spec, pair) == approx((t - lo) / (hi - lo), rel=1e-13)
 
 
+def _bump(fn_id, x):
+    # h1 falls from 5/6 to 2/pi on (0, pi/2); a narrow bump near 0.8
+    # rises faster than h1 falls but stays inside (2/pi, 5/6), so no
+    # interior value beats an end value and only the scan sees it
+    return 0.02 * math.exp(-(((x - 0.8) / 0.03) ** 2))
+
+
 def _wrap_h_eval(monkeypatch, shift):
     """Make bounds.h_eval return h(x) + shift(fn_id, x)."""
     monkeypatch.setattr(bounds, "h_eval", lambda fn_id, x: h_eval(fn_id, x) + shift(fn_id, x))
@@ -407,16 +414,17 @@ class TestNumericExtrema:
         numeric_extrema(SPECS[spec_id])
         assert len(calls) <= 80
 
-    def test_interior_bump_between_the_ends_is_caught(self, monkeypatch):
-        # h1 falls from 5/6 to 2/pi on (0, pi/2); a narrow bump near 0.8
-        # rises faster than h1 falls but stays inside (2/pi, 5/6), so no
-        # interior value beats an end value and only the scan sees it
-        def bump(fn_id, x):
-            return 0.02 * math.exp(-(((x - 0.8) / 0.03) ** 2))
-
-        bumped = [h_eval(HFunctionId.H1, x) + bump(HFunctionId.H1, x) for x in (0.7, 0.75, 0.8, 0.85, 0.9)]
+    def test_the_bump_stays_between_the_end_values(self):
+        bumped = [h_eval(HFunctionId.H1, x) + _bump(HFunctionId.H1, x) for x in (0.7, 0.75, 0.8, 0.85, 0.9)]
         assert bumped[2] > bumped[0] and 2 / math.pi < max(bumped) < 5 / 6
-        _wrap_h_eval(monkeypatch, bump)
+
+    @pytest.mark.parametrize("shift", [
+        _bump,
+        # a NaN on the scan grid: it compares False both ways
+        lambda fn_id, x: math.nan if x == SPECS["prop1.1"].theta_right * 36 / 64 else 0.0,
+    ], ids=["gaussian-bump", "nan-at-36/64"])
+    def test_interior_bump_between_the_ends_is_caught(self, monkeypatch, shift):
+        _wrap_h_eval(monkeypatch, shift)
         with pytest.raises(ConvergenceError, match=r"prop1\.1: the ratio is not decreasing"):
             numeric_extrema(SPECS["prop1.1"])
 
@@ -431,11 +439,20 @@ class TestNumericExtrema:
         lambda fn_id, x: 0.0 if x >= 0.1 else 1e-6 if math.frexp(x)[1] % 2 else -1e-6,
         # a bias that keeps the ratio decreasing, so only the limit can show it
         lambda fn_id, x: -1e-3 * math.sqrt(x),
-    ], ids=["alternating-1e-6", "monotone-sqrt-bias"])
+        # a NaN at one probe makes the error estimate NaN
+        lambda fn_id, x: math.nan if x == 2.0**-10 else 0.0,
+        # values near 1e308 overflow the extrapolation to inf - inf
+        lambda fn_id, x: 1e308 if x < 0.1 else 0.0,
+    ], ids=["alternating-1e-6", "monotone-sqrt-bias", "nan-at-2^-10", "overflow-1e308"])
     def test_unsettled_limit_at_zero_is_caught(self, monkeypatch, shift):
         _wrap_h_eval(monkeypatch, shift)
         with pytest.raises(ConvergenceError, match=r"prop1\.1: the limit at 0\+ did not settle"):
             numeric_extrema(SPECS["prop1.1"])
+
+    @pytest.mark.parametrize("field", ["p", "q"])
+    def test_a_coefficient_that_overflows_the_limit_is_caught(self, field):
+        with pytest.raises(ConvergenceError, match=r"prop1\.1: the limit at 0\+ did not settle"):
+            numeric_extrema(SPECS["prop1.1"]._replace(**{field: 1e308}))
 
 
 def _check_shards_merge(start, stop, shard_bounds):

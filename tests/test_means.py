@@ -31,8 +31,6 @@ from meanbound.means import (
     _SERIES_CUTOFF,
     _SINE_GAP,
     _TANGENT_GAP,
-    _U_OVER_ASIN,
-    _U_OVER_ATAN,
     _poly,
 )
 
@@ -277,7 +275,13 @@ class TestSeiffertPArctanForm:
 
 # The two-argument forms M(x, y) on x, y = a/m, b/m with m = max(a, b),
 # kept as an oracle: the one-variable evaluators m*M(1, r) must give the
-# same bits, sign included, since one of x and y is exactly 1.0.
+# same bits, sign included, since one of x and y is exactly 1.0.  Near
+# x == y the Seiffert forms keep their own truncated series of u/asin(u)
+# and u/atan(u), independent of the excesses that eval_mean uses there.
+_U_OVER_ASIN = (1.0, -1.0 / 6.0, -17.0 / 360.0, -367.0 / 15120.0, -27859.0 / 1814400.0)
+_U_OVER_ATAN = (1.0, 1.0 / 3.0, -4.0 / 45.0, 44.0 / 945.0, -428.0 / 14175.0)
+
+
 def _ref_seiffert_p(x, y):
     s = x + y
     u = (x - y) / s
@@ -321,9 +325,20 @@ def _ref_seiffert_p_arctan_form(m, x, y):
     return m * (x - y) / (4.0 * math.atan(w))
 
 
+def _doubles(start, toward, n):
+    """The n consecutive doubles after start in the direction of toward."""
+    out = []
+    for _ in range(n):
+        start = math.nextafter(start, toward)
+        out.append(start)
+    return out
+
+
 def _reference_pairs():
     """Both argument orders of pairs with a/b - 1 log-uniform on
-    [1e-16, 1e300] or uniform on [0, 3e-4], at magnitudes 10^U(-300, 300)."""
+    [1e-16, 1e300] or uniform on [0, 3e-4], at magnitudes 10^U(-300, 300);
+    then, at power-of-two magnitudes, b/a on the 1000 doubles just below 1
+    and on 1000 each side of the Seiffert series cutoff."""
     rng = random.Random(20261018)
     ds = [10.0 ** rng.uniform(-16.0, 300.0) for _ in range(3000)]
     ds += [rng.uniform(0.0, 3e-4) for _ in range(1500)] + [0.0, 1e-4, 2**-52]
@@ -333,6 +348,11 @@ def _reference_pairs():
         if lo > 0.0:
             yield m, lo
             yield lo, m
+    r_cut = (1.0 - _SERIES_CUTOFF) / (1.0 + _SERIES_CUTOFF)
+    for r in _doubles(1.0, 0.0, 1000) + _doubles(r_cut, 0.0, 1000) + _doubles(r_cut, 1.0, 1000):
+        m = 2.0 ** rng.randint(-1000, 1000)
+        yield m, m * r
+        yield m * r, m
 
 
 def _same_bits(got, want):
