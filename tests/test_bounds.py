@@ -26,7 +26,9 @@ from meanbound import (
     sharp_bounds,
 )
 from meanbound import bounds
-from meanbound.bounds import _BLOCK, _LN_D_HI, _LN_D_LO, _U_END, _certify_chunk, _units
+from meanbound.bounds import (
+    _BLOCK, _LANE_END, _LANE_ONES, _LANE_STEPS, _LN_D_HI, _LN_D_LO, _U_END, _certify_chunk, _units,
+)
 from meanbound.means import _END_CUT, _END_EXCESSES, _EXCESSES
 
 # 60-digit reference values.
@@ -150,6 +152,16 @@ class TestSharpBounds:
         with pytest.raises(DomainError, match="no closed form is known for T between A and H"):
             sharp_bounds(SPECS["prop1.1"]._replace(target=MeanKind.SEIFFERT_T))
 
+    def test_computed_once_per_reduction(self):
+        # the constants do not depend on id, so a renamed spec adds no entry
+        spec = SPECS["thm5.2"]
+        first = sharp_bounds(spec)
+        entries = len(bounds._SHARP)
+        assert sharp_bounds(spec) == first
+        assert sharp_bounds(spec._replace(id="x")) == first
+        assert len(bounds._SHARP) == entries
+        assert bounds._SHARP[spec[1:]] == first
+
     def test_id_must_be_a_str(self):
         for bad in (None, 1.1, ("prop1.1",)):
             with pytest.raises(DomainError, match="id must be a str"):
@@ -174,8 +186,11 @@ class TestCrookedReduction:
     # not reach them is refused wherever they are needed
     @pytest.mark.parametrize("crooked", _crooked_specs())
     def test_sharp_bounds_refuses(self, crooked):
-        with pytest.raises(DomainError, match=f"{crooked.id}: p\\*h"):
-            sharp_bounds(crooked)
+        # on every call: a refusal is not stored
+        for _ in range(2):
+            with pytest.raises(DomainError, match=f"{crooked.id}: p\\*h"):
+                sharp_bounds(crooked)
+        assert crooked[1:] not in bounds._SHARP
 
     @pytest.mark.parametrize("changes", [{"theta_sub": "tan"}, {"kernel": HFunctionId.H3}], ids=["tan", "h3"])
     def test_the_right_beta_with_the_wrong_alpha_is_refused(self, changes):
@@ -513,9 +528,10 @@ class TestCertify:
         _check_shards_merge(0, 4000, [(0, 1500), (1500, 4000)])
 
     def test_off_grid_shards_merge_to_the_whole_range(self):
-        # shard ends off the block grid start blocks at other indices
-        assert 255 % _BLOCK and 513 % _BLOCK
-        _check_shards_merge(0, 1000, [(0, 255), (255, 513), (513, 1000)])
+        # shard ends off the block grid start blocks at other indices; the
+        # middle shard crosses both block edges of the whole range
+        _check_shards_merge(0, 2 * _BLOCK + 500, [
+            (0, _BLOCK - 1), (_BLOCK - 1, 2 * _BLOCK + 1), (2 * _BLOCK + 1, 2 * _BLOCK + 500)])
 
     def test_lowered_beta_is_violated(self):
         # beta = 0.83 < 5/6 must fail near x -> 1
@@ -616,11 +632,25 @@ class TestStream:
     # check that no lane leaks into the next and that lane i is index i.
     @pytest.mark.parametrize("seed", [0, 1, 42, -7, 2**70, 2**64 - 1, -(2**64)])
     @pytest.mark.parametrize("start, stop", [
-        (7, 7), (0, 1), (0, 300), (255, 513), (10**12, 10**12 + 40),
-        (0, 255), (0, 256), (0, 257), (100, 612), (2**64 - 5, 2**64 + 300),
+        (7, 7), (0, 1), (0, 300), (_BLOCK - 1, 2 * _BLOCK + 1), (10**12, 10**12 + 40),
+        (0, _BLOCK - 1), (0, _BLOCK), (0, _BLOCK + 1), (100, 2 * _BLOCK + 100), (2**64 - 5, 2**64 + _BLOCK),
     ])
     def test_block_draw_matches_the_scalar_formula(self, seed, start, stop):
         assert _units(seed, start, stop) == [_splitmix_unit(seed, i) for i in range(start, stop)]
+
+    def test_lane_constants_are_their_sums(self):
+        assert _LANE_ONES == sum(1 << (128 * i) for i in range(_BLOCK))
+        assert _LANE_STEPS == sum(i * 0xD1B54A32D192ED03 << (128 * i) for i in range(_BLOCK))
+
+    def test_lane_end_splits_where_the_uniform_passes_u_end(self):
+        # the lanes around _LANE_END, and every lane whose uniform rounds to
+        # _U_END or to either neighbour of it (one ulp of u is 2^9 lanes here)
+        width = int(math.ulp(_U_END) * 2.0**64)
+        lanes = range(_LANE_END - 2 * width, _LANE_END + 2 * width)
+        units = {lane / 2.0**64 for lane in lanes}
+        assert {math.nextafter(_U_END, 0.0), _U_END, math.nextafter(_U_END, 1.0)} < units
+        for lane in [*range(_LANE_END - 3, _LANE_END + 4), *lanes]:
+            assert (lane > _LANE_END) == (lane / 2.0**64 > _U_END), lane
 
 
 def _ratio_is(monkeypatch, rho):
@@ -641,7 +671,7 @@ def _stream_xs(seed, stop, start=0):
 
 class TestFold:
     # hand-made ratios through prop1.3, whose ratio is e_T/e_S
-    @pytest.mark.parametrize("n", [200, 256, 700])
+    @pytest.mark.parametrize("n", [200, _BLOCK, _BLOCK + 200])
     def test_ties_keep_the_first_sample(self, monkeypatch, n):
         # a constant ratio ties every sample, within a block and across blocks
         spec = _ratio_is(monkeypatch, lambda r: 0.5)
@@ -765,7 +795,7 @@ class TestFusedLoop:
         monkeypatch.setattr(bounds, "PositivePair", counted("PositivePair", bounds.PositivePair))
         monkeypatch.setattr(bounds, "eval_mean", counted("eval_mean", bounds.eval_mean))
         checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta) for spec in SPECS.values()]
-        n = 1000
+        n = 2 * _BLOCK + 500  # three blocks
         units = _units(42, 0, n)
         live = sum(u <= _U_END for u in units)
         evaluated = live + sum(max(units[i:i + _BLOCK]) > _U_END for i in range(0, n, _BLOCK))

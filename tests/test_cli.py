@@ -150,15 +150,17 @@ class TestCertifyCommand:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    # SHA-256 of the stdout of `meanbound certify --id all --samples 2000
+    # SHA-256 of the stdout of `meanbound certify --id all --samples <samples>
     # --seed 42 --format <fmt>`; any change to a report's bits changes these.
-    @pytest.mark.parametrize("fmt, digest", [
-        ("json", "75dfde7f36709c818c37c1073f8c9f2d388cdb6a121f73af1daddc59fd9b4e19"),
-        ("text", "534c3812943aa3832f0a2030c3caa877639109b4c91eaedf04e7fbdf1f8321ea"),
-        ("csv", "bc2888c8391120633e3c502b550899cc645ad11659ee0520b921a16078badd75"),
+    # 100 000 samples span many draw blocks, 2000 fit in one.
+    @pytest.mark.parametrize("fmt, samples, digest", [
+        ("json", 2000, "75dfde7f36709c818c37c1073f8c9f2d388cdb6a121f73af1daddc59fd9b4e19"),
+        ("text", 2000, "534c3812943aa3832f0a2030c3caa877639109b4c91eaedf04e7fbdf1f8321ea"),
+        ("csv", 2000, "bc2888c8391120633e3c502b550899cc645ad11659ee0520b921a16078badd75"),
+        ("json", 100_000, "5920966df584f7e0f9b795bc7c9aa86c39723b6844fbd010ab70e18da18b3eb7"),
     ])
-    def test_pinned_stdout(self, capsys, fmt, digest):
-        code, out, _ = run_cli(capsys, "certify", "--id", "all", "--samples", "2000",
+    def test_pinned_stdout(self, capsys, fmt, samples, digest):
+        code, out, _ = run_cli(capsys, "certify", "--id", "all", "--samples", str(samples),
                                "--seed", "42", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
