@@ -717,6 +717,20 @@ class TestFold:
         assert _certify_chunk(checks, tol, 5, 0, 300)[0][0] == 300
 
 
+class TestProbes:
+    @pytest.mark.parametrize("beta_miss, alpha_miss", [(0.0, 0.0), (1e-5, 0.0), (0.0, 1e-2), (1e-5, 1e-2)])
+    def test_each_failed_probe_is_one_violation(self, monkeypatch, beta_miss, alpha_miss):
+        # prop1.3's ratio is beta - beta_miss near a == b (the probe at x = 1 +
+        # 1e-4, tolerance 1e-6) and alpha + alpha_miss elsewhere (x = 1e8,
+        # tolerance 1e-3); the one sample lies well inside [0, 1]
+        sb = sharp_bounds(SPECS["prop1.3"])
+        spec = _ratio_is(monkeypatch, lambda r: sb.beta - beta_miss if r > 0.5 else sb.alpha + alpha_miss)
+        report = certify(spec, 1, 42, 1e-12, alpha=0.0, beta=1.0)
+        assert (report.beta_probe_gap, report.alpha_probe_gap) == (approx(beta_miss), approx(alpha_miss))
+        assert report.worst_margin > 0.25
+        assert report.violations == (beta_miss > 0) + (alpha_miss > 0)
+
+
 class TestSensitivity:
     def test_sharp_constants_hold_on_ten_seeds(self):
         for seed in range(10):
@@ -810,6 +824,8 @@ class TestFusedLoop:
         (1969, 2019, "all"),  # fifty with r < _END_CUT
         (0, 3000, "some"),
         (24, 300, "some"),  # sample 24 is live, but its P excess is already the end value
+        (885, 890, "one"),  # one ended sample, so no copies
+        (91, 91 + _BLOCK + 3, "none in the last block"),  # a short block after one with copies
     ])
     def test_ended_samples_fold_like_the_reference(self, start, stop, ended):
         # an ended sample's key is the end key; it ties with a live sample
@@ -817,7 +833,9 @@ class TestFusedLoop:
         # 1e-3 every ended sample is a violation
         xs = _stream_xs(42, stop, start)
         flags = [1.0 / x < _END_CUT for x in xs]
-        assert {"none": not any(flags), "all": all(flags), "some": any(flags) and not all(flags)}[ended]
+        assert {"none": not any(flags), "all": all(flags), "some": any(flags) and not all(flags),
+                "one": sum(flags) == 1,
+                "none in the last block": sum(flags[:_BLOCK]) > 1 and not any(flags[_BLOCK:])}[ended]
         checks = []
         for spec in SPECS.values():
             sb = sharp_bounds(spec)

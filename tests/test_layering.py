@@ -46,3 +46,10 @@ def test_relative_imports_come_from_lower_layers(path):
     _, relative = _imports(path)
     below = set(LAYERS[:LAYERS.index(path.stem)])
     assert relative <= below, relative - below
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
+def test_compiles_without_warnings(path):
+    # ast.parse misses the compiler's SyntaxWarnings (an asserted tuple, `is`
+    # with a literal); in-process imports read __pycache__, so they miss them too
+    compile(path.read_text(), str(path), "exec")
