@@ -332,7 +332,8 @@ def _units(seed: int, start: int, stop: int) -> list[float]:
 # uniform above _U_END gives x > 1/means._END_CUT, where every excess has ended
 _LN_D_LO = math.log(1e-15)
 _LN_D_HI = math.log(1e300)
-_U_END = (math.log(1.0 / _END_CUT - 1.0) - _LN_D_LO) / (_LN_D_HI - _LN_D_LO)
+_LN_D_SPAN = _LN_D_HI - _LN_D_LO
+_U_END = (math.log(1.0 / _END_CUT - 1.0) - _LN_D_LO) / _LN_D_SPAN
 
 
 def _last_lane(u: float) -> int:
@@ -412,7 +413,6 @@ def _certify_chunk(
     kinds = {kind: _EXCESSES[kind] for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo)}
     # _M64 keeps every lane: a substituted excess without an end value
     lane_end = _LANE_END if all(e in _END_EXCESSES for e in kinds.values() if callable(e)) else _M64
-    span = _LN_D_HI - _LN_D_LO
     results: list[tuple] = [(0, math.inf, None, -math.inf, None)] * len(checks)
     for first in range(start, stop, _BLOCK):
         lanes = _draw(seed, first, min(_BLOCK, stop - first))
@@ -421,7 +421,7 @@ def _certify_chunk(
         if copies >= 0:  # the first ended sample, evaluated for the others; every lane before it is kept
             end = next(i for i, lane in enumerate(lanes) if lane > lane_end)
             kept.insert(end, lanes[end])
-        xs = [1.0 + math.exp(_LN_D_LO + span * (lane / 2.0**64)) for lane in kept]
+        xs = [1.0 + math.exp(_LN_D_LO + _LN_D_SPAN * (lane / 2.0**64)) for lane in kept]
         rs = [1.0 / x for x in xs]
         excess = {kind: list(map(e, rs)) if callable(e) else [e] * len(rs) for kind, e in kinds.items()}
         folds = {}
@@ -562,9 +562,8 @@ def equivalence_check() -> bool:
     crooked reduction there fails it.  This implies the h1 proportions
     ratio(prop1.2) = ratio(prop1.1)/2 and ratio(prop1.4) = 3 ratio(prop1.1)/4.
     """
-    span = _LN_D_HI - _LN_D_LO
     for u in _units(_EQ_SEED, 0, _EQ_SAMPLES):
-        pair = PositivePair(1.0 + math.exp(_LN_D_LO + span * u), 1.0)
+        pair = PositivePair(1.0 + math.exp(_LN_D_LO + _LN_D_SPAN * u), 1.0)
         for spec in SPECS.values():
             expected = ratio_via_kernel(spec, pair)
             if not abs(ratio(spec, pair) - expected) <= _EQ_REL_TOL * abs(expected):

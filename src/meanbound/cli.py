@@ -30,16 +30,6 @@ SCHEMA_VERSION = 1
 _SERIES_MAX_ORDER = 16
 
 
-def _cell(value: Any) -> str:
-    # repr of a float is its shortest round-trip form, identical to the
-    # JSON rendering, so CSV and JSON payloads match byte for byte.
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 #
@@ -195,11 +185,8 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(record, indent=2))
     else:
+        # str of a float is its shortest round-trip form, the JSON rendering
         columns = list(rows[0])
-        csv_lines = [",".join(columns), *(",".join(_cell(row[c]) for c in columns) for row in rows)]
+        csv_lines = [",".join(columns), *(",".join(str(row[c]) for c in columns) for row in rows)]
         print("\n".join(csv_lines))
     return exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -315,18 +315,12 @@ def _h4_series(x: float) -> float:
     return math.cos(x) * _poly(_H4_NUM, w) / _poly(_H4_DEN, w)
 
 
-_DIRECT = {
-    HFunctionId.H1: _h1_direct,
-    HFunctionId.H2: _h2_direct,
-    HFunctionId.H3: _h3_direct,
-    HFunctionId.H4: _h4_direct,
-}
-
-_SERIES = {
-    HFunctionId.H1: _h1_series,
-    HFunctionId.H2: _h2_series,
-    HFunctionId.H3: _h3_series,
-    HFunctionId.H4: _h4_series,
+# each kernel's (direct, series) forms, for x >= X_SWITCH and below it
+_FORMS = {
+    HFunctionId.H1: (_h1_direct, _h1_series),
+    HFunctionId.H2: (_h2_direct, _h2_series),
+    HFunctionId.H3: (_h3_direct, _h3_series),
+    HFunctionId.H4: (_h4_direct, _h4_series),
 }
 
 
@@ -353,10 +347,9 @@ def h_eval(fn_id: HFunctionId, x: float) -> float:
         raise DomainError(
             f"{fn_id.value} is defined on the open interval (0, {info.domain_right!r}), got {x!r}"
         )
+    direct, series = _FORMS[fn_id]
     try:
-        if x >= X_SWITCH:
-            return _DIRECT[fn_id](x)
-        return _SERIES[fn_id](x)
+        return direct(x) if x >= X_SWITCH else series(x)
     except TypeError:  # a real x the float arithmetic refuses, such as a Decimal
         raise DomainError(f"{fn_id.value} needs a float argument, got {x!r}") from None
 

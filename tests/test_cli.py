@@ -347,3 +347,21 @@ print("json" in sys.modules)
         lines = done.stdout.strip().split("\n")
         assert lines[:3] == [P_2_1_REPR, "0.7134834077705436", "[]"]
         assert lines[-1] == "True"
+
+
+class TestModuleEntryPoint:
+    # `python -m meanbound` (meanbound/__main__.py) is the CLI's only -m
+    # entry; it must behave exactly like cli.main in process.
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--id", "prop1.1", "--samples", "50", "--seed", "3"),
+        ("bounds-table", "--format", "csv"),
+        ("mean", "--kind", "P", "--a", "2", "--b", "1", "--format", "json"),
+        ("hfun", "--id", "h1", "--x", "4.0"),
+    ])
+    def test_matches_in_process_main(self, capsys, argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "meanbound", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (done.returncode, done.stdout) == (code, out)
