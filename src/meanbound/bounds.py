@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
-from .means import _END_CUT, _END_EXCESSES, _ENDS, _EXCESSES, _HALF_PI, _QUARTER_PI, MeanKind, PositivePair
+from .means import _ENDS, _EXCESSES, MeanKind, PositivePair
 from .means import _reduce
 from .means import eval_mean  # noqa: F401  (unused, but perfbench/tracing.py wraps it here)
 
@@ -72,7 +72,7 @@ def _check_spec(spec: object) -> None:
 
 
 # theta_sub -> right end of the theta range
-_THETA_SUBS = {"sin": _HALF_PI, "tan": _QUARTER_PI}
+_THETA_SUBS = {"sin": math.pi / 2, "tan": math.pi / 4}
 
 
 class _SpecFields(NamedTuple):
@@ -322,31 +322,21 @@ def _draw(seed: int, first: int, size: int) -> tuple[int, ...]:
     return struct.unpack_from(f"<{2 * size}Q", z.to_bytes(16 * _BLOCK, "little"))[::2]
 
 
-def _units(seed: int, start: int, stop: int) -> list[float]:
-    """The stream's uniforms z / 2^64, one per sample index in [start, stop)."""
-    return [z / 2.0**64 for first in range(start, stop, _BLOCK)
-            for z in _draw(seed, first, min(_BLOCK, stop - first))]
-
-
-# certify's samples: (x, 1), x = 1 + d, d log-uniform on [1e-15, 1e300]; a
-# uniform above _U_END gives x > 1/means._END_CUT, where every excess has ended
+# certify's samples: (x, 1), x = 1 + d, d log-uniform on [1e-15, 1e300]
 _LN_D_LO = math.log(1e-15)
 _LN_D_HI = math.log(1e300)
 _LN_D_SPAN = _LN_D_HI - _LN_D_LO
-_U_END = (math.log(1.0 / _END_CUT - 1.0) - _LN_D_LO) / _LN_D_SPAN
 
-
-def _last_lane(u: float) -> int:
-    """The largest 64-bit lane whose uniform lane / 2^64 is at most u, in [0, 1);
-    a lane is above _LANE_END exactly when its uniform is above _U_END."""
-    lane, above = 0, 1 << 64
-    while above - lane > 1:
-        mid = (lane + above) // 2
-        lane, above = (mid, above) if mid / 2.0**64 <= u else (lane, mid)
-    return lane
-
-
-_LANE_END = _last_lane(_U_END)
+# A lane above _LANE_END gives x > 2^120, where the excesses of G, S, P and T
+# have ended: each returns its r = 0 value, 2*M(1, 0) - 1, bit for bit, since
+# 1 + r and 1 + sqrt(r) round to 1 and sqrt(r) < 2^-60 (atan(sqrt r) and r too)
+# is under half an ulp of every term it meets (G and P first move near
+# r = 2^-106 and 2^-110, S and T above 2^-60).  Any threshold whose lanes give
+# r < 2^-110 would do: the 2^57 lanes below this one give r < 2^-111.8, and
+# rounding moves it by ~256 lanes.  Only these four functions are trusted to
+# end; an excess put in _EXCESSES in place of one keeps every lane.
+_LANE_END = int((math.log(2.0**120) - _LN_D_LO) / _LN_D_SPAN * 2.0**64)
+_ENDING = frozenset(e for e in _EXCESSES.values() if callable(e))
 
 _BETA_PROBE_X = 1.0 + 1e-4
 _ALPHA_PROBE_X = 1e8
@@ -360,9 +350,10 @@ class CertificationReport(NamedTuple):
 
     ``worst_margin`` is min(min rho - alpha, beta - max rho) over the samples'
     ratios rho, negative where a bound was crossed (at the sharp constants, by
-    a few ulp of rounding); ``worst_x`` is x = a/b (b = 1) of the first sample
-    in the stream at that extreme, the lower side on a tie, and
-    ratio(spec, PositivePair(worst_x, 1)) reproduces it.  For prop1.1, 1.2, 1.4
+    a few ulp of rounding); ``worst_x``, a float since a run draws at least
+    one sample, is x = a/b (b = 1) of the first sample in the stream at that
+    extreme, the lower side on a tie, and ratio(spec, PositivePair(worst_x, 1))
+    reproduces it.  For prop1.1, 1.2, 1.4
     and thm5.1, folded on the target's excess, it is the first at the extreme
     excess; an earlier sample may round to the same ratio.  The probe gaps show
     how closely the ratio approaches the sharp constants at x = 1 + 1e-4, 1e8.
@@ -374,7 +365,7 @@ class CertificationReport(NamedTuple):
     worst_margin: float
     seed: int
     tolerance: float
-    worst_x: float | None
+    worst_x: float
     alpha_probe_gap: float
     beta_probe_gap: float
 
@@ -403,16 +394,17 @@ def _certify_chunk(
     [start, stop), per (spec, alpha, beta) check, x the first at that key
     (_ratio_map's).  The checks share one stream, drawn in blocks of _BLOCK
     indices (each uniform depends on (seed, index) alone).  A block's samples
-    with u > _U_END (about 84% of them) share every excess, their end values.
-    One comparison per lane, lane > _LANE_END, tells them apart before any
-    float is made: the first of them is evaluated, in its place among the
-    samples below _U_END, and the rest count as copies of it.  A check
-    folds a block with min and max, counting its violations only when an
-    extreme crosses alpha - tol or beta + tol."""
+    on lanes above _LANE_END (x > 2^120, about 84% of them) share every
+    excess, their end values; these hold from r = 2^-110 on, a margin of
+    2^57 lanes.  One comparison per lane tells them apart before any float
+    is made: the first of them is evaluated, in its place among the kept
+    samples, and the rest count as copies of it.  A check folds a block
+    with min and max, counting its violations only when an extreme crosses
+    alpha - tol or beta + tol."""
     maps = [_ratio_map(spec) for spec, _, _ in checks]
     kinds = {kind: _EXCESSES[kind] for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo)}
-    # _M64 keeps every lane: a substituted excess without an end value
-    lane_end = _LANE_END if all(e in _END_EXCESSES for e in kinds.values() if callable(e)) else _M64
+    # _M64 keeps every lane: a substituted excess not trusted to end
+    lane_end = _LANE_END if all(e in _ENDING for e in kinds.values() if callable(e)) else _M64
     results: list[tuple] = [(0, math.inf, None, -math.inf, None)] * len(checks)
     for first in range(start, stop, _BLOCK):
         lanes = _draw(seed, first, min(_BLOCK, stop - first))
@@ -528,9 +520,10 @@ def certify_many(
 
     Returns one report per spec, in order, each equal to
     ``certify(spec, n_samples, seed, tol)``.  The excesses of G, S, P and T
-    are evaluated once per sample with a/b - 1 <= 1.3e36; the other 84% of
+    are evaluated once per sample with a/b - 1 <= 2^120; the other 84% of
     samples, picked out on the stream's integers before any float is made,
-    share their end values, evaluated at one sample per block of 2048.
+    share their end values, which hold from a/b = 2^110 on, evaluated at one
+    sample per block of 2048.
     prop1.1, prop1.2, prop1.4 and thm5.1, whose hi and lo excesses are
     constants, share their target's extremes.
     """
@@ -562,8 +555,8 @@ def equivalence_check() -> bool:
     crooked reduction there fails it.  This implies the h1 proportions
     ratio(prop1.2) = ratio(prop1.1)/2 and ratio(prop1.4) = 3 ratio(prop1.1)/4.
     """
-    for u in _units(_EQ_SEED, 0, _EQ_SAMPLES):
-        pair = PositivePair(1.0 + math.exp(_LN_D_LO + _LN_D_SPAN * u), 1.0)
+    for lane in _draw(_EQ_SEED, 0, _EQ_SAMPLES):  # one block
+        pair = PositivePair(1.0 + math.exp(_LN_D_LO + _LN_D_SPAN * (lane / 2.0**64)), 1.0)
         for spec in SPECS.values():
             expected = ratio_via_kernel(spec, pair)
             if not abs(ratio(spec, pair) - expected) <= _EQ_REL_TOL * abs(expected):

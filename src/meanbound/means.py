@@ -199,14 +199,6 @@ _EXCESSES = {kind: float(e_0) for kind, (e_0, _) in _ENDS.items()} | {
     MeanKind.SEIFFERT_P: _excess_p, MeanKind.SEIFFERT_T: _excess_t,
 }
 
-# Below _END_CUT (a/b - 1 > 1.3e36) each varying excess returns its t = 1 value,
-# 2*M(1, 0) - 1, bit for bit: 1 + r and 1 + sqrt(r) round to 1, so t is 1, and
-# sqrt(r) < 2^-60 (atan(sqrt r) and r too) is under half an ulp of every term it
-# meets (G and P first move near r = 2^-106 and 2^-110, S and T above 2^-60).  Keyed
-# by function, so an excess put in _EXCESSES in place of one of these has no end value.
-_END_CUT = 2.0**-120
-_END_EXCESSES = {e: e(0.0) for e in (_excess_g, _excess_s, _excess_p, _excess_t)}
-
 
 def _not_a_pair(pair: object) -> DomainError:
     return DomainError(f"pair must be a PositivePair, got {pair!r}")

@@ -27,9 +27,9 @@ from meanbound import (
 )
 from meanbound import bounds
 from meanbound.bounds import (
-    _BLOCK, _LANE_END, _LANE_ONES, _LANE_STEPS, _LN_D_HI, _LN_D_LO, _U_END, _certify_chunk, _units,
+    _BLOCK, _ENDING, _LANE_END, _LANE_ONES, _LANE_STEPS, _LN_D_HI, _LN_D_LO, _M64, _certify_chunk, _draw,
 )
-from meanbound.means import _END_CUT, _END_EXCESSES, _EXCESSES
+from meanbound.means import _ENDS, _EXCESSES
 
 # 60-digit reference values.
 RATIO_PROP11_2_1 = 0.8277638965669817  # h1(asin(1/3))
@@ -538,7 +538,7 @@ class TestCertify:
         report = certify(SPECS["prop1.1"], 20000, 42, 1e-12, beta=0.83)
         assert not report.ok
         assert report.worst_margin < 0.0
-        assert report.worst_x is not None
+        assert isinstance(report.worst_x, float)
 
     def test_violating_x_found_by_scan(self):
         # with beta = 0.83 the upper bound is crossed somewhere in (1, 1.1)
@@ -594,14 +594,21 @@ class TestCertify:
                 certify(spec, 1000, 1, bad)
 
 
-def _splitmix_unit(seed, index):
-    """The certify stream's uniform for one (seed, index), written apart
+def _splitmix_lane(seed, index):
+    """The certify stream's 64-bit value for one (seed, index), written apart
     from the library: the splitmix64 finalizer of the 64-bit state
-    seed*0x9E3779B97F4A7C15 + (index + 1)*0xD1B54A32D192ED03, over 2^64."""
+    seed*0x9E3779B97F4A7C15 + (index + 1)*0xD1B54A32D192ED03; its uniform
+    is the value over 2^64."""
     z = (seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xD1B54A32D192ED03) % 2**64
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z = ((z ^ (z >> shift)) * mult) % 2**64
-    return (z ^ (z >> 31)) / 2.0**64
+    return z ^ (z >> 31)
+
+
+def _stream_lanes(seed, start, stop):
+    """The library's 64-bit values for sample indices [start, stop), drawn
+    with _draw a block of at most _BLOCK indices at a time."""
+    return [lane for first in range(start, stop, _BLOCK) for lane in _draw(seed, first, min(_BLOCK, stop - first))]
 
 
 def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
@@ -614,7 +621,7 @@ def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
     span = _LN_D_HI - _LN_D_LO
     violations, lo, lo_x, hi, hi_x = 0, math.inf, None, -math.inf, None
     for i in range(start, stop):
-        x = 1.0 + math.exp(_LN_D_LO + span * _splitmix_unit(seed, i))
+        x = 1.0 + math.exp(_LN_D_LO + span * (_splitmix_lane(seed, i) / 2.0**64))
         rho = ratio(spec, PositivePair(x, 1.0))
         key = _EXCESSES[spec.target](1.0 / x) if on_excess else rho
         if key < lo:
@@ -627,7 +634,7 @@ def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
 
 
 class TestStream:
-    # _units draws _BLOCK samples as lanes of one int: lengths around and
+    # _draw draws _BLOCK samples as lanes of one int: lengths around and
     # past one block, indices past 2^64 and seeds at the edges of 64 bits
     # check that no lane leaks into the next and that lane i is index i.
     @pytest.mark.parametrize("seed", [0, 1, 42, -7, 2**70, 2**64 - 1, -(2**64)])
@@ -636,21 +643,46 @@ class TestStream:
         (0, _BLOCK - 1), (0, _BLOCK), (0, _BLOCK + 1), (100, 2 * _BLOCK + 100), (2**64 - 5, 2**64 + _BLOCK),
     ])
     def test_block_draw_matches_the_scalar_formula(self, seed, start, stop):
-        assert _units(seed, start, stop) == [_splitmix_unit(seed, i) for i in range(start, stop)]
+        assert _stream_lanes(seed, start, stop) == [_splitmix_lane(seed, i) for i in range(start, stop)]
 
     def test_lane_constants_are_their_sums(self):
         assert _LANE_ONES == sum(1 << (128 * i) for i in range(_BLOCK))
         assert _LANE_STEPS == sum(i * 0xD1B54A32D192ED03 << (128 * i) for i in range(_BLOCK))
 
-    def test_lane_end_splits_where_the_uniform_passes_u_end(self):
-        # the lanes around _LANE_END, and every lane whose uniform rounds to
-        # _U_END or to either neighbour of it (one ulp of u is 2^9 lanes here)
-        width = int(math.ulp(_U_END) * 2.0**64)
-        lanes = range(_LANE_END - 2 * width, _LANE_END + 2 * width)
-        units = {lane / 2.0**64 for lane in lanes}
-        assert {math.nextafter(_U_END, 0.0), _U_END, math.nextafter(_U_END, 1.0)} < units
-        for lane in [*range(_LANE_END - 3, _LANE_END + 4), *lanes]:
-            assert (lane > _LANE_END) == (lane / 2.0**64 > _U_END), lane
+    def test_lanes_past_lane_end_have_ended(self):
+        # certify lets one sample past _LANE_END stand for the rest of its
+        # block.  The check also passes at a threshold 2^56 lanes lower (it
+        # then reaches 2^57 lanes below _LANE_END) and fails at one 2^58
+        # lanes lower, where r is 2^-104
+        assert _moved_lanes(_LANE_END) == []
+        assert _moved_lanes(_LANE_END - 2**56) == []
+        assert _moved_lanes(_LANE_END - 2**58) != []
+
+    def test_end_values_are_the_far_means(self):
+        # the ended excesses are those of G, S, P and T, each the t = 1
+        # excess 2*M(1, 0) - 1 to 1 ulp
+        assert _ENDING == {e for e in _EXCESSES.values() if callable(e)}
+        for kind, excess in _EXCESSES.items():
+            if callable(excess):
+                want = float(2 * _ENDS[kind][1] - 1)
+                assert abs(excess(0.0) - want) <= math.ulp(want), kind
+
+
+def _moved_lanes(lane_end):
+    """The lanes where an excess of G, S, P or T is not its r = 0 value, among
+    lane_end + 1, 2^64 - 1, 4096 lanes spread between them, the 1024 lanes
+    next to lane_end and 4096 spread over the 2^56 lanes below it."""
+    step = (_M64 - lane_end) // 4096
+    lanes = [lane_end + 1, _M64, *range(lane_end + step, _M64, step), *range(lane_end - 511, lane_end + 513),
+             *range(lane_end - 2**56, lane_end, 2**44)]
+    ends = {e: e(0.0) for e in _ENDING}
+    span = _LN_D_HI - _LN_D_LO
+    moved = []
+    for lane in lanes:
+        r = 1.0 / (1.0 + math.exp(_LN_D_LO + span * (lane / 2.0**64)))
+        if any(e(r) != end for e, end in ends.items()):
+            moved.append(lane)
+    return moved
 
 
 def _ratio_is(monkeypatch, rho):
@@ -666,7 +698,7 @@ def _log_ratio(r):
 
 def _stream_xs(seed, stop, start=0):
     span = _LN_D_HI - _LN_D_LO
-    return [1.0 + math.exp(_LN_D_LO + span * _splitmix_unit(seed, i)) for i in range(start, stop)]
+    return [1.0 + math.exp(_LN_D_LO + span * (_splitmix_lane(seed, i) / 2.0**64)) for i in range(start, stop)]
 
 
 class TestFold:
@@ -788,11 +820,11 @@ class TestFusedLoop:
 
     def test_four_excess_evaluations_per_live_sample(self, monkeypatch):
         # the seven checks use all eight kinds; the loop evaluates each of
-        # the four varying excesses once per sample with u <= _U_END and once
-        # per block for its first sample past _U_END, which the block's other
+        # the four varying excesses once per sample on a lane <= _LANE_END and
+        # once per block for its first sample past it, which the block's other
         # such samples copy; it builds no pair and dispatches no eval_mean.
-        # Each counting wrapper gets its excess's end value, so the shortcut
-        # stays on
+        # Each counting wrapper is trusted to end like its excess, so the
+        # shortcut stays on
         calls = Counter()
 
         def counted(name, f):
@@ -803,16 +835,15 @@ class TestFusedLoop:
 
         varying = [kind for kind, e in _EXCESSES.items() if callable(e)]
         for kind in varying:
-            wrapper = counted(kind, _EXCESSES[kind])
-            monkeypatch.setitem(_END_EXCESSES, wrapper, _END_EXCESSES[_EXCESSES[kind]])
-            monkeypatch.setitem(_EXCESSES, kind, wrapper)
+            monkeypatch.setitem(_EXCESSES, kind, counted(kind, _EXCESSES[kind]))
+        monkeypatch.setattr(bounds, "_ENDING", frozenset(_EXCESSES[kind] for kind in varying))
         monkeypatch.setattr(bounds, "PositivePair", counted("PositivePair", bounds.PositivePair))
         monkeypatch.setattr(bounds, "eval_mean", counted("eval_mean", bounds.eval_mean))
         checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta) for spec in SPECS.values()]
         n = 2 * _BLOCK + 500  # three blocks
-        units = _units(42, 0, n)
-        live = sum(u <= _U_END for u in units)
-        evaluated = live + sum(max(units[i:i + _BLOCK]) > _U_END for i in range(0, n, _BLOCK))
+        lanes = _stream_lanes(42, 0, n)
+        live = sum(lane <= _LANE_END for lane in lanes)
+        evaluated = live + sum(max(lanes[i:i + _BLOCK]) > _LANE_END for i in range(0, n, _BLOCK))
         assert 0 < live < evaluated < n
         _certify_chunk(checks, 1e-12, 42, 0, n)
         assert sorted(kind.value for kind in varying) == ["G", "P", "S", "T"]
@@ -820,8 +851,8 @@ class TestFusedLoop:
         assert calls["PositivePair"] == calls["eval_mean"] == 0
 
     @pytest.mark.parametrize("start, stop, ended", [
-        (7897, 7902, "none"),  # five samples with r >= _END_CUT
-        (1969, 2019, "all"),  # fifty with r < _END_CUT
+        (7897, 7902, "none"),  # five samples on lanes <= _LANE_END
+        (1969, 2019, "all"),  # fifty past it
         (0, 3000, "some"),
         (24, 300, "some"),  # sample 24 is live, but its P excess is already the end value
         (885, 890, "one"),  # one ended sample, so no copies
@@ -832,7 +863,7 @@ class TestFusedLoop:
         # that rounds to it, and the first in the stream stays.  At alpha +
         # 1e-3 every ended sample is a violation
         xs = _stream_xs(42, stop, start)
-        flags = [1.0 / x < _END_CUT for x in xs]
+        flags = [lane > _LANE_END for lane in _stream_lanes(42, start, stop)]
         assert {"none": not any(flags), "all": all(flags), "some": any(flags) and not all(flags),
                 "one": sum(flags) == 1,
                 "none in the last block": sum(flags[:_BLOCK]) > 1 and not any(flags[_BLOCK:])}[ended]
@@ -846,7 +877,7 @@ class TestFusedLoop:
             assert (violations >= sum(flags)) if alpha > sharp_bounds(spec).alpha else (violations == 0)
         if start == 24:
             e_p = _EXCESSES[MeanKind.SEIFFERT_P]
-            assert not flags[0] and e_p(1.0 / xs[0]) == _END_EXCESSES[e_p] and any(flags)
+            assert not flags[0] and e_p(1.0 / xs[0]) == e_p(0.0) and any(flags)
             assert fused[0][2] == xs[0]  # prop1.1's lowest key, shared by the ended samples after it
 
 

@@ -12,6 +12,7 @@ from pytest import approx
 import meanbound
 from meanbound import (
     H_INFO,
+    X_SWITCH,
     DomainError,
     HFunctionId,
     bernoulli_table,
@@ -242,6 +243,18 @@ class TestHEval:
     def test_domain_errors(self, fn_id, bad):
         with pytest.raises(DomainError):
             h_eval(fn_id, bad)
+
+    def test_half_angle_identity(self):
+        # sin x = 2 sin(x/2) cos(x/2) and 1 - cos x = 2 sin^2(x/2) give
+        # h2(x) = 1 - h3(x/2)/2 on (0, 2 pi).  The points cross h2's switch at
+        # X_SWITCH and h3's at 2*X_SWITCH; on 200 000 uniform points the gap was
+        # at most 6.5 ulp of max(1, |h2(x)|), near x = 0.53 (h3 on its series)
+        xs = [math.tau * i / 4200 for i in range(1, 4200)]
+        xs += [k * X_SWITCH + j * 1e-9 for k in (1, 2) for j in range(-100, 101)]
+        assert {(x < X_SWITCH, x / 2 < X_SWITCH) for x in xs} == {(True, True), (False, True), (False, False)}
+        for x in xs:
+            h2 = h_eval(H2, x)
+            assert abs(h2 - (1.0 - h_eval(H3, x / 2) / 2)) <= 8 * math.ulp(max(1.0, abs(h2))), x
 
     def test_h2_defined_beyond_pi(self):
         assert h_eval(H2, 5.0) == approx(direct_formula(H2, 5.0), rel=1e-13)

@@ -2,6 +2,7 @@
 standard library, and each module imports only from the layers below it."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -10,6 +11,10 @@ import pytest
 import meanbound
 
 SOURCES = sorted(Path(meanbound.__file__).parent.glob("*.py"))
+# the oldest Python the package supports, from pyproject's requires-python, so
+# syntax newer than it fails to parse
+FLOOR = tuple(map(int, re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"', (Path(__file__).parents[1] / "pyproject.toml").read_text()).groups()))
 
 # lowest first: a module may import only modules listed before it, so kernels,
 # which holds the sin/cos Maclaurin tables, imports nothing from means, bounds
@@ -20,7 +25,7 @@ LAYERS = ("errors", "bernoulli", "kernels", "means", "bounds", "cli", "__main__"
 def _imports(path):
     """(absolute top-level module names, package-relative module names)."""
     absolute, relative = set(), set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(ast.parse(path.read_text(), str(path), feature_version=FLOOR)):
         if isinstance(node, ast.Import):
             absolute.update(alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:

@@ -16,11 +16,8 @@ from meanbound import (
     half_sum_ratio,
     seiffert_p_arctan_form,
 )
-from meanbound.bounds import _LN_D_HI, _LN_D_LO, _U_END
 from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM
 from meanbound.means import (
-    _END_CUT,
-    _END_EXCESSES,
     _ENDS,
     _EXCESS_CUTOFF,
     _EXCESSES,
@@ -501,28 +498,3 @@ class TestEnds:
                 assert abs(excess - mpmath.mpf(e_0.numerator) / e_0.denominator) < 1e-45, kind
                 assert abs(far[kind] - mpmath.mpf(m_inf.numerator) / m_inf.denominator) < 1e-48, kind
 
-    def test_varying_excesses_are_their_end_values_past_the_cut(self):
-        # below _END_CUT, and a few ulp above it, each varying excess returns its
-        # stated end value bit for bit, so certify lets one sample stand for all
-        # the samples of a block whose uniform is past _U_END: their r lies below
-        # r at _U_END, which rounds just above the cut.  The end value is the
-        # t = 1 excess 2*M(1, 0) - 1 to 1 ulp
-        assert set(_END_EXCESSES) == {e for e in _EXCESSES.values() if callable(e)}
-        def r_at(u):  # certify's r = 1/x for the uniform u
-            return 1.0 / (1.0 + math.exp(_LN_D_LO + (_LN_D_HI - _LN_D_LO) * u))
-
-        # one ulp of u moves r by about 2e-14 relative
-        for k in range(-32, 33):
-            assert r_at(_U_END + k * math.ulp(_U_END)) == approx(_END_CUT, rel=1e-12), k
-        above = [_END_CUT + k * math.ulp(_END_CUT) for k in range(64)]
-        assert r_at(_U_END) < above[-1]
-        rs = [0.0, math.nextafter(_END_CUT, 0.0), 2.0**-1074]
-        rs += [math.ldexp(1.0 + j / 7, -k) for k in range(121, 1075) for j in range(7)]  # every binade
-        assert all(r < _END_CUT for r in rs)
-        rs += above
-        for kind, excess in _EXCESSES.items():
-            if callable(excess):
-                end = _END_EXCESSES[excess]
-                assert [r for r in rs if excess(r) != end] == [], kind
-                want = float(2 * _ENDS[kind][1] - 1)
-                assert abs(end - want) <= math.ulp(want), kind
