@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import struct
 from collections.abc import Iterable
 from fractions import Fraction
 from typing import NamedTuple
@@ -265,7 +264,7 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
     k = 4..16; theta_right lies inside the kernel's domain, so the ratio
     is evaluated there directly.  One scan over those probes and the grid
     theta_right*i/64, i = 1..64, checks the monotonicity.  Agrees with
-    sharp_bounds to 2.5e-16; raises ConvergenceError, a sign of a bug, when
+    sharp_bounds to 1.1e-16; raises ConvergenceError, a sign of a bug, when
     the limit does not settle or the scan is not monotone (NaN fails both).
     It evaluates p*h + q as given, so it recovers a crooked reduction's
     extrema; sharp_bounds and equivalence_check check the reduction.
@@ -289,37 +288,27 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # certification
 
-# Per-sample deterministic stream: splitmix64-style finalizer over
-# (seed, index), so any sharding of the index range reproduces the report.
+# certify's stream: sample i of seed s has the 64-bit value, or lane,
+# (s*_SEED_MIX + (i + 1)*_PHI) mod 2^64, a Weyl sequence stepping by 2^64 over
+# the golden ratio, so its first n lanes leave no gap in [0, 2^64) wider than
+# 2*2^64/n (three-distance theorem, V. T. Sos, 1958).  The seed enters once,
+# by another odd multiplier (as s*_PHI, seed s would be seed 0 moved on by s
+# samples), so seeds are rotations of one sequence.
 _M64 = (1 << 64) - 1
-_GAMMA = 0xD1B54A32D192ED03
+_PHI = 0x9E3779B97F4A7C15
+_SEED_MIX = 0xBF58476D1CE4E5B9
 
-# Samples are drawn and their excesses evaluated one block at a time, so the
-# memory a run needs does not grow with n_samples.  The finalizer runs on
-# a whole block at once, as _BLOCK 128-bit lanes of one int: lane i
-# (bits 128i and up) holds sample first + i.  A lane's value is below
-# 2^64 + _BLOCK*_GAMMA before the first mask and below 2^128 after each
-# multiply, so no carry reaches the next lane.  A right shift pulls the
-# next lane's low bits into the top of this one, and a multiply leaves
-# 64 high bits; the masks clear both, the last one right after the final
-# shift, so every lane's low 64 bits are the scalar finalizer's and its
-# high 64 bits are 0.  Of 256, 1024, 2048 and 4096, 2048 certified
-# fastest at both 2000 and 100 000 samples (Python 3.11, 2-core Xeon).
+# Samples are drawn and evaluated one block at a time, so a run's memory does not
+# grow with n_samples; blocks of 1024 to 8192 certify 2000 and 100 000 samples
+# within noise of each other (Python 3.11, 2-core Xeon).
 _BLOCK = 2048
-_LANE_ONES = int.from_bytes((1).to_bytes(16, "little") * _BLOCK, "little")
-_LANE_M64 = _M64 * _LANE_ONES
-_LANE_STEPS = int.from_bytes(b"".join((i * _GAMMA).to_bytes(16, "little") for i in range(_BLOCK)), "little")
 
 
-def _draw(seed: int, first: int, size: int) -> tuple[int, ...]:
-    """The stream's 64-bit values for the size (<= _BLOCK) sample indices
-    first, first + 1, ...: the low halves of one block's 128-bit lanes."""
-    z = ((((seed * 0x9E3779B97F4A7C15 + (first + 1) * _GAMMA) & _M64) * _LANE_ONES + _LANE_STEPS)
-         & _LANE_M64)
-    z = (((z ^ (z >> 30)) & _LANE_M64) * 0xBF58476D1CE4E5B9) & _LANE_M64
-    z = (((z ^ (z >> 27)) & _LANE_M64) * 0x94D049BB133111EB) & _LANE_M64
-    z ^= (z >> 31) & _LANE_M64
-    return struct.unpack_from(f"<{2 * size}Q", z.to_bytes(16 * _BLOCK, "little"))[::2]
+def _draw(seed: int, first: int, size: int) -> list[int]:
+    """The lanes of sample indices first, ..., first + size - 1.  As 128-bit fields
+    of one int, a block would save ~9% of a certify call but need two 32 KB ints."""
+    base = seed * _SEED_MIX + (first + 1) * _PHI
+    return [(base + i * _PHI) & _M64 for i in range(size)]
 
 
 # certify's samples: (x, 1), x = 1 + d, d log-uniform on [1e-15, 1e300]
@@ -393,7 +382,7 @@ def _certify_chunk(
     """(violations, min key, its x, max key, its x) over sample indices
     [start, stop), per (spec, alpha, beta) check, x the first at that key
     (_ratio_map's).  The checks share one stream, drawn in blocks of _BLOCK
-    indices (each uniform depends on (seed, index) alone).  A block's samples
+    indices (each lane depends on (seed, index) alone).  A block's samples
     on lanes above _LANE_END (x > 2^120, about 84% of them) share every
     excess, their end values; these hold from r = 2^-110 on, a margin of
     2^57 lanes.  One comparison per lane tells them apart before any float
@@ -488,8 +477,10 @@ def certify(
     """Sample-based certification of one double inequality.
 
     Draws ``n_samples`` pairs (x, 1), x = 1 + d with d = a/b - 1
-    log-uniform over [1e-15, 1e300] (homogeneity covers every other pair),
-    so both ends are reached, and checks the strict double inequality at
+    log-uniform over [1e-15, 1e300] (homogeneity covers every other pair):
+    the uniforms are the seed's rotation of one golden-ratio Weyl sequence,
+    so every interval of ln(d) wider than 1451/n_samples holds a sample and
+    both ends are reached.  It checks the strict double inequality at
     (alpha, beta), which default to the sharp constants, on the ratio rho of
     ``ratio``.  A sample is a violation when rho - alpha or beta - rho is
     below -tol: tol, in (0, 1e-9], is an absolute slack on the ratio for
@@ -545,17 +536,19 @@ def certify_many(
 
 _EQ_SAMPLES = 1000
 _EQ_SEED = 20260808
-_EQ_REL_TOL = 1e-12
+# 3.5 times the worst gap, 2.3e-15 (thm5.2), on the first 20 000 pairs of the seed
+_EQ_REL_TOL = 8e-15
 
 
 def equivalence_check() -> bool:
     """True when ratio (from the means' excesses) and ratio_via_kernel (the
-    paper's p*h(theta) + q) agree to 1e-12 relative for every spec in SPECS,
-    on the first 1000 pairs of certify's stream for seed 20260808, so a
-    crooked reduction there fails it.  This implies the h1 proportions
+    paper's p*h(theta) + q) agree to 8e-15 relative for every spec in SPECS,
+    on the first 1000 pairs of certify's stream for seed 20260808 (the worst
+    gap there is 1.1e-15), so a crooked reduction there fails it, down to a
+    p off by 1e-13 relative.  This implies the h1 proportions
     ratio(prop1.2) = ratio(prop1.1)/2 and ratio(prop1.4) = 3 ratio(prop1.1)/4.
     """
-    for lane in _draw(_EQ_SEED, 0, _EQ_SAMPLES):  # one block
+    for lane in _draw(_EQ_SEED, 0, _EQ_SAMPLES):
         pair = PositivePair(1.0 + math.exp(_LN_D_LO + _LN_D_SPAN * (lane / 2.0**64)), 1.0)
         for spec in SPECS.values():
             expected = ratio_via_kernel(spec, pair)

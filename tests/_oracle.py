@@ -1,0 +1,39 @@
+"""High-precision references for the tests: the eight means and the ratio of
+an inequality, in mpmath.  Each value is computed at mpmath's working
+precision, which every caller states with mpmath.workdps; callers skip
+through pytest.importorskip("mpmath") before calling, since mpmath is a
+test dependency only."""
+
+try:
+    import mpmath
+except ImportError:
+    mpmath = None
+
+from meanbound import MeanKind
+
+
+def mean(kind, a, b):
+    """M(a, b) of one kind, from its definition."""
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    s = a + b
+    return {
+        MeanKind.CONTRA_HARMONIC: lambda: (a * a + b * b) / s,
+        MeanKind.CENTROIDAL: lambda: 2 * (a * a + a * b + b * b) / (3 * s),
+        MeanKind.ARITHMETIC: lambda: s / 2,
+        MeanKind.GEOMETRIC: lambda: mpmath.sqrt(a * b),
+        MeanKind.HARMONIC: lambda: 2 * a * b / s,
+        MeanKind.ROOT_SQUARE: lambda: mpmath.sqrt((a * a + b * b) / 2),
+        MeanKind.SEIFFERT_P: lambda: (a - b) / (2 * mpmath.asin((a - b) / s)),
+        MeanKind.SEIFFERT_T: lambda: (a - b) / (2 * mpmath.atan((a - b) / s)),
+    }[kind]()
+
+
+def means(a, b):
+    """M(a, b) for every kind."""
+    return {kind: mean(kind, a, b) for kind in MeanKind}
+
+
+def ratio(spec, a, b):
+    """(target - lo)/(hi - lo) of an InequalitySpec at (a, b)."""
+    target, hi, lo = (mean(kind, a, b) for kind in (spec.target, spec.hi, spec.lo))
+    return (target - lo) / (hi - lo)

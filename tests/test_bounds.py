@@ -27,9 +27,11 @@ from meanbound import (
 )
 from meanbound import bounds
 from meanbound.bounds import (
-    _BLOCK, _ENDING, _LANE_END, _LANE_ONES, _LANE_STEPS, _LN_D_HI, _LN_D_LO, _M64, _certify_chunk, _draw,
+    _BLOCK, _ENDING, _LANE_END, _LN_D_HI, _LN_D_LO, _M64, _certify_chunk, _draw,
 )
 from meanbound.means import _ENDS, _EXCESSES
+
+import _oracle as oracle
 
 # 60-digit reference values.
 RATIO_PROP11_2_1 = 0.8277638965669817  # h1(asin(1/3))
@@ -213,26 +215,6 @@ class TestCrookedReduction:
             certify_many(others + [crooked], 100, 42, 1e-12)
 
 
-def _exact_mean(mpmath, kind, a, b):
-    a, b = mpmath.mpf(a), mpmath.mpf(b)
-    s = a + b
-    return {
-        MeanKind.CONTRA_HARMONIC: lambda: (a * a + b * b) / s,
-        MeanKind.CENTROIDAL: lambda: 2 * (a * a + a * b + b * b) / (3 * s),
-        MeanKind.ARITHMETIC: lambda: s / 2,
-        MeanKind.GEOMETRIC: lambda: mpmath.sqrt(a * b),
-        MeanKind.HARMONIC: lambda: 2 * a * b / s,
-        MeanKind.ROOT_SQUARE: lambda: mpmath.sqrt((a * a + b * b) / 2),
-        MeanKind.SEIFFERT_P: lambda: (a - b) / (2 * mpmath.asin((a - b) / s)),
-        MeanKind.SEIFFERT_T: lambda: (a - b) / (2 * mpmath.atan((a - b) / s)),
-    }[kind]()
-
-
-def _exact_ratio(mpmath, spec, a, b):
-    t, hi, lo = (_exact_mean(mpmath, kind, a, b) for kind in (spec.target, spec.hi, spec.lo))
-    return (t - lo) / (hi - lo)
-
-
 class TestRatio:
     def test_prop11_anchor(self):
         pair = PositivePair(2, 1)
@@ -321,7 +303,7 @@ class TestRatio:
             for spec in SPECS.values():
                 for d in ds:
                     for a, b in ((1.0 + d, 1.0), (1.0, 1.0 + d)):
-                        ref = _exact_ratio(mpmath, spec, a, b)
+                        ref = oracle.ratio(spec, a, b)
                         got = ratio_via_kernel(spec, PositivePair(a, b))
                         worst = max(worst, float(abs(got - ref) / abs(ref)))
         assert worst <= 4e-15
@@ -357,7 +339,7 @@ class TestRatio:
                 for spec in SPECS.values():
                     got = ratio(spec, PositivePair(a, 1.0))
                     assert got == ratio(spec, PositivePair(1.0, a)), (spec.id, d)
-                    ref = float(_exact_ratio(mpmath, spec, a, 1.0))
+                    ref = float(oracle.ratio(spec, a, 1.0))
                     worst = max(worst, abs(got - ref) / math.ulp(ref))
         assert worst <= 16.0
 
@@ -594,15 +576,12 @@ class TestCertify:
                 certify(spec, 1000, 1, bad)
 
 
-def _splitmix_lane(seed, index):
+def _weyl_lane(seed, index):
     """The certify stream's 64-bit value for one (seed, index), written apart
-    from the library: the splitmix64 finalizer of the 64-bit state
-    seed*0x9E3779B97F4A7C15 + (index + 1)*0xD1B54A32D192ED03; its uniform
-    is the value over 2^64."""
-    z = (seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xD1B54A32D192ED03) % 2**64
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z = ((z ^ (z >> shift)) * mult) % 2**64
-    return z ^ (z >> 31)
+    from the library: the Weyl sequence (seed*0xBF58476D1CE4E5B9 mod 2^64) +
+    (index + 1)*0x9E3779B97F4A7C15 mod 2^64; its uniform is the value over
+    2^64."""
+    return (seed * 0xBF58476D1CE4E5B9 % 2**64 + (index + 1) * 0x9E3779B97F4A7C15) % 2**64
 
 
 def _stream_lanes(seed, start, stop):
@@ -621,7 +600,7 @@ def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
     span = _LN_D_HI - _LN_D_LO
     violations, lo, lo_x, hi, hi_x = 0, math.inf, None, -math.inf, None
     for i in range(start, stop):
-        x = 1.0 + math.exp(_LN_D_LO + span * (_splitmix_lane(seed, i) / 2.0**64))
+        x = 1.0 + math.exp(_LN_D_LO + span * (_weyl_lane(seed, i) / 2.0**64))
         rho = ratio(spec, PositivePair(x, 1.0))
         key = _EXCESSES[spec.target](1.0 / x) if on_excess else rho
         if key < lo:
@@ -634,20 +613,31 @@ def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
 
 
 class TestStream:
-    # _draw draws _BLOCK samples as lanes of one int: lengths around and
-    # past one block, indices past 2^64 and seeds at the edges of 64 bits
-    # check that no lane leaks into the next and that lane i is index i.
+    # lengths around and past one block, indices past 2^64 and seeds at
+    # the edges of 64 bits check that value i of a block is index first + i
+    # and that every value is reduced mod 2^64.
     @pytest.mark.parametrize("seed", [0, 1, 42, -7, 2**70, 2**64 - 1, -(2**64)])
     @pytest.mark.parametrize("start, stop", [
         (7, 7), (0, 1), (0, 300), (_BLOCK - 1, 2 * _BLOCK + 1), (10**12, 10**12 + 40),
         (0, _BLOCK - 1), (0, _BLOCK), (0, _BLOCK + 1), (100, 2 * _BLOCK + 100), (2**64 - 5, 2**64 + _BLOCK),
     ])
     def test_block_draw_matches_the_scalar_formula(self, seed, start, stop):
-        assert _stream_lanes(seed, start, stop) == [_splitmix_lane(seed, i) for i in range(start, stop)]
+        assert _stream_lanes(seed, start, stop) == [_weyl_lane(seed, i) for i in range(start, stop)]
 
-    def test_lane_constants_are_their_sums(self):
-        assert _LANE_ONES == sum(1 << (128 * i) for i in range(_BLOCK))
-        assert _LANE_STEPS == sum(i * 0xD1B54A32D192ED03 << (128 * i) for i in range(_BLOCK))
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 20260808, -1, -7, -(2**64), 2**64, 2**64 - 1, 2**70 + 3])
+    def test_widest_gap_is_under_two_over_n(self, seed):
+        # the first n values of the golden-ratio Weyl sequence cut [0, 2^64)
+        # into gaps of at most 2*2^64/n, both ends of the range included
+        # (measured: at most 1.89*2^64/n); any rotation, so any seed, keeps them
+        def widest(lanes):
+            ordered = sorted(lanes)
+            return max(ordered[0], 2**64 - ordered[-1], *(b - a for a, b in zip(ordered, ordered[1:])))
+
+        first = _stream_lanes(seed, 0, 400)
+        for n in range(2, 401):
+            assert widest(first[:n]) * n <= 2 * 2**64, (seed, n)
+        for n in (2000, 100_000):
+            assert widest(_stream_lanes(seed, 0, n)) * n <= 2 * 2**64, (seed, n)
 
     def test_lanes_past_lane_end_have_ended(self):
         # certify lets one sample past _LANE_END stand for the rest of its
@@ -698,7 +688,7 @@ def _log_ratio(r):
 
 def _stream_xs(seed, stop, start=0):
     span = _LN_D_HI - _LN_D_LO
-    return [1.0 + math.exp(_LN_D_LO + span * (_splitmix_lane(seed, i) / 2.0**64)) for i in range(start, stop)]
+    return [1.0 + math.exp(_LN_D_LO + span * (_weyl_lane(seed, i) / 2.0**64)) for i in range(start, stop)]
 
 
 class TestFold:
@@ -851,12 +841,14 @@ class TestFusedLoop:
         assert calls["PositivePair"] == calls["eval_mean"] == 0
 
     @pytest.mark.parametrize("start, stop, ended", [
-        (7897, 7902, "none"),  # five samples on lanes <= _LANE_END
-        (1969, 2019, "all"),  # fifty past it
+        # the stream steps by 0.618 of the range, and the lanes <= _LANE_END
+        # are its lowest 16%, so no two neighbouring samples are both on them
+        (5, 6, "none"),  # one sample on a lane <= _LANE_END
+        (6, 13, "all"),  # the seven samples between two such
         (0, 3000, "some"),
-        (24, 300, "some"),  # sample 24 is live, but its P excess is already the end value
-        (885, 890, "one"),  # one ended sample, so no copies
-        (91, 91 + _BLOCK + 3, "none in the last block"),  # a short block after one with copies
+        (86, 300, "some"),  # sample 86 is live, but its P excess is already the end value
+        (5, 7, "one"),  # one ended sample, so no copies
+        (7, 7 + _BLOCK + 1, "none in the last block"),  # a one-sample block after one with copies
     ])
     def test_ended_samples_fold_like_the_reference(self, start, stop, ended):
         # an ended sample's key is the end key; it ties with a live sample
@@ -875,7 +867,7 @@ class TestFusedLoop:
         assert fused == [_reference_chunk(*check, 1e-12, 42, start, stop) for check in checks]
         for (spec, alpha, _), (violations, *_) in zip(checks, fused):
             assert (violations >= sum(flags)) if alpha > sharp_bounds(spec).alpha else (violations == 0)
-        if start == 24:
+        if start == 86:
             e_p = _EXCESSES[MeanKind.SEIFFERT_P]
             assert not flags[0] and e_p(1.0 / xs[0]) == e_p(0.0) and any(flags)
             assert fused[0][2] == xs[0]  # prop1.1's lowest key, shared by the ended samples after it
@@ -926,6 +918,13 @@ class TestEquivalence:
                 m.setitem(SPECS, spec_id, SPECS[spec_id]._replace(p=p))
                 assert not equivalence_check()
         assert equivalence_check()
+
+    @pytest.mark.parametrize("spec_id", sorted(SPECS))
+    def test_p_off_by_1e_13_fails(self, monkeypatch, spec_id):
+        # the routes agree to 2.3e-15 on 20 000 pairs; a 1e-12 gate let this through
+        spec = SPECS[spec_id]
+        monkeypatch.setitem(SPECS, spec_id, spec._replace(p=spec.p * (1 + 1e-13)))
+        assert not equivalence_check()
 
     @pytest.mark.parametrize("crooked", _crooked_specs())
     def test_crooked_reduction_fails(self, monkeypatch, crooked):

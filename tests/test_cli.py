@@ -154,10 +154,10 @@ class TestCertifyCommand:
     # --seed 42 --format <fmt>`; any change to a report's bits changes these.
     # 100 000 samples span many draw blocks, 2000 fit in one.
     @pytest.mark.parametrize("fmt, samples, digest", [
-        ("json", 2000, "75dfde7f36709c818c37c1073f8c9f2d388cdb6a121f73af1daddc59fd9b4e19"),
+        ("json", 2000, "3b6f08c002893a4d3536242772a44eca2939cc4219d83fae27ef5c76a0a730e5"),
         ("text", 2000, "534c3812943aa3832f0a2030c3caa877639109b4c91eaedf04e7fbdf1f8321ea"),
-        ("csv", 2000, "bc2888c8391120633e3c502b550899cc645ad11659ee0520b921a16078badd75"),
-        ("json", 100_000, "5920966df584f7e0f9b795bc7c9aa86c39723b6844fbd010ab70e18da18b3eb7"),
+        ("csv", 2000, "75bda99c02947213e49c29f59cbd4608cd02839d18f9e7002b4eece9e42b1bed"),
+        ("json", 100_000, "e8b6b032e295d266de0021dcebc830f9862e3a459853764488e813b2db2b2e85"),
     ])
     def test_pinned_stdout(self, capsys, fmt, samples, digest):
         code, out, _ = run_cli(capsys, "certify", "--id", "all", "--samples", str(samples),
@@ -215,7 +215,7 @@ class TestPinnedTranscripts:
         ("hfun", "82bfc65532f021ad70c42bf42642ba183cc2bf885bf99c66ef88d1b1877873bd"),
         ("bounds-table", "9cd789ef2d0da11c4c045669d1f843a2ce26a86c3c800f090ce3730f55451239"),
         ("series", "3ba4ab74ebb52e02865bcbbb62c1be4524497e1f56617b6b7f8bde81008e7171"),
-        ("certify", "4049e7de153b81ce9ff6b9e97e1e66912899003ce5b9f26e5df7fa4940c1b449"),
+        ("certify", "03f20b5c432b375bf8c4c98172a94ec54142aa30f69a091051c435698246f769"),
     ])
     def test_pinned_bytes(self, capsys, command, digest):
         assert _transcript_digest(capsys, _TRANSCRIPT_ARGVS[command]) == digest
@@ -233,7 +233,7 @@ class TestPinnedTranscripts:
         assert code == 1
         assert out.count("VIOLATED") == 7
         assert _transcript_digest(capsys, [argv]) == (
-            "2f80e540f4ba292ca84930a717d7d3233acdcb07c865b6c6a008afc61ed93852"
+            "79cc2f15dedb49540ad8e4a4555c22a878c7517b148e068dbce3904fe467ff31"
         )
 
 

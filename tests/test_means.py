@@ -31,6 +31,8 @@ from meanbound.means import (
     _poly,
 )
 
+import _oracle as oracle
+
 # Reference values computed with a 60-digit arbitrary-precision evaluator
 # and rounded to binary64.
 P_2_1 = 1.4712939827611635        # 1/(2*asin(1/3))
@@ -392,18 +394,7 @@ def _inverse_series(coeffs):
 def _mp_means(mpmath, r):
     """M(1, r) for every kind, and t = (1 - r)/(1 + r), at mpmath's precision."""
     mr = mpmath.mpf(r)
-    s = 1 + mr
-    t = (1 - mr) / s
-    return t, {
-        MeanKind.CONTRA_HARMONIC: (1 + mr * mr) / s,
-        MeanKind.CENTROIDAL: 2 * (1 + mr + mr * mr) / (3 * s),
-        MeanKind.ARITHMETIC: s / 2,
-        MeanKind.HARMONIC: 2 * mr / s,
-        MeanKind.GEOMETRIC: mpmath.sqrt(mr),
-        MeanKind.ROOT_SQUARE: mpmath.sqrt((1 + mr * mr) / 2),
-        MeanKind.SEIFFERT_P: (1 - mr) / (2 * mpmath.asin(t)),
-        MeanKind.SEIFFERT_T: (1 - mr) / (2 * mpmath.atan(t)),
-    }
+    return (1 - mr) / (1 + mr), oracle.means(1, mr)
 
 
 # asin(t)/t and atan(t)/t as series in w = t^2, 40 terms

@@ -90,7 +90,7 @@ def test_reprs_are_unchanged():
     assert repr(certify(SPECS["prop1.1"], 1000, 7, 1e-12)) == (
         "CertificationReport(id='prop1.1', samples=1000, violations=0, "
         "worst_margin=-1.1102230246251565e-16, seed=7, tolerance=1e-12, "
-        "worst_x=1.766471804477195e+136, alpha_probe_gap=8.104000246489385e-05, "
+        "worst_x=6.132365881368347e+252, alpha_probe_gap=8.104000246489385e-05, "
         "beta_probe_gap=1.18043796959455e-10)"
     )
     assert repr(PositivePair(1, 2)) == "PositivePair(a=1.0, b=2.0, degenerate=False)"
