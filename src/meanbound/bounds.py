@@ -316,6 +316,12 @@ _LN_D_LO = math.log(1e-15)
 _LN_D_HI = math.log(1e300)
 _LN_D_SPAN = _LN_D_HI - _LN_D_LO
 
+
+def _sample_xs(lanes: list[int]) -> list[float]:
+    """The x of each lane, ln(x - 1) going from ln 1e-15 to ln 1e300 as the lane goes from 0 to 2^64."""
+    return [1.0 + math.exp(_LN_D_LO + _LN_D_SPAN * (lane / 2.0**64)) for lane in lanes]
+
+
 # A lane above _LANE_END gives x > 2^120, where the excesses of G, S, P and T
 # have ended: each returns its r = 0 value, 2*M(1, 0) - 1, bit for bit, since
 # 1 + r and 1 + sqrt(r) round to 1 and sqrt(r) < 2^-60 (atan(sqrt r) and r too)
@@ -341,10 +347,8 @@ class CertificationReport(NamedTuple):
     ratios rho, negative where a bound was crossed (at the sharp constants, by
     a few ulp of rounding); ``worst_x``, a float since a run draws at least
     one sample, is x = a/b (b = 1) of the first sample in the stream at that
-    extreme, the lower side on a tie, and ratio(spec, PositivePair(worst_x, 1))
-    reproduces it.  For prop1.1, 1.2, 1.4
-    and thm5.1, folded on the target's excess, it is the first at the extreme
-    excess; an earlier sample may round to the same ratio.  The probe gaps show
+    extreme ratio, the lower side on a tie, and
+    ratio(spec, PositivePair(worst_x, 1)) reproduces it.  The probe gaps show
     how closely the ratio approaches the sharp constants at x = 1 + 1e-4, 1e8.
     """
 
@@ -363,15 +367,6 @@ class CertificationReport(NamedTuple):
         return self.violations == 0
 
 
-def _ratio_map(spec: InequalitySpec) -> tuple[float, float, bool]:
-    """(shift, scale, shared): the ratio is (key - shift)/scale, the key being
-    the target's excess if hi and lo have constant ones (p*h + q), else rho."""
-    e_hi, e_lo = _EXCESSES[spec.hi], _EXCESSES[spec.lo]
-    if callable(e_hi) or callable(e_lo) or e_hi <= e_lo:
-        return 0.0, 1.0, False
-    return e_lo, e_hi - e_lo, True
-
-
 def _certify_chunk(
     checks: list[tuple[InequalitySpec, float, float]],
     tol: float,
@@ -379,18 +374,18 @@ def _certify_chunk(
     start: int,
     stop: int,
 ) -> list[tuple]:
-    """(violations, min key, its x, max key, its x) over sample indices
-    [start, stop), per (spec, alpha, beta) check, x the first at that key
-    (_ratio_map's).  The checks share one stream, drawn in blocks of _BLOCK
+    """(violations, min rho, its x, max rho, its x) over sample indices
+    [start, stop), per (spec, alpha, beta) check, x the first sample at that
+    ratio.  The checks share one stream, drawn in blocks of _BLOCK
     indices (each lane depends on (seed, index) alone).  A block's samples
     on lanes above _LANE_END (x > 2^120, about 84% of them) share every
     excess, their end values; these hold from r = 2^-110 on, a margin of
     2^57 lanes.  One comparison per lane tells them apart before any float
     is made: the first of them is evaluated, in its place among the kept
-    samples, and the rest count as copies of it.  A check folds a block
-    with min and max, counting its violations only when an extreme crosses
+    samples, and the rest count as copies of it.  Each check folds a block's
+    ratios with min and max, looks up a sample's x only when an extreme
+    improves, and counts its violations only when an extreme crosses
     alpha - tol or beta + tol."""
-    maps = [_ratio_map(spec) for spec, _, _ in checks]
     kinds = {kind: _EXCESSES[kind] for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo)}
     # _M64 keeps every lane: a substituted excess not trusted to end
     lane_end = _LANE_END if all(e in _ENDING for e in kinds.values() if callable(e)) else _M64
@@ -402,29 +397,22 @@ def _certify_chunk(
         if copies >= 0:  # the first ended sample, evaluated for the others; every lane before it is kept
             end = next(i for i, lane in enumerate(lanes) if lane > lane_end)
             kept.insert(end, lanes[end])
-        xs = [1.0 + math.exp(_LN_D_LO + _LN_D_SPAN * (lane / 2.0**64)) for lane in kept]
+        xs = _sample_xs(kept)
         rs = [1.0 / x for x in xs]
         excess = {kind: list(map(e, rs)) if callable(e) else [e] * len(rs) for kind, e in kinds.items()}
-        folds = {}
-        for n, ((spec, alpha, beta), (shift, scale, shared)) in enumerate(zip(checks, maps)):
-            fold = spec.target if shared else n
-            if fold not in folds:
-                keys = excess[spec.target] if shared else [
-                    (e_t - e_l) / (e_h - e_l)
+        for n, (spec, alpha, beta) in enumerate(checks):
+            rhos = [(e_t - e_l) / (e_h - e_l)
                     for e_t, e_h, e_l in zip(excess[spec.target], excess[spec.hi], excess[spec.lo])]
-                lo, hi = min(keys), max(keys)
-                folds[fold] = keys, lo, xs[keys.index(lo)], hi, xs[keys.index(hi)]
-            keys, lo, lo_x, hi, hi_x = folds[fold]
-            violations, lo_0, lo_x0, hi_0, hi_x0 = results[n]
+            lo, hi = min(rhos), max(rhos)
+            violations, lo_0, lo_x, hi_0, hi_x = results[n]
             if lo < lo_0:  # on a tie the earlier block's sample stays
-                lo_0, lo_x0 = lo, lo_x
+                lo_0, lo_x = lo, xs[rhos.index(lo)]
             if hi > hi_0:
-                hi_0, hi_x0 = hi, hi_x
-            if (lo - shift) / scale - alpha < -tol or beta - (hi - shift) / scale < -tol:
-                rhos = [(key - shift) / scale for key in keys]
+                hi_0, hi_x = hi, xs[rhos.index(hi)]
+            if lo - alpha < -tol or beta - hi < -tol:
                 crossed = [rho - alpha < -tol or beta - rho < -tol for rho in rhos]
                 violations += sum(crossed) + (crossed[end] * copies if copies > 0 else 0)
-            results[n] = violations, lo_0, lo_x0, hi_0, hi_x0
+            results[n] = violations, lo_0, lo_x, hi_0, hi_x
     return results
 
 
@@ -448,9 +436,7 @@ def _certify_specs(checks: list[tuple[InequalitySpec, float, float]], n_samples:
     results = _certify_chunk(checks, tol, seed, 0, n_samples)
     reports = []
     for (spec, alpha, beta), (violations, lo, lo_x, hi, hi_x) in zip(checks, results):
-        shift, scale, _ = _ratio_map(spec)
-        lower = (lo - shift) / scale - alpha
-        upper = beta - (hi - shift) / scale
+        lower, upper = lo - alpha, beta - hi
         worst, worst_x = (upper, hi_x) if upper < lower else (lower, lo_x)
         # per call (94 us of a 1.7 ms seven-spec certify_many at 2000 samples): a store
         # keyed on the spec would keep what _EXCESSES held at first use, so a substituted
@@ -514,9 +500,7 @@ def certify_many(
     are evaluated once per sample with a/b - 1 <= 2^120; the other 84% of
     samples, picked out on the stream's integers before any float is made,
     share their end values, which hold from a/b = 2^110 on, evaluated at one
-    sample per block of 2048.
-    prop1.1, prop1.2, prop1.4 and thm5.1, whose hi and lo excesses are
-    constants, share their target's extremes.
+    sample per block of 2048.  Each spec folds its own ratios.
     """
     try:
         specs = list(specs)
@@ -548,8 +532,8 @@ def equivalence_check() -> bool:
     p off by 1e-13 relative.  This implies the h1 proportions
     ratio(prop1.2) = ratio(prop1.1)/2 and ratio(prop1.4) = 3 ratio(prop1.1)/4.
     """
-    for lane in _draw(_EQ_SEED, 0, _EQ_SAMPLES):
-        pair = PositivePair(1.0 + math.exp(_LN_D_LO + _LN_D_SPAN * (lane / 2.0**64)), 1.0)
+    for x in _sample_xs(_draw(_EQ_SEED, 0, _EQ_SAMPLES)):
+        pair = PositivePair(x, 1.0)
         for spec in SPECS.values():
             expected = ratio_via_kernel(spec, pair)
             if not abs(ratio(spec, pair) - expected) <= _EQ_REL_TOL * abs(expected):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Any
 
@@ -172,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "text":
-        print("\n".join(lines))
+        text = "\n".join(lines)
     elif args.format == "json":
         import json  # here, not at the top: text and CSV calls never load it
 
@@ -183,10 +184,17 @@ def main(argv: list[str] | None = None) -> int:
             "precision": {"float": "binary64", "digits": 17},
             "results": rows,
         }
-        print(json.dumps(record, indent=2))
+        text = json.dumps(record, indent=2)
     else:
         # str of a float is its shortest round-trip form, the JSON rendering
         columns = list(rows[0])
-        csv_lines = [",".join(columns), *(",".join(str(row[c]) for c in columns) for row in rows)]
-        print("\n".join(csv_lines))
+        text = "\n".join([",".join(columns), *(",".join(str(row[c]) for c in columns) for row in rows)])
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what is left to devnull, so that the
+        # interpreter's flush at exit raises nothing (the recipe of Python's
+        # signal docs), and keep the command's own exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return exit_code

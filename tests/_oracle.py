@@ -1,15 +1,15 @@
-"""High-precision references for the tests: the eight means and the ratio of
-an inequality, in mpmath.  Each value is computed at mpmath's working
-precision, which every caller states with mpmath.workdps; callers skip
-through pytest.importorskip("mpmath") before calling, since mpmath is a
-test dependency only."""
+"""High-precision references for the tests: the eight means, the ratio of
+an inequality and the four kernels, in mpmath.  Each value is computed at
+mpmath's working precision, which every caller states with mpmath.workdps;
+callers skip through pytest.importorskip("mpmath") before calling, since
+mpmath is a test dependency only."""
 
 try:
     import mpmath
 except ImportError:
     mpmath = None
 
-from meanbound import MeanKind
+from meanbound import HFunctionId, MeanKind
 
 
 def mean(kind, a, b):
@@ -37,3 +37,17 @@ def ratio(spec, a, b):
     """(target - lo)/(hi - lo) of an InequalitySpec at (a, b)."""
     target, hi, lo = (mean(kind, a, b) for kind in (spec.target, spec.hi, spec.lo))
     return (target - lo) / (hi - lo)
+
+
+def h(fn_id, x):
+    """The kernel h1, h2, h3 or h4 at x, from its defining quotient.  Each
+    numerator cancels near 0 (and h2's denominator too), losing about
+    2*log10(1/x) digits, so at 50 digits x >= 1e-10 keeps 30."""
+    x = mpmath.mpf(x)
+    s, c = mpmath.sin(x), mpmath.cos(x)
+    return {
+        HFunctionId.H1: lambda: (s / x - c * c) / (s * s),
+        HFunctionId.H2: lambda: (s - x * c) / (x * (1 - c)),
+        HFunctionId.H3: lambda: (x - s * c) / (x * s * s),
+        HFunctionId.H4: lambda: (x - s) * c / (x - s * c),
+    }[fn_id]()

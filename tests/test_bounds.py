@@ -592,21 +592,17 @@ def _stream_lanes(seed, start, stop):
 
 def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
     """Reference for _certify_chunk: one scalar draw, a PositivePair and a
-    ratio call per sample, folded one sample at a time.  The key is the
-    target's excess when hi and lo have constant ones (the ratio is then
-    (key - e_lo)/(e_hi - e_lo)), else the ratio; ties keep the first sample."""
-    e_hi, e_lo = _EXCESSES[spec.hi], _EXCESSES[spec.lo]
-    on_excess = not callable(e_hi) and not callable(e_lo) and e_hi > e_lo
+    ratio call per sample, folded on the ratio one sample at a time; ties
+    keep the first sample."""
     span = _LN_D_HI - _LN_D_LO
     violations, lo, lo_x, hi, hi_x = 0, math.inf, None, -math.inf, None
     for i in range(start, stop):
         x = 1.0 + math.exp(_LN_D_LO + span * (_weyl_lane(seed, i) / 2.0**64))
         rho = ratio(spec, PositivePair(x, 1.0))
-        key = _EXCESSES[spec.target](1.0 / x) if on_excess else rho
-        if key < lo:
-            lo, lo_x = key, x
-        if key > hi:
-            hi, hi_x = key, x
+        if rho < lo:
+            lo, lo_x = rho, x
+        if rho > hi:
+            hi, hi_x = rho, x
         if rho - alpha < -tol or beta - rho < -tol:
             violations += 1
     return violations, lo, lo_x, hi, hi_x
@@ -851,7 +847,7 @@ class TestFusedLoop:
         (7, 7 + _BLOCK + 1, "none in the last block"),  # a one-sample block after one with copies
     ])
     def test_ended_samples_fold_like_the_reference(self, start, stop, ended):
-        # an ended sample's key is the end key; it ties with a live sample
+        # an ended sample's ratio is the end ratio; it ties with a live sample
         # that rounds to it, and the first in the stream stays.  At alpha +
         # 1e-3 every ended sample is a violation
         xs = _stream_xs(42, stop, start)
@@ -870,7 +866,7 @@ class TestFusedLoop:
         if start == 86:
             e_p = _EXCESSES[MeanKind.SEIFFERT_P]
             assert not flags[0] and e_p(1.0 / xs[0]) == e_p(0.0) and any(flags)
-            assert fused[0][2] == xs[0]  # prop1.1's lowest key, shared by the ended samples after it
+            assert fused[0][2] == xs[0]  # prop1.1's lowest ratio, shared by the ended samples after it
 
 
 class TestCertifyMany:

@@ -157,7 +157,7 @@ class TestCertifyCommand:
         ("json", 2000, "3b6f08c002893a4d3536242772a44eca2939cc4219d83fae27ef5c76a0a730e5"),
         ("text", 2000, "534c3812943aa3832f0a2030c3caa877639109b4c91eaedf04e7fbdf1f8321ea"),
         ("csv", 2000, "75bda99c02947213e49c29f59cbd4608cd02839d18f9e7002b4eece9e42b1bed"),
-        ("json", 100_000, "e8b6b032e295d266de0021dcebc830f9862e3a459853764488e813b2db2b2e85"),
+        ("json", 100_000, "df9d3f5ba2cc7f35c47c79ab7b1d1b3cbdb2b131777e39e28a65a653824df477"),
     ])
     def test_pinned_stdout(self, capsys, fmt, samples, digest):
         code, out, _ = run_cli(capsys, "certify", "--id", "all", "--samples", str(samples),
@@ -365,3 +365,23 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True, timeout=60)
         code, out, _ = run_cli(capsys, *argv)
         assert (done.returncode, done.stdout) == (code, out)
+
+    @pytest.mark.parametrize("argv", [
+        ("series", "--fn", "h1", "--order", "16"),
+        ("bounds-table",),
+        ("certify", "--id", "all", "--samples", "200", "--format", "json"),
+    ])
+    def test_closed_stdout_exits_quietly(self, capsys, argv):
+        # stdout is a pipe whose reader has already gone, as under `| head`
+        # once head has exited: no traceback, and the command's own exit code
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "meanbound", *argv], env=env, stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        code, _, _ = run_cli(capsys, *argv)
+        assert (done.returncode, done.stderr) == (code, "")

@@ -29,6 +29,8 @@ from meanbound import (
     h_limit,
 )
 
+import _oracle as oracle
+
 H1, H2, H3, H4 = HFunctionId.H1, HFunctionId.H2, HFunctionId.H3, HFunctionId.H4
 
 # 60-digit reference values at exact binary64 arguments.
@@ -331,6 +333,46 @@ class TestDefaultTable:
         assert out.stdout.strip() == "0"
 
 
+class TestKernelOracle:
+    # worst error of h_eval against the oracle, in ulp, on the grids below
+    # (Python 3.11, x86-64):
+    #        series (0, 1/2)   direct [1/2, 1)   rest of the domain
+    #   h1   3.0               6.5               4.0
+    #   h2   1.5               11.6              4.7
+    #   h3   2.6               6.4               3.3
+    #   h4   2.2               16.8              2.9
+    # Each bound is at most twice that.  Within 1/4 of a root of h (h1's at
+    # 2.2154, h2's at 4.4934), where relative accuracy is not attainable in
+    # binary64, the error is counted in ulp of max(1, |h|)
+    BOUNDS = {"h1": (5, 12, 7), "h2": (3, 16, 8), "h3": (5, 12, 6), "h4": (4, 32, 5)}
+    ROOTS = {"h1": 2.2154, "h2": 4.4934}
+
+    @staticmethod
+    def grid(fn_id, region):
+        if region == "series":  # log-spaced from 1e-10, then evenly spaced, below 1/2
+            return [10.0 ** (-10 + 9.69 * i / 400) for i in range(401)] + [0.5 * i / 400 for i in range(1, 400)]
+        if region == "direct":
+            return [0.5 + 0.5 * i / 800 for i in range(800)]
+        right = H_INFO[fn_id].domain_right
+        return [1.0 + (right - 1.0) * i / 1200 for i in range(1200)] + [right - 10.0**-k for k in range(3, 15)]
+
+    @pytest.mark.parametrize("region", ["series", "direct", "rest"])
+    @pytest.mark.parametrize("fn", ["h1", "h2", "h3", "h4"])
+    def test_worst_ulp_error(self, fn, region):
+        mpmath = pytest.importorskip("mpmath")
+        fn_id = HFunctionId(fn)
+        worst = 0.0
+        for x in self.grid(fn_id, region):
+            with mpmath.workdps(50):
+                ref = oracle.h(fn_id, x)
+                error = float(abs(h_eval(fn_id, x) - ref))
+            scale = abs(float(ref))
+            if abs(x - self.ROOTS.get(fn, math.inf)) < 0.25:
+                scale = max(1.0, scale)
+            worst = max(worst, error / math.ulp(scale))
+        assert worst <= self.BOUNDS[fn][("series", "direct", "rest").index(region)], worst
+
+
 class TestH2Oracle:
     # h2's direct numerator sin x - x cos x has a simple root at
     # tan x = x; relative accuracy there is not attainable in binary64
@@ -343,8 +385,7 @@ class TestH2Oracle:
 
         def ulp_error(x):
             with mpmath.workdps(50):
-                t = mpmath.mpf(x)
-                ref = (mpmath.sin(t) - t * mpmath.cos(t)) / (t * (1 - mpmath.cos(t)))
+                ref = oracle.h(H2, x)
                 return float(abs(h_eval(H2, x) - ref) / math.ulp(float(ref)))
 
         grid = [0.5 + i * (math.tau - 0.5) / 2000 for i in range(2000)]
