@@ -17,7 +17,7 @@ a -> b and alpha as a/b -> inf, and neither constant can be improved.
 
 This module takes both constants from the three means' exact end values,
 checks each reduction, stated once as data, against them, recovers them
-from the kernel (Richardson extrapolation to the limit at 0+, a direct
+from the kernel (the limit at 0+ read off theta = 2^-27, a direct
 evaluation at theta_right, and a scan that checks the monotonicity in
 between), and certifies each inequality on deterministic samples.
 """
@@ -234,25 +234,10 @@ def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
 # ---------------------------------------------------------------------------
 # independent numerical recovery of the constants
 
-_RICHARDSON_KS = range(4, 17)
-_RICHARDSON_TOL = 1e-9
+# theta = 2^-27 and 2^-26, where theta^2 <= 2^-52: h1-h4's series give h(0+) there
+_LIMIT_PROBES = (2.0**-27, 2.0**-26)
+_SETTLE_ULP = 4
 _SCAN_STEPS = 64
-
-
-def _richardson(values: list[float]) -> tuple[float, float]:
-    """Extrapolate f(h_0 / 2^i) -> f(0) from successively halved steps.
-
-    f is even, so each halving cuts a column's error by 4.  Returns the
-    extrapolated limit and, as its error estimate, the gap between the two
-    extrapolations of the column before it.
-    """
-    row = list(values)
-    factor = 1.0
-    while len(row) > 1:
-        spread = abs(row[-1] - row[-2])
-        factor *= 4.0
-        row = [(factor * row[i + 1] - row[i]) / (factor - 1.0) for i in range(len(row) - 1)]
-    return row[0], spread
 
 
 def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
@@ -260,9 +245,11 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
 
     As in the paper, the ratio p*h(theta) + q is monotone, in the direction
     that H_INFO and the sign of p give, so its inf and sup are its end
-    values.  The limit at 0+ is Richardson-extrapolated along theta = 2^-k,
-    k = 4..16; theta_right lies inside the kernel's domain, so the ratio
-    is evaluated there directly.  One scan over those probes and the grid
+    values.  The limit at 0+ is the ratio at theta = 2^-27, which must agree
+    with the ratio at 2^-26 to 4 ulp (on the seven SPECS the ratio moves by
+    at most 1 ulp per halving of theta from 2^-26 down to 2^-44).
+    theta_right lies inside the kernel's domain, so the ratio is evaluated
+    there directly.  One scan over those two probes and the grid
     theta_right*i/64, i = 1..64, checks the monotonicity.  Agrees with
     sharp_bounds to 1.1e-16; raises ConvergenceError, a sign of a bug, when
     the limit does not settle or the scan is not monotone (NaN fails both).
@@ -270,16 +257,17 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
     extrema; sharp_bounds and equivalence_check check the reduction.
     """
     _check_spec(spec)
-    thetas = [2.0**-k for k in _RICHARDSON_KS]
-    thetas += [spec.theta_right * i / _SCAN_STEPS for i in range(1, _SCAN_STEPS + 1)]
+    thetas = [*_LIMIT_PROBES, *(spec.theta_right * i / _SCAN_STEPS for i in range(1, _SCAN_STEPS + 1))]
     values = [spec.p * h_eval(spec.kernel, theta) + spec.q for theta in thetas]
-    lim_left, err_left = _richardson(values[:len(_RICHARDSON_KS)])
-    if not err_left <= _RICHARDSON_TOL:
-        raise ConvergenceError(f"{spec.id}: the limit at 0+ did not settle (error estimate {err_left:.3e})")
+    lim_left = values[0]
+    gap = abs(values[1] - lim_left)
+    if not gap <= _SETTLE_ULP * math.ulp(lim_left):
+        raise ConvergenceError(f"{spec.id}: the limit at 0+ did not settle (gap {gap:.3e} from 2^-27 to 2^-26)")
     right_end = values[-1]  # theta_right*64/64 is theta_right exactly
     decreasing = H_INFO[spec.kernel].increasing == (spec.p < 0.0)
-    # ordered so that a monotone ratio never falls along the scan
-    scan = [value for _, value in sorted(zip(thetas, values), reverse=decreasing)]
+    # the thetas rise (both probes lie below theta_right/64), so in this order a
+    # monotone ratio never falls along the scan
+    scan = values[::-1] if decreasing else values
     if not all(later >= earlier for earlier, later in zip(scan, scan[1:])):
         raise ConvergenceError(f"{spec.id}: the ratio is not {'de' if decreasing else 'in'}creasing in theta")
     return (right_end, lim_left) if decreasing else (lim_left, right_end)
@@ -328,15 +316,16 @@ def _sample_xs(lanes: list[int]) -> list[float]:
 # is under half an ulp of every term it meets (G and P first move near
 # r = 2^-106 and 2^-110, S and T above 2^-60).  Any threshold whose lanes give
 # r < 2^-110 would do: the 2^57 lanes below this one give r < 2^-111.8, and
-# rounding moves it by ~256 lanes.  Only these four functions are trusted to
-# end; an excess put in _EXCESSES in place of one keeps every lane.
+# rounding moves it by ~256 lanes.  An excess in _EXCESSES that does not end
+# there needs _LANE_END set to _M64, which keeps every lane.
 _LANE_END = int((math.log(2.0**120) - _LN_D_LO) / _LN_D_SPAN * 2.0**64)
-_ENDING = frozenset(e for e in _EXCESSES.values() if callable(e))
 
+# each probe's gate is 4x, rounded down, the worst gap over SPECS at its x:
+# 2.187e-10 (thm5.2) from beta and 8.104e-5 (prop1.1) from alpha
 _BETA_PROBE_X = 1.0 + 1e-4
 _ALPHA_PROBE_X = 1e8
-_BETA_PROBE_TOL = 1e-6
-_ALPHA_PROBE_TOL = 1e-3
+_BETA_PROBE_TOL = 8.7e-10
+_ALPHA_PROBE_TOL = 3.2e-4
 _TOL_MAX = 1e-9
 
 
@@ -387,15 +376,13 @@ def _certify_chunk(
     improves, and counts its violations only when an extreme crosses
     alpha - tol or beta + tol."""
     kinds = {kind: _EXCESSES[kind] for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo)}
-    # _M64 keeps every lane: a substituted excess not trusted to end
-    lane_end = _LANE_END if all(e in _ENDING for e in kinds.values() if callable(e)) else _M64
     results: list[tuple] = [(0, math.inf, None, -math.inf, None)] * len(checks)
     for first in range(start, stop, _BLOCK):
         lanes = _draw(seed, first, min(_BLOCK, stop - first))
-        kept = [lane for lane in lanes if lane <= lane_end]
+        kept = [lane for lane in lanes if lane <= _LANE_END]
         copies = len(lanes) - len(kept) - 1  # -1 when no sample has ended
         if copies >= 0:  # the first ended sample, evaluated for the others; every lane before it is kept
-            end = next(i for i, lane in enumerate(lanes) if lane > lane_end)
+            end = next(i for i, lane in enumerate(lanes) if lane > _LANE_END)
             kept.insert(end, lanes[end])
         xs = _sample_xs(kept)
         rs = [1.0 / x for x in xs]
@@ -472,9 +459,9 @@ def certify(
     below -tol: tol, in (0, 1e-9], is an absolute slack on the ratio for
     its rounding, which stays within 4e-16 at the sharp constants.
 
-    The probes at x = 1 + 1e-4 (ratio within 1e-6 of the sharp beta) and
-    x = 1e8 (within 1e-3 of the sharp alpha) count one violation each when
-    they fail; they stay because n_samples can be 1.
+    The probes at x = 1 + 1e-4 (ratio within 8.7e-10 of the sharp beta)
+    and x = 1e8 (within 3.2e-4 of the sharp alpha) count one violation each
+    when they fail; they stay because n_samples can be 1.
 
     The report is a value, never an exception, and is deterministic for a
     fixed seed.

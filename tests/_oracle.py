@@ -1,8 +1,8 @@
-"""High-precision references for the tests: the eight means, the ratio of
-an inequality and the four kernels, in mpmath.  Each value is computed at
-mpmath's working precision, which every caller states with mpmath.workdps;
-callers skip through pytest.importorskip("mpmath") before calling, since
-mpmath is a test dependency only."""
+"""High-precision references for the tests: the eight means and their
+excesses, the ratio of an inequality and the four kernels, in mpmath.  Each
+value is computed at mpmath's working precision, which every caller states
+with mpmath.workdps; callers skip through pytest.importorskip("mpmath")
+before calling, since mpmath is a test dependency only."""
 
 try:
     import mpmath
@@ -31,6 +31,14 @@ def mean(kind, a, b):
 def means(a, b):
     """M(a, b) for every kind."""
     return {kind: mean(kind, a, b) for kind in MeanKind}
+
+
+def excess(kind, r):
+    """e of one kind at r, from M(1, r) == A*(1 + t^2*e) with A = (1 + r)/2
+    and t = (1 - r)/(1 + r)."""
+    r = mpmath.mpf(r)
+    t = (1 - r) / (1 + r)
+    return (2 * mean(kind, 1, r) / (1 + r) - 1) / (t * t)
 
 
 def ratio(spec, a, b):

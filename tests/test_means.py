@@ -456,11 +456,9 @@ class TestExcesses:
         with mpmath.workdps(100):
             for d in ds:
                 r = 1.0 / (1.0 + d)
-                t, means = _mp_means(mpmath, r)
-                for kind, mean in means.items():
-                    excess = _EXCESSES[kind]
+                for kind, excess in _EXCESSES.items():
                     got = excess(r) if callable(excess) else excess
-                    want = float((2 * mean / (1 + mpmath.mpf(r)) - 1) / (t * t))
+                    want = float(oracle.excess(kind, r))
                     worst[kind] = max(worst.get(kind, 0.0), abs(got - want) / math.ulp(want))
         assert {kind for kind, e in _EXCESSES.items() if not callable(e)} == {
             MeanKind.CONTRA_HARMONIC, MeanKind.CENTROIDAL, MeanKind.ARITHMETIC, MeanKind.HARMONIC,
@@ -489,3 +487,41 @@ class TestEnds:
                 assert abs(excess - mpmath.mpf(e_0.numerator) / e_0.denominator) < 1e-45, kind
                 assert abs(far[kind] - mpmath.mpf(m_inf.numerator) / m_inf.denominator) < 1e-48, kind
 
+
+def _oracle_pairs():
+    """(1 + d, 1) for d log-uniform on [2^-52, 1e300], 1280 points, and on
+    [1e-15, 1e-3], 256 points, across the Seiffert means' series cutoff."""
+    pairs = []
+    for lo, hi, n in ((2.0**-52, 1e300, 1280), (1e-15, 1e-3, 256)):
+        ln_lo, ln_hi = math.log(lo), math.log(hi)
+        pairs += [PositivePair(1.0 + math.exp(ln_lo + (ln_hi - ln_lo) * i / (n - 1)), 1.0) for i in range(n)]
+    return pairs
+
+
+def _worst_ulp(mpmath, f, kind):
+    """The largest |f(pair) - M(pair)| over the oracle pairs, in ulp of M, with
+    M the 60-digit mean of that kind."""
+    worst = 0.0
+    with mpmath.workdps(60):
+        for pair in _oracle_pairs():
+            want = oracle.mean(kind, pair.a, pair.b)
+            worst = max(worst, float(abs(f(pair) - want) / math.ulp(float(want))))
+    return worst
+
+
+class TestMeanOracle:
+    # each bound is 2x, rounded down, the worst error measured on the pairs
+    # above: C 1.83, Cbar 1.43, A 1.0, G 1.75, H 2.14, S 1.22, P 1.62, T 1.64
+    @pytest.mark.parametrize("kind, bound", [
+        (MeanKind.CONTRA_HARMONIC, 3.6), (MeanKind.CENTROIDAL, 2.8), (MeanKind.ARITHMETIC, 2.0),
+        (MeanKind.GEOMETRIC, 3.5), (MeanKind.HARMONIC, 4.2), (MeanKind.ROOT_SQUARE, 2.4),
+        (MeanKind.SEIFFERT_P, 3.2), (MeanKind.SEIFFERT_T, 3.2),
+    ], ids=lambda v: v.value if isinstance(v, MeanKind) else None)
+    def test_eval_mean_against_mpmath(self, kind, bound):
+        mpmath = pytest.importorskip("mpmath")
+        assert _worst_ulp(mpmath, lambda pair: eval_mean(kind, pair), kind) <= bound
+
+    def test_seiffert_p_arctan_form_against_mpmath(self):
+        # measured worst 1.80 ulp
+        mpmath = pytest.importorskip("mpmath")
+        assert _worst_ulp(mpmath, seiffert_p_arctan_form, MeanKind.SEIFFERT_P) <= 3.6
