@@ -24,6 +24,7 @@ between), and certifies each inequality on deterministic samples.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Iterable
@@ -219,7 +220,8 @@ def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
     gives theta = atan2(1 - r, 2*sqrt(r)) or atan2(1 - r, 1 + r).  Unlike
     asin near 1, neither amplifies rounding as a/b grows, and r = 0 gives
     theta_right.  It evaluates the reduction as given, crooked or not;
-    sharp_bounds and equivalence_check check it against the means."""
+    sharp_bounds and equivalence_check check it against the means.  A p or q
+    so large that p*h + q is not finite raises DomainError."""
     try:
         theta_sub = spec.theta_sub
     except AttributeError:
@@ -228,7 +230,10 @@ def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
     if r == 1.0:  # exactly when a == b
         raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
     theta = math.atan2(1.0 - r, 2.0 * math.sqrt(r) if theta_sub == "sin" else 1.0 + r)
-    return spec.p * h_eval(spec.kernel, theta) + spec.q
+    value = spec.p * h_eval(spec.kernel, theta) + spec.q
+    if not math.isfinite(value):
+        raise DomainError(f"{spec.id}: p*h(theta) + q = {value!r} is not finite at theta={theta!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +256,18 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
     theta_right lies inside the kernel's domain, so the ratio is evaluated
     there directly.  One scan over those two probes and the grid
     theta_right*i/64, i = 1..64, checks the monotonicity.  Agrees with
-    sharp_bounds to 1.1e-16; raises ConvergenceError, a sign of a bug, when
-    the limit does not settle or the scan is not monotone (NaN fails both).
+    sharp_bounds to 1.1e-16; raises DomainError when p*h + q overflows at one
+    of those thetas, and ConvergenceError, a sign of a bug, when the limit
+    does not settle or the scan is not monotone (NaN fails both).
     It evaluates p*h + q as given, so it recovers a crooked reduction's
     extrema; sharp_bounds and equivalence_check check the reduction.
     """
     _check_spec(spec)
     thetas = [*_LIMIT_PROBES, *(spec.theta_right * i / _SCAN_STEPS for i in range(1, _SCAN_STEPS + 1))]
     values = [spec.p * h_eval(spec.kernel, theta) + spec.q for theta in thetas]
+    for theta, value in zip(thetas, values):
+        if math.isinf(value):
+            raise DomainError(f"{spec.id}: p*h(theta) + q overflows to {value!r} at theta={theta!r}")
     lim_left = values[0]
     gap = abs(values[1] - lim_left)
     if not gap <= _SETTLE_ULP * math.ulp(lim_left):
@@ -292,11 +301,67 @@ _SEED_MIX = 0xBF58476D1CE4E5B9
 _BLOCK = 2048
 
 
+# A lane L <= limit reaches another, L', g samples later only if g*_PHI mod 2^64,
+# which is L' - L mod 2^64, lies within limit of 0.  The first such g that lands
+# gives the next lane <= limit.  For _LANE_END the first three are 3, 5 and 8, and
+# they are the only ones taken: the return times of a rotation to an interval
+# take at most three values, the third the sum of the other two (N. B. Slater,
+# "Gaps and steps for the sequence n*theta mod 1", 1967).  So _walk builds at most
+# three candidate lanes per kept lane.
+@functools.cache
+def _steps(limit: int) -> list[tuple[int, int]]:
+    """(g, g*_PHI mod 2^64) for the g in [1, _BLOCK) that can carry a lane <= limit
+    to another, in increasing g.  Built on a walk's first use of limit."""
+    steps = []
+    offset = 0
+    for g in range(1, _BLOCK):
+        offset = (offset + _PHI) & _M64
+        if offset <= limit or offset > _M64 - limit:
+            steps.append((g, offset))
+    return steps
+
+
+def _walk(seed: int, first: int, size: int, limit: int) -> tuple[list[int], int, int]:
+    """(kept, copies, end) over the lanes of sample indices first, ..., first + size - 1,
+    for 1 <= size <= _BLOCK: kept holds, in order, the lanes <= limit and the first lane
+    past limit, at its place end; copies counts the other lanes past limit.  When no
+    lane is past limit, copies is -1 and end is size.  It steps one sample at a
+    time up to the first lane <= limit after end, then from one lane <= limit to
+    the next by _steps(limit), so it never builds the other lanes past limit."""
+    steps = _steps(limit)
+    lane = (seed * _SEED_MIX + (first + 1) * _PHI) & _M64
+    kept = []
+    while lane <= limit:  # the block's first lanes, up to the first past limit
+        kept.append(lane)
+        if len(kept) == size:
+            return kept, -1, size
+        lane = (lane + _PHI) & _M64
+    end = i = len(kept)
+    kept.append(lane)
+    while lane > limit:  # on to the next lane <= limit
+        i += 1
+        if i == size:
+            return kept, size - end - 1, end
+        lane = (lane + _PHI) & _M64
+    while True:
+        kept.append(lane)
+        for g, offset in steps:
+            landed = (lane + offset) & _M64
+            if landed <= limit:
+                break
+        else:  # none within _BLOCK samples
+            break
+        i += g
+        if i >= size:
+            break
+        lane = landed
+    return kept, size - len(kept), end
+
+
 def _draw(seed: int, first: int, size: int) -> list[int]:
-    """The lanes of sample indices first, ..., first + size - 1.  As 128-bit fields
-    of one int, a block would save ~9% of a certify call but need two 32 KB ints."""
-    base = seed * _SEED_MIX + (first + 1) * _PHI
-    return [(base + i * _PHI) & _M64 for i in range(size)]
+    """The lanes of sample indices first, ..., first + size - 1, for 1 <= size <= _BLOCK:
+    a walk that keeps them all."""
+    return _walk(seed, first, size, _M64)[0]
 
 
 # certify's samples: (x, 1), x = 1 + d, d log-uniform on [1e-15, 1e300]
@@ -369,8 +434,8 @@ def _certify_chunk(
     indices (each lane depends on (seed, index) alone).  A block's samples
     on lanes above _LANE_END (x > 2^120, about 84% of them) share every
     excess, their end values; these hold from r = 2^-110 on, a margin of
-    2^57 lanes.  One comparison per lane tells them apart before any float
-    is made: the first of them is evaluated, in its place among the kept
+    2^57 lanes.  _walk steps from one kept lane to the next and never builds
+    the others: the first of them is evaluated, in its place among the kept
     samples, and the rest count as copies of it.  Each check folds a block's
     ratios with min and max, looks up a sample's x only when an extreme
     improves, and counts its violations only when an extreme crosses
@@ -378,12 +443,7 @@ def _certify_chunk(
     kinds = {kind: _EXCESSES[kind] for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo)}
     results: list[tuple] = [(0, math.inf, None, -math.inf, None)] * len(checks)
     for first in range(start, stop, _BLOCK):
-        lanes = _draw(seed, first, min(_BLOCK, stop - first))
-        kept = [lane for lane in lanes if lane <= _LANE_END]
-        copies = len(lanes) - len(kept) - 1  # -1 when no sample has ended
-        if copies >= 0:  # the first ended sample, evaluated for the others; every lane before it is kept
-            end = next(i for i, lane in enumerate(lanes) if lane > _LANE_END)
-            kept.insert(end, lanes[end])
+        kept, copies, end = _walk(seed, first, min(_BLOCK, stop - first), _LANE_END)
         xs = _sample_xs(kept)
         rs = [1.0 / x for x in xs]
         excess = {kind: list(map(e, rs)) if callable(e) else [e] * len(rs) for kind, e in kinds.items()}
@@ -485,7 +545,7 @@ def certify_many(
     Returns one report per spec, in order, each equal to
     ``certify(spec, n_samples, seed, tol)``.  The excesses of G, S, P and T
     are evaluated once per sample with a/b - 1 <= 2^120; the other 84% of
-    samples, picked out on the stream's integers before any float is made,
+    samples, which the walk over the stream steps past without drawing,
     share their end values, which hold from a/b = 2^110 on, evaluated at one
     sample per block of 2048.  Each spec folds its own ratios.
     """

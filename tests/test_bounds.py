@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -27,7 +30,7 @@ from meanbound import (
 )
 from meanbound import bounds
 from meanbound.bounds import (
-    _BLOCK, _LANE_END, _LN_D_HI, _LN_D_LO, _M64, _certify_chunk, _draw,
+    _BLOCK, _LANE_END, _LN_D_HI, _LN_D_LO, _M64, _certify_chunk, _draw, _walk,
 )
 from meanbound.means import _ENDS, _EXCESSES
 
@@ -314,6 +317,12 @@ class TestRatio:
             for pair in (PositivePair(1e300, 1e-300), PositivePair(1e-300, 1e300)):
                 assert ratio_via_kernel(spec, pair) == approx(sharp_bounds(spec).alpha, rel=1e-14)
 
+    def test_a_kernel_ratio_that_overflows_is_refused(self):
+        # p and q are finite, but p*h + q is not: 1e308*(0.83 + 1) > 1.8e308
+        spec = SPECS["prop1.1"]._replace(p=1e308, q=1e308)
+        with pytest.raises(DomainError, match=r"prop1\.1: p\*h\(theta\) \+ q = inf is not finite at theta=0\.33983"):
+            ratio_via_kernel(spec, PositivePair(2.0, 1.0))
+
     def test_only_a_equal_b_is_refused_and_the_error_names_the_spec(self):
         # hi - lo used to round to 0 here, and thm5.2 refused; the excesses
         # cancel nothing, so only a == b is 0/0
@@ -459,6 +468,13 @@ class TestNumericExtrema:
     ], ids=["p", "q"])
     def test_a_large_coefficient_gives_finite_extrema(self, field, extrema):
         assert numeric_extrema(SPECS["prop1.1"]._replace(**{field: 1e308})) == extrema
+
+    def test_an_overflowing_ratio_is_a_domain_error(self):
+        # both at 1e308 the ratio overflows at the first probe, theta = 2^-27;
+        # the limit did settle, so this is not a ConvergenceError
+        spec = SPECS["prop1.1"]._replace(p=1e308, q=1e308)
+        with pytest.raises(DomainError, match=r"prop1\.1: p\*h\(theta\) \+ q overflows to inf at theta=7\.45058"):
+            numeric_extrema(spec)
 
 
 def _check_shards_merge(start, stop, shard_bounds):
@@ -643,6 +659,64 @@ class TestStream:
             assert widest(first[:n]) * n <= 2 * 2**64, (seed, n)
         for n in (2000, 100_000):
             assert widest(_stream_lanes(seed, 0, n)) * n <= 2 * 2**64, (seed, n)
+
+    @pytest.mark.parametrize("limit", [_LANE_END, _M64, 2**40, 0, 2**63, _M64 - 2**40],
+                             ids=["lane-end", "M64", "2^40", "0", "2^63", "M64-2^40"])
+    @pytest.mark.parametrize("first", [0, _BLOCK, 10**6])
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 2000, _BLOCK])
+    def test_walk_is_the_full_draw_and_split(self, limit, first, size):
+        # every lane, then one comparison per lane: the lanes <= limit, the
+        # first lane past it in its place, and the others past it as copies
+        for seed in [*range(12), 42, -7, 2**64 - 1, 2**70 + 3]:
+            lanes = [_weyl_lane(seed, first + i) for i in range(size)]
+            kept = [lane for lane in lanes if lane <= limit]
+            copies = size - len(kept) - 1
+            end = next((i for i, lane in enumerate(lanes) if lane > limit), size)
+            if copies >= 0:
+                kept.insert(end, lanes[end])
+            assert _walk(seed, first, size, limit) == (kept, copies, end), seed
+
+    def test_the_first_steps_that_can_land_are_3_5_8(self):
+        # the g whose g*_PHI mod 2^64 lies within the limit of 0 begin, for
+        # _LANE_END, with the Fibonacci numbers 3, 5 and 8, the return times
+        assert [g for g, _ in bounds._steps(_LANE_END)[:3]] == [3, 5, 8]
+        assert [g for g, _ in bounds._steps(_M64)[:3]] == [1, 2, 3]
+        assert bounds._steps(0) == []
+
+    def test_at_most_three_candidates_per_kept_lane(self, monkeypatch):
+        # over a 100 000-sample run, each kept lane past a block's first one
+        # tries steps 3, 5, 8 in turn and one of them lands
+        tried = []
+
+        class Counted(list):
+            def __iter__(self):
+                tried.append(0)
+                for step in super().__iter__():
+                    tried[-1] += 1
+                    yield step
+
+        n = 100_000
+        live = sum(_weyl_lane(42, i) <= _LANE_END for i in range(n))
+        table = Counted(bounds._steps(_LANE_END))
+        monkeypatch.setattr(bounds, "_steps", lambda limit: table)
+        kept = sum(len(_walk(42, first, min(_BLOCK, n - first), _LANE_END)[0]) - 1 for first in range(0, n, _BLOCK))
+        assert kept == live
+        # a block's first sample, when kept, needs no step; no two neighbouring
+        # samples are both kept
+        assert live - len(range(0, n, _BLOCK)) <= len(tried) <= live
+        assert sorted(Counter(tried)) == [1, 2, 3]
+
+    def test_import_builds_no_step_table(self):
+        # only a walk builds a table, so hfun, mean and series calls never pay for it
+        src = os.path.dirname(os.path.dirname(bounds.__file__))
+        code = ("import sys, meanbound.cli as cli, meanbound.bounds as b\n"
+                "for argv in ('hfun --id h1 --x 0.5', 'mean --kind P --a 2 --b 1', 'series --fn csc --order 3'):\n"
+                "    assert cli.main(argv.split()) == 0\n"
+                "print(b._steps.cache_info().currsize, file=sys.stderr)")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                              timeout=60)
+        assert done.stderr.strip() == "0"
 
     def test_lanes_past_lane_end_have_ended(self):
         # certify lets one sample past _LANE_END stand for the rest of its
