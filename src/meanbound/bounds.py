@@ -24,7 +24,6 @@ between), and certifies each inequality on deterministic samples.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections.abc import Iterable
@@ -301,67 +300,9 @@ _SEED_MIX = 0xBF58476D1CE4E5B9
 _BLOCK = 2048
 
 
-# A lane L <= limit reaches another, L', g samples later only if g*_PHI mod 2^64,
-# which is L' - L mod 2^64, lies within limit of 0.  The first such g that lands
-# gives the next lane <= limit.  For _LANE_END the first three are 3, 5 and 8, and
-# they are the only ones taken: the return times of a rotation to an interval
-# take at most three values, the third the sum of the other two (N. B. Slater,
-# "Gaps and steps for the sequence n*theta mod 1", 1967).  So _walk builds at most
-# three candidate lanes per kept lane.
-@functools.cache
-def _steps(limit: int) -> list[tuple[int, int]]:
-    """(g, g*_PHI mod 2^64) for the g in [1, _BLOCK) that can carry a lane <= limit
-    to another, in increasing g.  Built on a walk's first use of limit."""
-    steps = []
-    offset = 0
-    for g in range(1, _BLOCK):
-        offset = (offset + _PHI) & _M64
-        if offset <= limit or offset > _M64 - limit:
-            steps.append((g, offset))
-    return steps
-
-
-def _walk(seed: int, first: int, size: int, limit: int) -> tuple[list[int], int, int]:
-    """(kept, copies, end) over the lanes of sample indices first, ..., first + size - 1,
-    for 1 <= size <= _BLOCK: kept holds, in order, the lanes <= limit and the first lane
-    past limit, at its place end; copies counts the other lanes past limit.  When no
-    lane is past limit, copies is -1 and end is size.  It steps one sample at a
-    time up to the first lane <= limit after end, then from one lane <= limit to
-    the next by _steps(limit), so it never builds the other lanes past limit."""
-    steps = _steps(limit)
-    lane = (seed * _SEED_MIX + (first + 1) * _PHI) & _M64
-    kept = []
-    while lane <= limit:  # the block's first lanes, up to the first past limit
-        kept.append(lane)
-        if len(kept) == size:
-            return kept, -1, size
-        lane = (lane + _PHI) & _M64
-    end = i = len(kept)
-    kept.append(lane)
-    while lane > limit:  # on to the next lane <= limit
-        i += 1
-        if i == size:
-            return kept, size - end - 1, end
-        lane = (lane + _PHI) & _M64
-    while True:
-        kept.append(lane)
-        for g, offset in steps:
-            landed = (lane + offset) & _M64
-            if landed <= limit:
-                break
-        else:  # none within _BLOCK samples
-            break
-        i += g
-        if i >= size:
-            break
-        lane = landed
-    return kept, size - len(kept), end
-
-
-def _draw(seed: int, first: int, size: int) -> list[int]:
-    """The lanes of sample indices first, ..., first + size - 1, for 1 <= size <= _BLOCK:
-    a walk that keeps them all."""
-    return _walk(seed, first, size, _M64)[0]
+def _lane(seed: int, index: int) -> int:
+    """The lane of sample index of seed."""
+    return (seed * _SEED_MIX + (index + 1) * _PHI) & _M64
 
 
 # certify's samples: (x, 1), x = 1 + d, d log-uniform on [1e-15, 1e300]
@@ -384,6 +325,47 @@ def _sample_xs(lanes: list[int]) -> list[float]:
 # rounding moves it by ~256 lanes.  An excess in _EXCESSES that does not end
 # there needs _LANE_END set to _M64, which keeps every lane.
 _LANE_END = int((math.log(2.0**120) - _LN_D_LO) / _LN_D_SPAN * 2.0**64)
+
+# (g, g*_PHI mod 2^64), the hops from one lane <= _LANE_END to the next: the
+# return times of the golden rotation to [0, _LANE_END] take three values, the
+# third the sum of the other two (N. B. Slater, "Gaps and steps for the sequence
+# n*theta mod 1", 1967).  No other g below 8 lands, and from each lane one of the
+# three does, so the first that lands gives the next lane <= _LANE_END.
+_RETURNS = [(g, g * _PHI & _M64) for g in (3, 5, 8)]
+
+
+def _walk(seed: int, first: int, size: int) -> tuple[list[int], int]:
+    """(kept, end) over the lanes of sample indices first, ..., first + size - 1,
+    for 1 <= size <= _BLOCK: kept holds, in order, the lanes <= _LANE_END and the
+    first lane past _LANE_END, at its place end (size when there is none); the
+    size - len(kept) others past _LANE_END are never built.  It steps one sample
+    at a time up to the first lane <= _LANE_END after end, then from one lane
+    <= _LANE_END to the next by _RETURNS."""
+    lane = _lane(seed, first)
+    kept = []
+    while lane <= _LANE_END:  # the block's first lanes, up to the first past _LANE_END
+        kept.append(lane)
+        if len(kept) == size:
+            return kept, size
+        lane = (lane + _PHI) & _M64
+    end = i = len(kept)
+    kept.append(lane)
+    while lane > _LANE_END:  # on to the next lane <= _LANE_END
+        i += 1
+        if i == size:
+            return kept, end
+        lane = (lane + _PHI) & _M64
+    while True:
+        kept.append(lane)
+        for g, offset in _RETURNS:
+            landed = (lane + offset) & _M64
+            if landed <= _LANE_END:
+                break
+        i += g
+        if i >= size:
+            return kept, end
+        lane = landed
+
 
 # each probe's gate is 4x, rounded down, the worst gap over SPECS at its x:
 # 2.187e-10 (thm5.2) from beta and 8.104e-5 (prop1.1) from alpha
@@ -434,16 +416,19 @@ def _certify_chunk(
     indices (each lane depends on (seed, index) alone).  A block's samples
     on lanes above _LANE_END (x > 2^120, about 84% of them) share every
     excess, their end values; these hold from r = 2^-110 on, a margin of
-    2^57 lanes.  _walk steps from one kept lane to the next and never builds
-    the others: the first of them is evaluated, in its place among the kept
-    samples, and the rest count as copies of it.  Each check folds a block's
-    ratios with min and max, looks up a sample's x only when an extreme
-    improves, and counts its violations only when an extreme crosses
-    alpha - tol or beta + tol."""
+    2^57 lanes.  _walk hops from one kept lane to the next by _RETURNS and
+    never builds the others: the first of them is evaluated, in its place
+    end among the kept samples, and the other size - len(kept) count as
+    copies of it (none when no lane is past _LANE_END).  Each check folds a
+    block's ratios with min and max, looks up a sample's x only when an
+    extreme improves, and counts its violations only when an extreme
+    crosses alpha - tol or beta + tol."""
     kinds = {kind: _EXCESSES[kind] for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo)}
     results: list[tuple] = [(0, math.inf, None, -math.inf, None)] * len(checks)
     for first in range(start, stop, _BLOCK):
-        kept, copies, end = _walk(seed, first, min(_BLOCK, stop - first), _LANE_END)
+        size = min(_BLOCK, stop - first)
+        kept, end = _walk(seed, first, size)
+        copies = size - len(kept)
         xs = _sample_xs(kept)
         rs = [1.0 / x for x in xs]
         excess = {kind: list(map(e, rs)) if callable(e) else [e] * len(rs) for kind, e in kinds.items()}
@@ -458,7 +443,7 @@ def _certify_chunk(
                 hi_0, hi_x = hi, xs[rhos.index(hi)]
             if lo - alpha < -tol or beta - hi < -tol:
                 crossed = [rho - alpha < -tol or beta - rho < -tol for rho in rhos]
-                violations += sum(crossed) + (crossed[end] * copies if copies > 0 else 0)
+                violations += sum(crossed) + (crossed[end] * copies if copies else 0)
             results[n] = violations, lo_0, lo_x, hi_0, hi_x
     return results
 
@@ -545,9 +530,10 @@ def certify_many(
     Returns one report per spec, in order, each equal to
     ``certify(spec, n_samples, seed, tol)``.  The excesses of G, S, P and T
     are evaluated once per sample with a/b - 1 <= 2^120; the other 84% of
-    samples, which the walk over the stream steps past without drawing,
-    share their end values, which hold from a/b = 2^110 on, evaluated at one
-    sample per block of 2048.  Each spec folds its own ratios.
+    samples, which the walk hops past by the stream's three return times
+    without drawing them, share their end values, which hold from
+    a/b = 2^110 on, evaluated at one sample per block of 2048.  Each spec
+    folds its own ratios.
     """
     try:
         specs = list(specs)
@@ -579,7 +565,7 @@ def equivalence_check() -> bool:
     p off by 1e-13 relative.  This implies the h1 proportions
     ratio(prop1.2) = ratio(prop1.1)/2 and ratio(prop1.4) = 3 ratio(prop1.1)/4.
     """
-    for x in _sample_xs(_draw(_EQ_SEED, 0, _EQ_SAMPLES)):
+    for x in _sample_xs([_lane(_EQ_SEED, i) for i in range(_EQ_SAMPLES)]):
         pair = PositivePair(x, 1.0)
         for spec in SPECS.values():
             expected = ratio_via_kernel(spec, pair)

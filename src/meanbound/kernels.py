@@ -332,8 +332,17 @@ def _unknown_id(fn_id: object) -> DomainError:
 def h_eval(fn_id: HFunctionId, x: float) -> float:
     """Evaluate a kernel function strictly inside its domain.
 
-    Direct trigonometric formulas for x >= 1/2, series forms below; the
-    two branches agree to better than 1e-10 relative on [0.05, 0.5].
+    Direct trigonometric formulas for x >= 1/2, series forms below.  Against
+    a 50-digit reference the error is at most, in ulp of h (of max(1, |h|)
+    within 1/4 of a root of h, h1's at 2.2154 and h2's at 4.4934):
+
+              series (0, 1/2)   direct [1/2, 1)   rest of the domain
+        h1    5                 12                7
+        h2    3                 16                8
+        h3    5                 12                6
+        h4    4                 32                5
+
+    each about twice the worst measured on a grid of the region.
     """
     try:
         info = H_INFO[fn_id]

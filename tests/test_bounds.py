@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -30,7 +27,7 @@ from meanbound import (
 )
 from meanbound import bounds
 from meanbound.bounds import (
-    _BLOCK, _LANE_END, _LN_D_HI, _LN_D_LO, _M64, _certify_chunk, _draw, _walk,
+    _BLOCK, _LANE_END, _LN_D_HI, _LN_D_LO, _M64, _PHI, _RETURNS, _SEED_MIX, _certify_chunk, _lane, _walk,
 )
 from meanbound.means import _ENDS, _EXCESSES
 
@@ -610,9 +607,8 @@ def _weyl_lane(seed, index):
 
 
 def _stream_lanes(seed, start, stop):
-    """The library's 64-bit values for sample indices [start, stop), drawn
-    with _draw a block of at most _BLOCK indices at a time."""
-    return [lane for first in range(start, stop, _BLOCK) for lane in _draw(seed, first, min(_BLOCK, stop - first))]
+    """The library's 64-bit values for sample indices [start, stop), from _lane."""
+    return [_lane(seed, i) for i in range(start, stop)]
 
 
 def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
@@ -634,9 +630,8 @@ def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
 
 
 class TestStream:
-    # lengths around and past one block, indices past 2^64 and seeds at
-    # the edges of 64 bits check that value i of a block is index first + i
-    # and that every value is reduced mod 2^64.
+    # indices past 2^64 and seeds at the edges of 64 bits check that every
+    # value is reduced mod 2^64.
     @pytest.mark.parametrize("seed", [0, 1, 42, -7, 2**70, 2**64 - 1, -(2**64)])
     @pytest.mark.parametrize("start, stop", [
         (7, 7), (0, 1), (0, 300), (_BLOCK - 1, 2 * _BLOCK + 1), (10**12, 10**12 + 40),
@@ -660,28 +655,47 @@ class TestStream:
         for n in (2000, 100_000):
             assert widest(_stream_lanes(seed, 0, n)) * n <= 2 * 2**64, (seed, n)
 
-    @pytest.mark.parametrize("limit", [_LANE_END, _M64, 2**40, 0, 2**63, _M64 - 2**40],
+    @pytest.mark.parametrize("start", [_LANE_END, _M64, 2**40, 0, 2**63, _M64 - 2**40],
                              ids=["lane-end", "M64", "2^40", "0", "2^63", "M64-2^40"])
     @pytest.mark.parametrize("first", [0, _BLOCK, 10**6])
     @pytest.mark.parametrize("size", [1, 2, 3, 8, 2000, _BLOCK])
-    def test_walk_is_the_full_draw_and_split(self, limit, first, size):
-        # every lane, then one comparison per lane: the lanes <= limit, the
-        # first lane past it in its place, and the others past it as copies
-        for seed in [*range(12), 42, -7, 2**64 - 1, 2**70 + 3]:
-            lanes = [_weyl_lane(seed, first + i) for i in range(size)]
-            kept = [lane for lane in lanes if lane <= limit]
-            copies = size - len(kept) - 1
-            end = next((i for i, lane in enumerate(lanes) if lane > limit), size)
-            if copies >= 0:
-                kept.insert(end, lanes[end])
-            assert _walk(seed, first, size, limit) == (kept, copies, end), seed
+    def test_walk_is_the_full_draw_and_split(self, monkeypatch, start, first, size):
+        # every lane, then one comparison per lane: the lanes <= _LANE_END and
+        # the first lane past it in its place; the others past it are left out.
+        # The block begins on the lane start (edges of both sides of _LANE_END)
+        # for one seed, and anywhere for the others; at _LANE_END and, as
+        # _ratio_is raises it, at _M64
+        on_start = (start - (first + 1) * _PHI) * pow(_SEED_MIX, -1, 2**64) % 2**64
+        assert _lane(on_start, first) == start
+        for lane_end in (_LANE_END, _M64):
+            monkeypatch.setattr(bounds, "_LANE_END", lane_end)
+            for seed in [on_start, *range(12), 42, -7, 2**64 - 1, 2**70 + 3]:
+                lanes = [_weyl_lane(seed, first + i) for i in range(size)]
+                kept = [lane for lane in lanes if lane <= lane_end]
+                end = next((i for i, lane in enumerate(lanes) if lane > lane_end), size)
+                if end < size:
+                    kept.insert(end, lanes[end])
+                assert _walk(seed, first, size) == (kept, end), (lane_end, seed)
 
     def test_the_first_steps_that_can_land_are_3_5_8(self):
-        # the g whose g*_PHI mod 2^64 lies within the limit of 0 begin, for
-        # _LANE_END, with the Fibonacci numbers 3, 5 and 8, the return times
-        assert [g for g, _ in bounds._steps(_LANE_END)[:3]] == [3, 5, 8]
-        assert [g for g, _ in bounds._steps(_M64)[:3]] == [1, 2, 3]
-        assert bounds._steps(0) == []
+        # exactly, on integer intervals: with d the hop g*_PHI mod 2^64 as a
+        # signed integer, a lane L <= _LANE_END lands on another g samples
+        # later when 0 <= L + d <= _LANE_END.  No g up to the last of
+        # _RETURNS lands but theirs, listed in increasing g, and their landing
+        # intervals cover [0, _LANE_END], so the first of them that lands
+        # gives the next lane <= _LANE_END
+        def hop(g):
+            d = g * _PHI & _M64
+            return d - 2**64 if d >= 2**63 else d
+
+        steps = [g for g, _ in _RETURNS]
+        assert _RETURNS == [(g, g * _PHI & _M64) for g in steps]
+        assert [g for g in range(1, steps[-1] + 1) if abs(hop(g)) <= _LANE_END] == steps
+        covered = 0  # [0, covered) lands
+        for lo, hi in sorted((max(0, -hop(g)), min(_LANE_END, _LANE_END - hop(g))) for g in steps):
+            assert lo <= covered, (lo, covered)
+            covered = max(covered, hi + 1)
+        assert covered == _LANE_END + 1
 
     def test_at_most_three_candidates_per_kept_lane(self, monkeypatch):
         # over a 100 000-sample run, each kept lane past a block's first one
@@ -697,26 +711,13 @@ class TestStream:
 
         n = 100_000
         live = sum(_weyl_lane(42, i) <= _LANE_END for i in range(n))
-        table = Counted(bounds._steps(_LANE_END))
-        monkeypatch.setattr(bounds, "_steps", lambda limit: table)
-        kept = sum(len(_walk(42, first, min(_BLOCK, n - first), _LANE_END)[0]) - 1 for first in range(0, n, _BLOCK))
+        monkeypatch.setattr(bounds, "_RETURNS", Counted(_RETURNS))
+        kept = sum(len(_walk(42, first, min(_BLOCK, n - first))[0]) - 1 for first in range(0, n, _BLOCK))
         assert kept == live
         # a block's first sample, when kept, needs no step; no two neighbouring
         # samples are both kept
         assert live - len(range(0, n, _BLOCK)) <= len(tried) <= live
         assert sorted(Counter(tried)) == [1, 2, 3]
-
-    def test_import_builds_no_step_table(self):
-        # only a walk builds a table, so hfun, mean and series calls never pay for it
-        src = os.path.dirname(os.path.dirname(bounds.__file__))
-        code = ("import sys, meanbound.cli as cli, meanbound.bounds as b\n"
-                "for argv in ('hfun --id h1 --x 0.5', 'mean --kind P --a 2 --b 1', 'series --fn csc --order 3'):\n"
-                "    assert cli.main(argv.split()) == 0\n"
-                "print(b._steps.cache_info().currsize, file=sys.stderr)")
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
-                              timeout=60)
-        assert done.stderr.strip() == "0"
 
     def test_lanes_past_lane_end_have_ended(self):
         # certify lets one sample past _LANE_END stand for the rest of its
