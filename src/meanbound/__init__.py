@@ -6,18 +6,39 @@ on (with cancellation-safe series branches near 0), and the seven named
 double inequalities with their best-possible convex-combination
 constants, taken exactly from the means' end values, re-derived
 numerically, and certified on large deterministic samples.
+
+Each public name lives in one module's ``__all__`` and is imported on
+first access (PEP 562), so a CLI call that never touches ``bounds``
+does not load it.
 """
 
-from . import bernoulli, bounds, errors, kernels, means
-from .bernoulli import *  # noqa: F403
-from .bounds import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .kernels import *  # noqa: F403
-from .means import *  # noqa: F403
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    *bernoulli.__all__, *bounds.__all__, *errors.__all__, *kernels.__all__, *means.__all__,
-    "__version__",
-]
+# lowest layer first: a name is looked up in this order
+_MODULES = ("errors", "bernoulli", "kernels", "means", "bounds")
+
+
+def __getattr__(name: str):
+    # `from meanbound import cli` asks for the attribute before it imports
+    # the submodule; a search of the modules would load bounds
+    if name in _MODULES or name == "cli":
+        return importlib.import_module(f".{name}", __name__)
+    if name == "__all__":
+        value = [public for module in _MODULES for public in __getattr__(module).__all__]
+        value.append("__version__")
+    else:
+        for module_name in _MODULES:
+            module = __getattr__(module_name)
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})

@@ -5,8 +5,10 @@ seven inequalities with their sharp constants), ``certify`` (sample-based
 certification), ``series`` (exact series coefficients), and ``hfun``
 (kernel evaluation).  Exit codes: 0 success, 1 certification violations,
 2 usage or domain errors.  Output is deterministic: rerunning a command
-with the same arguments is byte-identical.  ``main`` builds its parser on
-the first call and reuses it for every later call in the process.
+with the same arguments is byte-identical.  Only ``bounds-table`` and
+``certify`` import ``bounds``.  ``main`` builds one parser per subcommand,
+on that subcommand's first call, and reuses it for every later call in the
+process.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ import os
 import sys
 from typing import Any
 
-from .bounds import SPECS, certify_many, sharp_bounds
-# Unused here, but perfbench/tracing.py wraps cli.certify by name.
-from .bounds import certify  # noqa: F401
 from .errors import DomainError, MeanBoundError
 from .kernels import _SERIES_COEFFICIENTS, HFunctionId, default_table, h_eval
 from .means import MeanKind, PositivePair, eval_mean
@@ -59,6 +58,8 @@ def _cmd_hfun(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_bounds_table(args: argparse.Namespace) -> _Result:
+    from .bounds import SPECS, sharp_bounds
+
     rows = []
     lines = [f"{'id':<9}{'target':<8}{'hi':<6}{'lo':<6}{'alpha':<54}{'beta':<28}{'kernel'}"]
     for spec in SPECS.values():
@@ -86,6 +87,8 @@ def _cmd_bounds_table(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_certify(args: argparse.Namespace) -> _Result:
+    from .bounds import SPECS, certify_many
+
     ids = list(SPECS) if args.id == "all" else [args.id]
     reports = certify_many([SPECS[spec_id] for spec_id in ids], args.samples, args.seed, args.tol)
     rows = [{column: getattr(report, column) for column in _CERTIFY_COLUMNS} for report in reports]
@@ -114,59 +117,72 @@ def _cmd_series(args: argparse.Namespace) -> _Result:
 # parser
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "csv", "json"), default="text",
-                        help="output format")
+def _mean_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--kind", required=True, choices=sorted(kind.value for kind in MeanKind),
+                        help="mean to evaluate")
+    parser.add_argument("--a", required=True, type=float)
+    parser.add_argument("--b", required=True, type=float)
+
+
+def _certify_arguments(parser: argparse.ArgumentParser) -> None:
+    from .bounds import SPECS
+
+    parser.add_argument("--id", required=True, choices=["all", *SPECS],
+                        help="inequality to certify, or 'all'")
+    parser.add_argument("--samples", type=int, default=100_000)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--tol", type=float, default=1e-12,
+                        help="absolute slack on the ratio per sample, in (0, 1e-9]")
+
+
+def _series_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--fn", required=True, choices=sorted(_SERIES_COEFFICIENTS))
+    parser.add_argument("--order", required=True, type=int,
+                        help=f"number of coefficients, 1..{_SERIES_MAX_ORDER}")
+
+
+def _hfun_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--id", required=True, choices=[f.value for f in HFunctionId])
+    parser.add_argument("--x", required=True, type=float)
+
+
+# name -> (help, handler, the function adding its arguments before --format),
+# in the order the top-level help lists them
+_COMMANDS = {
+    "mean": ("evaluate one mean of a positive pair", _cmd_mean, _mean_arguments),
+    "bounds-table": ("the seven inequalities and their sharp constants", _cmd_bounds_table,
+                     lambda parser: None),
+    "certify": ("sample-based certification of the inequalities", _cmd_certify, _certify_arguments),
+    "series": ("exact series coefficients", _cmd_series, _series_arguments),
+    "hfun": ("evaluate one kernel function", _cmd_hfun, _hfun_arguments),
+}
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand with its help, and the arguments of ``command``
+    alone: building certify's needs ``bounds``."""
     parser = argparse.ArgumentParser(
         prog="meanbound",
         description="Bivariate means, trigonometric kernels, and certified sharp bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mean = sub.add_parser("mean", help="evaluate one mean of a positive pair")
-    p_mean.add_argument("--kind", required=True, choices=sorted(kind.value for kind in MeanKind),
-                        help="mean to evaluate")
-    p_mean.add_argument("--a", required=True, type=float)
-    p_mean.add_argument("--b", required=True, type=float)
-    _add_format(p_mean)
-    p_mean.set_defaults(handler=_cmd_mean)
-
-    p_table = sub.add_parser("bounds-table", help="the seven inequalities and their sharp constants")
-    _add_format(p_table)
-    p_table.set_defaults(handler=_cmd_bounds_table)
-
-    p_certify = sub.add_parser("certify", help="sample-based certification of the inequalities")
-    p_certify.add_argument("--id", required=True, choices=["all", *SPECS],
-                           help="inequality to certify, or 'all'")
-    p_certify.add_argument("--samples", type=int, default=100_000)
-    p_certify.add_argument("--seed", type=int, default=42)
-    p_certify.add_argument("--tol", type=float, default=1e-12,
-                           help="absolute slack on the ratio per sample, in (0, 1e-9]")
-    _add_format(p_certify)
-    p_certify.set_defaults(handler=_cmd_certify)
-
-    p_series = sub.add_parser("series", help="exact series coefficients")
-    p_series.add_argument("--fn", required=True, choices=sorted(_SERIES_COEFFICIENTS))
-    p_series.add_argument("--order", required=True, type=int,
-                          help=f"number of coefficients, 1..{_SERIES_MAX_ORDER}")
-    _add_format(p_series)
-    p_series.set_defaults(handler=_cmd_series)
-
-    p_hfun = sub.add_parser("hfun", help="evaluate one kernel function")
-    p_hfun.add_argument("--id", required=True, choices=[f.value for f in HFunctionId])
-    p_hfun.add_argument("--x", required=True, type=float)
-    _add_format(p_hfun)
-    p_hfun.set_defaults(handler=_cmd_hfun)
-
+    for name, (help_text, handler, add_arguments) in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_arguments(p_command)
+            p_command.add_argument("--format", choices=("text", "csv", "json"), default="text",
+                                   help="output format")
+            p_command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse runs the first argument that names a subcommand: no top-level
+    # option takes a value
+    args = _build_parser(next((arg for arg in argv if arg in _COMMANDS), None)).parse_args(argv)
     try:
         inputs, rows, lines, exit_code = args.handler(args)
     except MeanBoundError as exc:
@@ -198,3 +214,13 @@ def main(argv: list[str] | None = None) -> int:
         # signal docs), and keep the command's own exit code
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return exit_code
+
+
+def __getattr__(name: str):
+    # perfbench/tracing.py wraps cli.certify by name, though no command calls
+    # it; this goes with ROADMAP item 7 once item 1b retargets the tracer
+    if name == "certify":
+        from .bounds import certify
+
+        return certify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -63,17 +63,18 @@ __all__ = [
 X_SWITCH = 0.5
 
 # Adaptive truncation: stop once the next term drops below _REL_STOP of the
-# partial sum, never using more than the table's 32 coefficients.  All
-# tails here are single-signed on the evaluation window, so the first
-# omitted term bounds the truncation error.
+# partial sum, never using more than the table's 32 coefficients.  The
+# omitted tail is single-signed, so it exceeds its first term; how far is
+# bounded in _tail_bound.
 _REL_STOP = 1e-18
+_PI_LOW = 1.2246467991473532e-16  # pi - math.pi
 
 
 class SeriesEvaluation(NamedTuple):
     """A truncated series value plus truncation diagnostics.
 
-    ``truncation_bound`` is the magnitude of the first term not added (or
-    of the last term, if the hard cap was reached).
+    ``truncation_bound`` bounds the sum of the terms not added, to within
+    the rounding of its own few float operations.
     """
 
     value: float
@@ -178,6 +179,37 @@ def _series_sum(lead: float, coeffs: tuple[float, ...], x_first: float, x_step: 
     return SeriesEvaluation(acc, used, bound)
 
 
+def _tail_bound(name: str, x: float, out: SeriesEvaluation, n_coeffs: int) -> float:
+    """A bound on the sum of the terms of series ``name`` after the first
+    ``out.terms_used``, from the magnitude ``out.truncation_bound`` of the
+    first term not added or, at the cap, of the last term added.
+
+    With |B_2n|/(2n)! = 2*zeta(2n)/(2*pi)^(2n) and y = (x/pi)^2, term n has
+    magnitude 2*eta(2n)*y^n/|x| for csc, 2*zeta(2n)*y^n/|x| for cot and
+    2*(2n - 1)*zeta(2n)*y^n/x^2 for cscsq, eta(s) = (1 - 2^(1-s))*zeta(s).
+    eta rises and zeta falls towards 1, and eta(2n) > 1 - 4^-n, so from
+    term i on, term i + k over term i is at most y^k/(1 - 4^-i) for csc and
+    cot, and y^k*(2i + 2k - 1)/(2i - 1) for cscsq.  Summed over k >= 0, the
+    tail from term i is at most |term i| times 1/((1 - 4^-i)*(1 - y)), or
+    times 1/(1 - y) + 2*y/((2i - 1)*(1 - y)^2) for cscsq.  At the cap, term
+    i = n_coeffs + 1 is bounded by the same ratio from term i - 1.
+    """
+    ax = abs(x)
+    y = (ax / math.pi) ** 2
+    # 1 - y as (pi - |x|)(pi + |x|)/pi^2, which does not cancel as |x| -> pi:
+    # math.pi - |x| is exact there
+    gap = (math.pi - ax + _PI_LOW) * (math.pi + ax) / (math.pi * math.pi)
+    i = out.terms_used + 1
+    term = out.truncation_bound
+    if name == "cscsq":
+        if i > n_coeffs:
+            term *= y * (2 * i - 1) / (2 * i - 3)
+        return term * (1.0 + 2.0 * y / ((2 * i - 1) * gap)) / gap
+    if i > n_coeffs:
+        term *= y / (1.0 - 0.25 ** (i - 1))
+    return term / ((1.0 - 0.25**i) * gap)
+
+
 def _reciprocal_sine_series(name: str, x: float, power: int) -> SeriesEvaluation:
     """Leading term 1/x**power plus the adaptive tail of series ``name``, for
     a real x with 0 < |x| < pi whose leading term is finite."""
@@ -191,7 +223,9 @@ def _reciprocal_sine_series(name: str, x: float, power: int) -> SeriesEvaluation
         raise DomainError(
             f"series argument must be a real x, 0 < |x| < pi, with 1/x^{power} finite, got {x!r}"
         )
-    return _series_sum(lead, _float_coefficients(default_table())[name], x if power == 1 else 1.0, x * x)
+    coeffs = _float_coefficients(default_table())[name]
+    out = _series_sum(lead, coeffs, x if power == 1 else 1.0, x * x)
+    return out._replace(truncation_bound=_tail_bound(name, x, out, len(coeffs)))
 
 
 def csc_series(x: float) -> SeriesEvaluation:

@@ -215,6 +215,17 @@ def _reduce(pair: PositivePair) -> tuple[float, float]:
     return b, a / b
 
 
+# Below the normal range r = min/max keeps fewer than 53 bits.  G(1, r) and
+# H(1, r) carry r's relative error whole, so there they are taken from
+# min itself (1 + r == 1 exactly); the other six means are M(1, 0) to
+# within r and do not notice.
+_SUBNORMAL_R = 2.0**-1022
+_FROM_MIN = {
+    MeanKind.GEOMETRIC: lambda m, low: math.sqrt(m) * math.sqrt(low),
+    MeanKind.HARMONIC: lambda m, low: 2.0 * low,
+}
+
+
 def eval_mean(kind: MeanKind, pair: PositivePair) -> float:
     """Evaluate one mean of the pair as m*M(1, r).
 
@@ -223,9 +234,10 @@ def eval_mean(kind: MeanKind, pair: PositivePair) -> float:
     magnitudes cannot overflow.  The result lies between min(a, b) and
     max(a, b), with equality exactly when a == b; the Seiffert means take
     their continuous-extension value a at a == b.  Against a 60-digit
-    reference, for a/b - 1 from 2^-52 to 1e300, the error is at most 3.6 ulp
-    for C, 2.8 for Cbar, 2.0 for A, 3.5 for G, 4.2 for H, 2.4 for S and 3.2
-    for P and T, twice the worst measured, rounded down.
+    reference, for r = min(a, b)/max(a, b) from 1 - 2^-52 down to 2^-1073,
+    subnormal r included, the error is at most 3.6 ulp for C, 2.8 for Cbar, 2.0 for A, 3.5 for G, 4.2
+    for H, 2.4 for S and 3.2 for P and T, twice the worst measured, rounded
+    down.  A ratio r that underflows to 0 is refused.
     """
     m, r = _reduce(pair)
     if r == 0.0:
@@ -235,6 +247,8 @@ def eval_mean(kind: MeanKind, pair: PositivePair) -> float:
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         kinds = ", ".join(str(k) for k in MeanKind)
         raise DomainError(f"kind must be one of {kinds}, got {kind!r}") from None
+    if r < _SUBNORMAL_R and kind in _FROM_MIN:
+        return _FROM_MIN[kind](m, min(pair.a, pair.b))
     return m * f(r)
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from meanbound import cli
+from meanbound import bounds, cli
 from meanbound.bounds import certify, sharp_bounds
 from meanbound.cli import main
 
@@ -220,6 +220,32 @@ class TestPinnedTranscripts:
     def test_pinned_bytes(self, capsys, command, digest):
         assert _transcript_digest(capsys, _TRANSCRIPT_ARGVS[command]) == digest
 
+    # argparse alone writes these: --help (exit 0) at the top level and for
+    # each subcommand, and one usage error (exit 2) per subcommand and at the
+    # top level.  Help text wraps at the terminal width, read from COLUMNS;
+    # its layout is one for Python 3.10-3.12 and another for 3.13.
+    @pytest.mark.parametrize("argvs, digests", [
+        ([("--help",), *((command, "--help") for command in _TRANSCRIPT_ARGVS)],
+         ("1f61e7aa971b38130e1f7be749e783e5f6f604dc15430888fbb0e865d6272d3c",
+          "acb5be90083affe5de99b4f2bbb4c8587e18ee7cd2952d345f056b62710eb512")),
+        ([(), ("nosuch",), ("mean", "--kind", "X", "--a", "1", "--b", "2"),
+          ("bounds-table", "--format", "xml"), ("certify", "--id", "nosuch"),
+          ("series", "--fn", "h1"), ("hfun", "--x", "1.0")],
+         ("380339977a68023296eef80a7d8f2b0cddcaa3e0ed4d3fd3c1329fc446dd406c",
+          "8a66d4ba2dd5e74345bb977c10f1af41e71f549ed0703c73778092d70435ca5c")),
+    ], ids=["help", "usage"])
+    def test_pinned_parser_bytes(self, capsys, monkeypatch, argvs, digests):
+        if sys.version_info >= (3, 14):
+            pytest.skip("no digest pinned for this Python's argparse layout")
+        monkeypatch.setenv("COLUMNS", "80")
+        transcript = hashlib.sha256()
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            captured = capsys.readouterr()
+            transcript.update(json.dumps([argv, exc.value.code, captured.out, captured.err]).encode())
+        assert transcript.hexdigest() == digests[sys.version_info >= (3, 13)]
+
     def test_pinned_violation_bytes(self, capsys, monkeypatch):
         # Sharp constants pass on every sample, so a violation needs a
         # raised alpha, which certify reports on every spec.
@@ -227,7 +253,7 @@ class TestPinnedTranscripts:
             return [certify(spec, n_samples, seed, tol, alpha=sharp_bounds(spec).alpha + 1e-3)
                     for spec in specs]
 
-        monkeypatch.setattr(cli, "certify_many", raised_alpha)
+        monkeypatch.setattr(bounds, "certify_many", raised_alpha)
         argv = ("certify", "--id", "all", "--samples", "300", "--seed", "9")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 1
@@ -323,14 +349,22 @@ class TestParserReuse:
         assert after == before
 
 
+def _fresh_interpreter(code):
+    """stdout lines of ``code`` run in a fresh interpreter that sees this
+    checkout's src first: -I -S keeps the environment and site .pth files
+    from importing anything first, and -B writes no bytecode into src."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r})\n{code}"
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout.strip().split("\n")
+
+
 class TestImportFootprint:
     # Every CLI call is a fresh interpreter, so each of these stdlib modules
-    # would cost every call its import time.  -I -S keeps the environment
-    # and site .pth files from importing any of them first.
+    # would cost every call its import time.
     HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
     PROBE = """
-import sys
-sys.path.insert(0, {src!r})
 from meanbound import cli
 cli.main(["mean", "--kind", "P", "--a", "2", "--b", "1"])
 cli.main(["hfun", "--id", "h3", "--x", "0.7"])
@@ -340,13 +374,28 @@ print("json" in sys.modules)
 """
 
     def test_text_calls_leave_heavy_modules_unloaded(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        code = self.PROBE.format(src=src, heavy=self.HEAVY)
-        done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                              capture_output=True, text=True, check=True, timeout=60)
-        lines = done.stdout.strip().split("\n")
+        lines = _fresh_interpreter(self.PROBE.format(heavy=self.HEAVY))
         assert lines[:3] == [P_2_1_REPR, "0.7134834077705436", "[]"]
         assert lines[-1] == "True"
+
+    # bounds is the largest module; only the two commands that state or
+    # check the inequalities import it
+    @pytest.mark.parametrize("argv, loads_bounds", [
+        (["series", "--fn", "h1", "--order", "3"], False),
+        (["hfun", "--id", "h3", "--x", "0.7"], False),
+        (["mean", "--kind", "P", "--a", "2", "--b", "1"], False),
+        (["bounds-table", "--format", "csv"], True),
+        (["certify", "--id", "prop1.1", "--samples", "10"], True),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_only_bounds_commands_load_bounds(self, argv, loads_bounds):
+        lines = _fresh_interpreter(f"from meanbound import cli\ncli.main({argv!r})\n"
+                                   f"print('meanbound.bounds' in sys.modules)")
+        assert lines[-1] == str(loads_bounds)
+
+    def test_dir_lists_every_public_name(self):
+        lines = _fresh_interpreter("import meanbound\nlisted = set(dir(meanbound))\n"
+                                   "print(set(meanbound.__all__) <= listed)")
+        assert lines == ["True"]
 
 
 class TestModuleEntryPoint:

@@ -122,6 +122,31 @@ class TestReciprocalSineSeries:
         assert near_pi.terms_used <= 32
         assert near_pi.truncation_bound >= 0.0
 
+    # From x ~ 1.6 on, all 32 coefficients are used and the omitted tail
+    # outgrows the last term: 10x it for csc and cot at x = 3.0, 82x for
+    # cscsq at 3.1.  The tail is the exact function less the exact sum of
+    # the terms used, so the float rounding of the value, which dominates
+    # below x ~ 2, does not enter.
+    @pytest.mark.parametrize("name, series, coefficients, exact, power", [
+        ("csc", csc_series, csc_coefficients, lambda x: 1 / oracle.mpmath.sin(x), 1),
+        ("cot", cot_series, cot_coefficients, lambda x: oracle.mpmath.cot(x), 1),
+        ("cscsq", csc_sq_series, csc_sq_coefficients, lambda x: 1 / oracle.mpmath.sin(x) ** 2, 2),
+    ], ids=["csc", "cot", "cscsq"])
+    def test_truncation_bound_covers_the_exact_tail(self, name, series, coefficients, exact, power):
+        mpmath = pytest.importorskip("mpmath")
+        xs = [1e-9, *(0.05 * i for i in range(1, 63)), -2.9, math.nextafter(math.pi, 0.0),
+              *(math.pi * (1.0 - 2.0**-k) for k in range(1, 50, 4))]
+        with mpmath.workdps(60):
+            terms = [(p, mpmath.mpf(c.numerator) / c.denominator)
+                     for p, c in coefficients(32, default_table())]
+            for x in xs:
+                out = series(x)
+                mx = mpmath.mpf(x)
+                tail = abs(exact(mx) - 1 / mx**power - sum(c * mx**p for p, c in terms[:out.terms_used]))
+                # tight to the rounding of the bound's own arithmetic
+                assert tail <= out.truncation_bound * (1 + 1e-13), (x, out)
+                assert out.truncation_bound <= 1.5 * tail, (x, out)
+
 
 class TestCoefficients:
     def test_h1_leading_terms(self):

@@ -490,11 +490,18 @@ class TestEnds:
 
 def _oracle_pairs():
     """(1 + d, 1) for d log-uniform on [2^-52, 1e300], 1280 points, and on
-    [1e-15, 1e-3], 256 points, across the Seiffert means' series cutoff."""
+    [1e-15, 1e-3], 256 points, across the Seiffert means' series cutoff;
+    then (m, m*r) for r = min/max log-uniform on [2^-1073, 2^-1022], where r
+    is subnormal, 64 points at each of four m; m*r is taken through the log,
+    so that it carries all 53 bits where it is normal."""
     pairs = []
     for lo, hi, n in ((2.0**-52, 1e300, 1280), (1e-15, 1e-3, 256)):
         ln_lo, ln_hi = math.log(lo), math.log(hi)
         pairs += [PositivePair(1.0 + math.exp(ln_lo + (ln_hi - ln_lo) * i / (n - 1)), 1.0) for i in range(n)]
+    ln_lo, ln_hi = math.log(2.0**-1073), math.log(2.0**-1022)
+    for i in range(64):
+        ln_r = ln_lo + (ln_hi - ln_lo) * i / 63
+        pairs += [PositivePair(m, math.exp(math.log(m) + ln_r)) for m in (1.7e308, 3e250, 1e150, 7e15)]
     return pairs
 
 
