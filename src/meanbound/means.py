@@ -5,7 +5,7 @@ geometric, harmonic, root-square, and the two Seiffert means defined
 through arcsin and arctan of the normalized difference (a-b)/(a+b).
 Every mean is symmetric and homogeneous, so each is evaluated as
 m*M(1, r) with m = max(a, b) and r = min(a, b)/m: the evaluators are
-pure functions of r in (0, 1] alone, and the Seiffert means extend
+pure functions of r in [0, 1] alone, and the Seiffert means extend
 continuously to a == b (r == 1).
 """
 
@@ -112,9 +112,10 @@ def _seiffert_p(r: float) -> float:
     u = (1.0 - r) / s
     if u < _SERIES_CUTOFF:
         return 0.5 * s * (1.0 + u * u * _excess_p(r)) if u else 1.0
-    # asin((1-r)/(1+r)) == atan((1-r)/(2*sqrt(r))); asin amplifies the
-    # quotient's rounding by 1/sqrt(1-u^2) as u -> 1, atan does not
-    return (1.0 - r) / (2.0 * math.atan((1.0 - r) / (2.0 * math.sqrt(r))))
+    # asin((1-r)/(1+r)) == atan2(1 - r, 2*sqrt(r)); asin amplifies the
+    # quotient's rounding by 1/sqrt(1-u^2) as u -> 1, atan2 does not, and
+    # r == 0 gives pi/2
+    return (1.0 - r) / (2.0 * math.atan2(1.0 - r, 2.0 * math.sqrt(r)))
 
 
 def _seiffert_t(r: float) -> float:
@@ -125,7 +126,7 @@ def _seiffert_t(r: float) -> float:
     return (1.0 - r) / (2.0 * math.atan(u))
 
 
-# kind -> the function r -> M(1, r), for r in (0, 1]
+# kind -> the function r -> M(1, r), for r in [0, 1]
 _EVALUATORS = {
     MeanKind.CONTRA_HARMONIC: _contra_harmonic,
     MeanKind.CENTROIDAL: _centroidal,
@@ -231,17 +232,14 @@ def eval_mean(kind: MeanKind, pair: PositivePair) -> float:
 
     Every mean is symmetric and homogeneous, so with m = max(a, b) and
     r = min(a, b)/m the result is m times the mean of (1, r); extreme
-    magnitudes cannot overflow.  The result lies between min(a, b) and
-    max(a, b), with equality exactly when a == b; the Seiffert means take
-    their continuous-extension value a at a == b.  Against a 60-digit
-    reference, for r = min(a, b)/max(a, b) from 1 - 2^-52 down to 2^-1073,
-    subnormal r included, the error is at most 3.6 ulp for C, 2.8 for Cbar, 2.0 for A, 3.5 for G, 4.2
-    for H, 2.4 for S and 3.2 for P and T, twice the worst measured, rounded
-    down.  A ratio r that underflows to 0 is refused.
+    magnitudes cannot overflow.  The result lies in [min(a, b), max(a, b)];
+    the Seiffert means take their continuous-extension value a at a == b.
+    Against a 60-digit reference, for r = min(a, b)/max(a, b) from 1 - 2^-52
+    down to 2^-1073, and for r that underflows to 0, the error is at most
+    3.6 ulp for C, 2.8 for Cbar, 2.0 for A, 3.5 for G, 4.2 for H, 2.4 for S
+    and 3.2 for P and T, twice the worst measured, rounded down.
     """
     m, r = _reduce(pair)
-    if r == 0.0:
-        raise DomainError(f"ratio of {pair.a!r} to {pair.b!r} exceeds the binary64 range")
     try:
         f = _EVALUATORS[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind

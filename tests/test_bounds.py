@@ -201,6 +201,13 @@ class TestCrookedReduction:
         with pytest.raises(DomainError, match=r"thm5\.3: p\*h\(theta_right\) \+ q is not its alpha"):
             sharp_bounds(crooked)
 
+    def test_an_alpha_25_ulp_off_is_refused(self):
+        # beta stays exact, (1 + 2^-46)/4 - 2^-48 = 1/4, while p*h4(pi/4) + q
+        # moves to 25 ulp below alpha; the gate is 16 ulp
+        crooked = SPECS["thm5.2"]._replace(p=1 + 2.0**-46, q=-(2.0**-48))
+        with pytest.raises(DomainError, match=r"thm5\.2: p\*h\(theta_right\) \+ q is not its alpha"):
+            sharp_bounds(crooked)
+
     @pytest.mark.parametrize("crooked", _crooked_specs())
     def test_certify_refuses(self, crooked):
         with pytest.raises(DomainError):
@@ -294,15 +301,17 @@ class TestRatio:
 
     def test_kernel_route_against_mpmath(self):
         # the ratio from the means at 60 digits, on exact binary64 pairs
-        # with d = a/b - 1 from 1e-12 up to where 1 + d nears 2^52
+        # with d = a/b - 1 from 1e-12 to 1e300 (worst 5.6e-16 past 3.7e15),
+        # and on pairs whose min/max underflows to 0
         mpmath = pytest.importorskip("mpmath")
-        ln_lo, ln_hi = math.log(1e-12), math.log(3.7e15)
-        ds = [math.exp(ln_lo + (ln_hi - ln_lo) * i / 99.0) for i in range(100)]
+        ln_lo, ln_hi = math.log(1e-12), math.log(1e300)
+        pairs = [(1.0 + math.exp(ln_lo + (ln_hi - ln_lo) * i / 199.0), 1.0) for i in range(200)]
+        pairs += [(1e300, 1e-300), (1.7e308, 5e-324), (2.0, 5e-324), (1e20, 1e-310)]
         worst = 0.0
         with mpmath.workdps(60):
             for spec in SPECS.values():
-                for d in ds:
-                    for a, b in ((1.0 + d, 1.0), (1.0, 1.0 + d)):
+                for pair in pairs:
+                    for a, b in (pair, pair[::-1]):
                         ref = oracle.ratio(spec, a, b)
                         got = ratio_via_kernel(spec, PositivePair(a, b))
                         worst = max(worst, float(abs(got - ref) / abs(ref)))
@@ -434,7 +443,10 @@ class TestNumericExtrema:
         _bump,
         # a NaN on the scan grid: it compares False both ways
         lambda fn_id, x: math.nan if x == SPECS["prop1.1"].theta_right * 36 / 64 else 0.0,
-    ], ids=["gaussian-bump", "nan-at-36/64"])
+        # h1 at 36/64 of the grid 1e-12 above its value at 35/64
+        lambda fn_id, x: h_eval(fn_id, x * 35 / 36) - h_eval(fn_id, x) + 1e-12
+        if x == SPECS["prop1.1"].theta_right * 36 / 64 else 0.0,
+    ], ids=["gaussian-bump", "nan-at-36/64", "rise-of-1e-12-at-36/64"])
     def test_interior_bump_between_the_ends_is_caught(self, monkeypatch, shift):
         _wrap_h_eval(monkeypatch, shift)
         with pytest.raises(ConvergenceError, match=r"prop1\.1: the ratio is not decreasing"):
@@ -474,10 +486,19 @@ class TestNumericExtrema:
             numeric_extrema(spec)
 
 
-def _check_shards_merge(start, stop, shard_bounds):
+def _rotated(seed, start):
+    """The seed whose sample i is sample start + i of seed: seeds are
+    rotations of one Weyl sequence, seed*_SEED_MIX + (i + 1)*_PHI mod 2^64."""
+    return (seed + start * _PHI * pow(_SEED_MIX, -1, 2**64)) % 2**64
+
+
+def _check_shards_merge(n_samples, cuts):
+    """The run of seed 5 cut at the sample indices cuts, each shard a run of
+    the seed rotated to its first index."""
     checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta) for spec in SPECS.values()]
-    whole = _certify_chunk(checks, 1e-12, 5, start, stop)
-    shards = [_certify_chunk(checks, 1e-12, 5, i, j) for i, j in shard_bounds]
+    whole = _certify_chunk(checks, 1e-12, 5, n_samples)
+    ends = [0, *cuts, n_samples]
+    shards = [_certify_chunk(checks, 1e-12, _rotated(5, i), j - i) for i, j in zip(ends, ends[1:])]
     for n, check in enumerate(checks):
         # shards in index order; a later shard's extreme wins only when
         # strictly beyond, so ties keep the earliest sample
@@ -489,7 +510,7 @@ def _check_shards_merge(start, stop, shard_bounds):
             if shard_hi > hi:
                 hi, hi_x = shard_hi, shard_hi_x
         assert (violations, lo, lo_x, hi, hi_x) == whole[n]
-        assert whole[n] == _reference_chunk(*check, 1e-12, 5, start, stop)
+        assert whole[n] == _reference_chunk(*check, 1e-12, 5, n_samples)
 
 
 class TestCertify:
@@ -529,13 +550,12 @@ class TestCertify:
     def test_shards_merge_to_the_whole_range(self):
         # the stream is keyed by (seed, index), so split index ranges merged
         # with the same worst-margin / smallest-x tiebreak give the whole
-        _check_shards_merge(0, 4000, [(0, 1500), (1500, 4000)])
+        _check_shards_merge(4000, [1500])
 
     def test_off_grid_shards_merge_to_the_whole_range(self):
         # shard ends off the block grid start blocks at other indices; the
         # middle shard crosses both block edges of the whole range
-        _check_shards_merge(0, 2 * _BLOCK + 500, [
-            (0, _BLOCK - 1), (_BLOCK - 1, 2 * _BLOCK + 1), (2 * _BLOCK + 1, 2 * _BLOCK + 500)])
+        _check_shards_merge(2 * _BLOCK + 500, [_BLOCK - 1, 2 * _BLOCK + 1])
 
     def test_lowered_beta_is_violated(self):
         # beta = 0.83 < 5/6 must fail near x -> 1
@@ -606,18 +626,18 @@ def _weyl_lane(seed, index):
     return (seed * 0xBF58476D1CE4E5B9 % 2**64 + (index + 1) * 0x9E3779B97F4A7C15) % 2**64
 
 
-def _stream_lanes(seed, start, stop):
-    """The library's 64-bit values for sample indices [start, stop), from _lane."""
-    return [_lane(seed, i) for i in range(start, stop)]
+def _stream_lanes(seed, n_samples):
+    """The library's 64-bit values for the seed's first samples, from _lane."""
+    return [_lane(seed, i) for i in range(n_samples)]
 
 
-def _reference_chunk(spec, alpha, beta, tol, seed, start, stop):
+def _reference_chunk(spec, alpha, beta, tol, seed, n_samples):
     """Reference for _certify_chunk: one scalar draw, a PositivePair and a
     ratio call per sample, folded on the ratio one sample at a time; ties
     keep the first sample."""
     span = _LN_D_HI - _LN_D_LO
     violations, lo, lo_x, hi, hi_x = 0, math.inf, None, -math.inf, None
-    for i in range(start, stop):
+    for i in range(n_samples):
         x = 1.0 + math.exp(_LN_D_LO + span * (_weyl_lane(seed, i) / 2.0**64))
         rho = ratio(spec, PositivePair(x, 1.0))
         if rho < lo:
@@ -638,7 +658,17 @@ class TestStream:
         (0, _BLOCK - 1), (0, _BLOCK), (0, _BLOCK + 1), (100, 2 * _BLOCK + 100), (2**64 - 5, 2**64 + _BLOCK),
     ])
     def test_block_draw_matches_the_scalar_formula(self, seed, start, stop):
-        assert _stream_lanes(seed, start, stop) == [_weyl_lane(seed, i) for i in range(start, stop)]
+        # the two ends of each range: _lane draws each index alone
+        ends = [start, stop - 1] if stop > start else []
+        assert [_lane(seed, i) for i in ends] == [_weyl_lane(seed, i) for i in ends]
+
+    def test_a_rotated_seed_is_the_stream_moved_on(self):
+        # sample i of _rotated(seed, start) is sample start + i of seed, so a
+        # run over the indices start, start + 1, ... is a run of the rotated seed
+        for seed in (0, 5, 42, -7, 2**64 - 1, 2**70 + 3):
+            for start in (1, 86, _BLOCK - 1, 10**12, 2**64 - 5, 2**70):
+                rotated = _rotated(seed, start)
+                assert [_lane(rotated, i) for i in range(3)] == [_weyl_lane(seed, start + i) for i in range(3)]
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 42, 20260808, -1, -7, -(2**64), 2**64, 2**64 - 1, 2**70 + 3])
     def test_widest_gap_is_under_two_over_n(self, seed):
@@ -649,11 +679,11 @@ class TestStream:
             ordered = sorted(lanes)
             return max(ordered[0], 2**64 - ordered[-1], *(b - a for a, b in zip(ordered, ordered[1:])))
 
-        first = _stream_lanes(seed, 0, 400)
+        first = _stream_lanes(seed, 400)
         for n in range(2, 401):
             assert widest(first[:n]) * n <= 2 * 2**64, (seed, n)
         for n in (2000, 100_000):
-            assert widest(_stream_lanes(seed, 0, n)) * n <= 2 * 2**64, (seed, n)
+            assert widest(_stream_lanes(seed, n)) * n <= 2 * 2**64, (seed, n)
 
     @pytest.mark.parametrize("start", [_LANE_END, _M64, 2**40, 0, 2**63, _M64 - 2**40],
                              ids=["lane-end", "M64", "2^40", "0", "2^63", "M64-2^40"])
@@ -669,7 +699,7 @@ class TestStream:
         assert _lane(on_start, first) == start
         for lane_end in (_LANE_END, _M64):
             monkeypatch.setattr(bounds, "_LANE_END", lane_end)
-            for seed in [on_start, *range(12), 42, -7, 2**64 - 1, 2**70 + 3]:
+            for seed in [on_start, 0, 1, 42, -7, 2**64 - 1, 2**70 + 3]:
                 lanes = [_weyl_lane(seed, first + i) for i in range(size)]
                 kept = [lane for lane in lanes if lane <= lane_end]
                 end = next((i for i, lane in enumerate(lanes) if lane > lane_end), size)
@@ -767,9 +797,9 @@ def _log_ratio(r):
     return 0.5 - math.log(r) / 2800
 
 
-def _stream_xs(seed, stop, start=0):
+def _stream_xs(seed, n_samples):
     span = _LN_D_HI - _LN_D_LO
-    return [1.0 + math.exp(_LN_D_LO + span * (_weyl_lane(seed, i) / 2.0**64)) for i in range(start, stop)]
+    return [1.0 + math.exp(_LN_D_LO + span * (_weyl_lane(seed, i) / 2.0**64)) for i in range(n_samples)]
 
 
 class TestFold:
@@ -814,10 +844,10 @@ class TestFold:
         assert 0 < lower < 300
         margin = -(2.0**-29)
         checks = [(spec, 0.5 - margin, 0.75)]
-        assert _certify_chunk(checks, -margin, 5, 0, 300)[0][0] == lower
+        assert _certify_chunk(checks, -margin, 5, 300)[0][0] == lower
         tol = math.nextafter(-margin, 0.0)
         assert math.nextafter(-tol, -math.inf) == margin
-        assert _certify_chunk(checks, tol, 5, 0, 300)[0][0] == 300
+        assert _certify_chunk(checks, tol, 5, 300)[0][0] == 300
 
 
 class TestProbes:
@@ -853,7 +883,7 @@ class TestSensitivity:
         for spec in SPECS.values():
             sb = sharp_bounds(spec)
             checks += [(spec, sb.alpha, sb.beta - 1e-12), (spec, sb.alpha + 1e-12, sb.beta)]
-        results = _certify_chunk(checks, 1e-14, 42, 0, 100_000)
+        results = _certify_chunk(checks, 1e-14, 42, 100_000)
         caught = [violations for violations, *_ in results]
         assert min(caught) > 1000, dict(zip(((s.id, a, b) for s, a, b in checks), caught))
 
@@ -866,8 +896,8 @@ class TestFusedLoop:
         sb = sharp_bounds(spec)
         for alpha, beta in ((sb.alpha, sb.beta), (sb.alpha + 1e-3, sb.beta),
                             (sb.alpha, sb.beta - 1e-6)):
-            fused = _certify_chunk([(spec, alpha, beta)], 1e-12, seed, 0, 3000)
-            assert fused == [_reference_chunk(spec, alpha, beta, 1e-12, seed, 0, 3000)]
+            fused = _certify_chunk([(spec, alpha, beta)], 1e-12, seed, 3000)
+            assert fused == [_reference_chunk(spec, alpha, beta, 1e-12, seed, 3000)]
 
     @pytest.mark.parametrize("order", ["registry", "reversed"])
     @pytest.mark.parametrize("seed", [3, 42, 20260808])
@@ -876,8 +906,8 @@ class TestFusedLoop:
         if order == "reversed":
             specs.reverse()
         checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta) for spec in specs]
-        fused = _certify_chunk(checks, 1e-12, seed, 0, 3000)
-        assert fused == [_reference_chunk(*check, 1e-12, seed, 0, 3000) for check in checks]
+        fused = _certify_chunk(checks, 1e-12, seed, 3000)
+        assert fused == [_reference_chunk(*check, 1e-12, seed, 3000) for check in checks]
 
     @pytest.mark.parametrize("perturbed_id", sorted(SPECS))
     @pytest.mark.parametrize("side", ["alpha", "beta"])
@@ -889,8 +919,8 @@ class TestFusedLoop:
             if spec.id == perturbed_id:
                 alpha, beta = (alpha + 1e-3, beta) if side == "alpha" else (alpha, beta - 1e-6)
             checks.append((spec, alpha, beta))
-        fused = _certify_chunk(checks, 1e-12, 42, 0, 3000)
-        assert fused == [_reference_chunk(*check, 1e-12, 42, 0, 3000) for check in checks]
+        fused = _certify_chunk(checks, 1e-12, 42, 3000)
+        assert fused == [_reference_chunk(*check, 1e-12, 42, 3000) for check in checks]
         for (spec, _, _), (violations, *_) in zip(checks, fused):
             assert (violations > 0) == (spec.id == perturbed_id)
 
@@ -914,11 +944,11 @@ class TestFusedLoop:
         monkeypatch.setattr(bounds, "eval_mean", counted("eval_mean", bounds.eval_mean))
         checks = [(spec, sharp_bounds(spec).alpha, sharp_bounds(spec).beta) for spec in SPECS.values()]
         n = 2 * _BLOCK + 500  # three blocks
-        lanes = _stream_lanes(42, 0, n)
+        lanes = _stream_lanes(42, n)
         live = sum(lane <= _LANE_END for lane in lanes)
         evaluated = live + sum(max(lanes[i:i + _BLOCK]) > _LANE_END for i in range(0, n, _BLOCK))
         assert 0 < live < evaluated < n
-        _certify_chunk(checks, 1e-12, 42, 0, n)
+        _certify_chunk(checks, 1e-12, 42, n)
         assert sorted(kind.value for kind in varying) == ["G", "P", "S", "T"]
         assert calls == Counter({kind: evaluated for kind in varying})
         assert calls["PositivePair"] == calls["eval_mean"] == 0
@@ -934,11 +964,13 @@ class TestFusedLoop:
         (7, 7 + _BLOCK + 1, "none in the last block"),  # a one-sample block after one with copies
     ])
     def test_ended_samples_fold_like_the_reference(self, start, stop, ended):
-        # an ended sample's ratio is the end ratio; it ties with a live sample
-        # that rounds to it, and the first in the stream stays.  At alpha +
-        # 1e-3 every ended sample is a violation
-        xs = _stream_xs(42, stop, start)
-        flags = [lane > _LANE_END for lane in _stream_lanes(42, start, stop)]
+        # seed 42's samples start, ..., stop - 1, as the run of the rotated
+        # seed.  An ended sample's ratio is the end ratio; it ties with a live
+        # sample that rounds to it, and the first in the stream stays.  At
+        # alpha + 1e-3 every ended sample is a violation
+        seed, n = _rotated(42, start), stop - start
+        xs = _stream_xs(seed, n)
+        flags = [lane > _LANE_END for lane in _stream_lanes(seed, n)]
         assert {"none": not any(flags), "all": all(flags), "some": any(flags) and not all(flags),
                 "one": sum(flags) == 1,
                 "none in the last block": sum(flags[:_BLOCK]) > 1 and not any(flags[_BLOCK:])}[ended]
@@ -946,8 +978,8 @@ class TestFusedLoop:
         for spec in SPECS.values():
             sb = sharp_bounds(spec)
             checks += [(spec, sb.alpha, sb.beta), (spec, sb.alpha + 1e-3, sb.beta)]
-        fused = _certify_chunk(checks, 1e-12, 42, start, stop)
-        assert fused == [_reference_chunk(*check, 1e-12, 42, start, stop) for check in checks]
+        fused = _certify_chunk(checks, 1e-12, seed, n)
+        assert fused == [_reference_chunk(*check, 1e-12, seed, n) for check in checks]
         for (spec, alpha, _), (violations, *_) in zip(checks, fused):
             assert (violations >= sum(flags)) if alpha > sharp_bounds(spec).alpha else (violations == 0)
         if start == 86:

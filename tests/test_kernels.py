@@ -126,13 +126,16 @@ class TestReciprocalSineSeries:
     # outgrows the last term: 10x it for csc and cot at x = 3.0, 82x for
     # cscsq at 3.1.  The tail is the exact function less the exact sum of
     # the terms used, so the float rounding of the value, which dominates
-    # below x ~ 2, does not enter.
-    @pytest.mark.parametrize("name, series, coefficients, exact, power", [
-        ("csc", csc_series, csc_coefficients, lambda x: 1 / oracle.mpmath.sin(x), 1),
-        ("cot", cot_series, cot_coefficients, lambda x: oracle.mpmath.cot(x), 1),
-        ("cscsq", csc_sq_series, csc_sq_coefficients, lambda x: 1 / oracle.mpmath.sin(x) ** 2, 2),
+    # below x ~ 2, does not enter.  The value is within the bound plus k ulp
+    # of max(1, |f(x)|), f the exact function, one k below pi/2 and one
+    # from there on, each twice the worst measured on 20 000 random x (csc
+    # 4.4 and 21, cot 3.5 and 21, cscsq 5.3 and 24).
+    @pytest.mark.parametrize("name, series, coefficients, exact, power, ks", [
+        ("csc", csc_series, csc_coefficients, lambda x: 1 / oracle.mpmath.sin(x), 1, (9, 42)),
+        ("cot", cot_series, cot_coefficients, lambda x: oracle.mpmath.cot(x), 1, (7, 42)),
+        ("cscsq", csc_sq_series, csc_sq_coefficients, lambda x: 1 / oracle.mpmath.sin(x) ** 2, 2, (11, 48)),
     ], ids=["csc", "cot", "cscsq"])
-    def test_truncation_bound_covers_the_exact_tail(self, name, series, coefficients, exact, power):
+    def test_truncation_bound_covers_the_exact_tail(self, name, series, coefficients, exact, power, ks):
         mpmath = pytest.importorskip("mpmath")
         xs = [1e-9, *(0.05 * i for i in range(1, 63)), -2.9, math.nextafter(math.pi, 0.0),
               *(math.pi * (1.0 - 2.0**-k) for k in range(1, 50, 4))]
@@ -142,10 +145,13 @@ class TestReciprocalSineSeries:
             for x in xs:
                 out = series(x)
                 mx = mpmath.mpf(x)
-                tail = abs(exact(mx) - 1 / mx**power - sum(c * mx**p for p, c in terms[:out.terms_used]))
+                f = exact(mx)
+                tail = abs(f - 1 / mx**power - sum(c * mx**p for p, c in terms[:out.terms_used]))
                 # tight to the rounding of the bound's own arithmetic
                 assert tail <= out.truncation_bound * (1 + 1e-13), (x, out)
                 assert out.truncation_bound <= 1.5 * tail, (x, out)
+                k = ks[abs(x) >= math.pi / 2]
+                assert abs(out.value - f) <= out.truncation_bound + k * math.ulp(max(1.0, abs(float(f)))), (x, out)
 
 
 class TestCoefficients:
@@ -287,12 +293,12 @@ class TestHEval:
         assert h_eval(H2, 5.0) == approx(direct_formula(H2, 5.0), rel=1e-13)
 
     @given(x=st.floats(min_value=1e-3, max_value=3.14))
-    @settings(max_examples=200)
+    @settings(max_examples=200, derandomize=True)
     def test_h1_below_its_limit(self, x):
         assert h_eval(H1, x) < 5.0 / 6.0
 
     @given(x=st.floats(min_value=1e-3, max_value=3.14))
-    @settings(max_examples=200)
+    @settings(max_examples=200, derandomize=True)
     def test_h3_above_its_limit(self, x):
         assert h_eval(H3, x) > 2.0 / 3.0
 

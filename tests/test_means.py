@@ -128,12 +128,6 @@ class TestEvalMean:
         with pytest.raises(DomainError, match="MeanKind.CONTRA_HARMONIC, MeanKind.CENTROIDAL"):
             eval_mean(kind, PositivePair(2, 1))
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_refuses_a_ratio_beyond_the_binary64_range(self, kind):
-        for pair in (PositivePair(1e300, 1e-300), PositivePair(1e-30, 1e300)):
-            with pytest.raises(DomainError, match="exceeds the binary64 range"):
-                eval_mean(kind, pair)
-
     def test_extreme_magnitudes(self):
         for kind in ALL_KINDS:
             big = eval_mean(kind, PositivePair(1e300, 3e299))
@@ -144,7 +138,7 @@ class TestEvalMean:
 
 class TestInvariants:
     @given(a=positive, b=positive)
-    @settings(max_examples=300)
+    @settings(max_examples=300, derandomize=True)
     def test_betweenness(self, a, b):
         pair = PositivePair(a, b)
         lo, hi = min(a, b), max(a, b)
@@ -163,7 +157,7 @@ class TestInvariants:
                 assert lo <= eval_mean(kind, pair) <= hi
 
     @given(a=positive, b=positive)
-    @settings(max_examples=200)
+    @settings(max_examples=200, derandomize=True)
     def test_symmetry(self, a, b):
         fwd = PositivePair(a, b)
         rev = PositivePair(b, a)
@@ -189,7 +183,7 @@ class TestInvariants:
         b=st.floats(min_value=1e-30, max_value=1e30),
         lam=st.sampled_from([1e-6, 1.0, 1e6]),
     )
-    @settings(max_examples=300)
+    @settings(max_examples=300, derandomize=True)
     def test_homogeneity(self, a, b, lam):
         pair = PositivePair(a, b)
         scaled = PositivePair(lam * a, lam * b)
@@ -198,7 +192,7 @@ class TestInvariants:
             assert abs(eval_mean(kind, scaled) - want) <= 1e-12 * want
 
     @given(a=positive, b=positive)
-    @settings(max_examples=300)
+    @settings(max_examples=300, derandomize=True)
     def test_algebraic_identities(self, a, b):
         pair = PositivePair(a, b)
         c = eval_mean(MeanKind.CONTRA_HARMONIC, pair)
@@ -216,7 +210,7 @@ class TestInvariants:
         x=st.floats(min_value=1.01, max_value=1e8),
         b=st.floats(min_value=1e-3, max_value=1e3),
     )
-    @settings(max_examples=300)
+    @settings(max_examples=300, derandomize=True)
     def test_strict_mean_chain(self, x, b):
         pair = PositivePair(x * b, b)
         vals = {kind: eval_mean(kind, pair) for kind in ALL_KINDS}
@@ -239,7 +233,7 @@ class TestHalfSumRatio:
         assert half_sum_ratio(PositivePair(1e6, 1)) == approx(999999 / 1000001, rel=1e-15)
 
     @given(a=positive, b=positive)
-    @settings(max_examples=300)
+    @settings(max_examples=300, derandomize=True)
     def test_range_and_antisymmetry(self, a, b):
         u = half_sum_ratio(PositivePair(a, b))
         assert -1.0 < u < 1.0
@@ -286,8 +280,7 @@ def _ref_seiffert_p(x, y):
     u = (x - y) / s
     if -_SERIES_CUTOFF < u < _SERIES_CUTOFF:
         return 0.5 * s * _poly(_U_OVER_ASIN, u * u)
-    t = (x - y) / (2.0 * math.sqrt(x) * math.sqrt(y))
-    return (x - y) / (2.0 * math.atan(t))
+    return (x - y) / (2.0 * math.atan2(x - y, 2.0 * math.sqrt(x) * math.sqrt(y)))
 
 
 def _ref_seiffert_t(x, y):
@@ -493,7 +486,8 @@ def _oracle_pairs():
     [1e-15, 1e-3], 256 points, across the Seiffert means' series cutoff;
     then (m, m*r) for r = min/max log-uniform on [2^-1073, 2^-1022], where r
     is subnormal, 64 points at each of four m; m*r is taken through the log,
-    so that it carries all 53 bits where it is normal."""
+    so that it carries all 53 bits where it is normal; then, in both orders,
+    pairs whose r underflows to 0 and pairs with a subnormal a or b."""
     pairs = []
     for lo, hi, n in ((2.0**-52, 1e300, 1280), (1e-15, 1e-3, 256)):
         ln_lo, ln_hi = math.log(lo), math.log(hi)
@@ -502,6 +496,9 @@ def _oracle_pairs():
     for i in range(64):
         ln_r = ln_lo + (ln_hi - ln_lo) * i / 63
         pairs += [PositivePair(m, math.exp(math.log(m) + ln_r)) for m in (1.7e308, 3e250, 1e150, 7e15)]
+    for low in (5e-324, 1e-320, 3.3e-315, 1e-310, 2.2e-308, 1e-300, 1e-30):
+        for m in (1.5 * low, 3.0 * low, 1.0, 1e20, 1e300, 1.7e308):
+            pairs += [PositivePair(m, low), PositivePair(low, m)]
     return pairs
 
 
