@@ -102,7 +102,8 @@ MUTANTS = [
     Mutant("means: r == 0 refused again", "means.py",
            "    m, r = _reduce(pair)\n    try:\n",
            '    m, r = _reduce(pair)\n    if r == 0.0:\n        raise DomainError("r underflows")\n    try:\n',
-           (_M + "TestMeanOracle::test_eval_mean_against_mpmath[P-3.2]",)),
+           (_M + "TestMeanOracle::test_eval_mean_against_mpmath[P-3.2]",
+            _M + "TestEvalMean::test_refuses_a_ratio_beyond_the_binary64_range[MeanKind.SEIFFERT_P]")),
     Mutant("means: G and H from r down to the subnormal r", "means.py",
            "_SUBNORMAL_R = 2.0**-1022", "_SUBNORMAL_R = 2.0**-1074",
            (_M + "TestMeanOracle::test_eval_mean_against_mpmath[G-3.5]",)),

@@ -128,6 +128,20 @@ class TestEvalMean:
         with pytest.raises(DomainError, match="MeanKind.CONTRA_HARMONIC, MeanKind.CENTROIDAL"):
             eval_mean(kind, PositivePair(2, 1))
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_refuses_a_ratio_beyond_the_binary64_range(self, kind):
+        # named for the refusal these pairs once met: their min/max underflows
+        # to 0, and each mean now takes its limit m*M(1, 0), G and H from min
+        for a, b in ((1e300, 1e-300), (1e-30, 1e300)):
+            m, low = max(a, b), min(a, b)
+            limit = {
+                MeanKind.CONTRA_HARMONIC: m, MeanKind.CENTROIDAL: 2 * m / 3, MeanKind.ARITHMETIC: m / 2,
+                MeanKind.GEOMETRIC: math.sqrt(m) * math.sqrt(low), MeanKind.HARMONIC: 2 * low,
+                MeanKind.ROOT_SQUARE: m / math.sqrt(2), MeanKind.SEIFFERT_P: m / math.pi,
+                MeanKind.SEIFFERT_T: 2 * m / math.pi,
+            }[kind]
+            assert eval_mean(kind, PositivePair(a, b)) == approx(limit, rel=1e-15)
+
     def test_extreme_magnitudes(self):
         for kind in ALL_KINDS:
             big = eval_mean(kind, PositivePair(1e300, 3e299))
