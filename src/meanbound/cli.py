@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from typing import Any
 
@@ -209,10 +208,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(text + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader has gone: send what is left to devnull, so that the
-        # interpreter's flush at exit raises nothing (the recipe of Python's
-        # signal docs), and keep the command's own exit code
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader has gone: keep the command's own exit code.  The failed
+        # write drops the buffered text, so the flush at exit raises nothing
+        pass
     return exit_code
 
 

@@ -309,8 +309,10 @@ def _h4_direct(x: float) -> float:
 #     x - sin x        = sum_k (-1)^(k+1)         x^(2k+1) / (2k+1)!
 #     x - sin x cos x  = sum_k (-1)^(k+1) 2^(2k)  x^(2k+1) / (2k+1)!
 # The common x^3 factor cancels in each quotient; ten terms leave the
-# remainder below 1e-24 relative everywhere on (0, 1/2).  means takes the
-# P and T excess series as prefixes of _H4_NUM and _H2_NUM.
+# remainder below 1e-24 relative everywhere on (0, 1/2).  Each table is
+# unpacked where it is used and summed in w = x^2 by straight-line Horner,
+# innermost term first.  means takes the P and T excess series as prefixes
+# of _H4_NUM and _H2_NUM.
 _QUOT_TERMS = 10
 
 
@@ -325,20 +327,17 @@ _H4_NUM = _maclaurin(lambda k: 1)
 _H4_DEN = _maclaurin(lambda k: 4**k)
 
 
-def _poly(coeffs: tuple[float, ...], w: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * w + c
-    return acc
-
-
 def _h1_series(x: float) -> float:
     return _series_sum(0.0, _float_coefficients(default_table())["h1"], 1.0, x * x).value
 
 
 def _h2_series(x: float) -> float:
     w = x * x
-    return _poly(_H2_NUM, w) / _poly(_H2_DEN, w)
+    n0, n1, n2, n3, n4, n5, n6, n7, n8, n9 = _H2_NUM
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9 = _H2_DEN
+    num = n0 + w * (n1 + w * (n2 + w * (n3 + w * (n4 + w * (n5 + w * (n6 + w * (n7 + w * (n8 + w * n9))))))))
+    den = d0 + w * (d1 + w * (d2 + w * (d3 + w * (d4 + w * (d5 + w * (d6 + w * (d7 + w * (d8 + w * d9))))))))
+    return num / den
 
 
 def _h3_series(x: float) -> float:
@@ -347,7 +346,11 @@ def _h3_series(x: float) -> float:
 
 def _h4_series(x: float) -> float:
     w = x * x
-    return math.cos(x) * _poly(_H4_NUM, w) / _poly(_H4_DEN, w)
+    n0, n1, n2, n3, n4, n5, n6, n7, n8, n9 = _H4_NUM
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9 = _H4_DEN
+    num = n0 + w * (n1 + w * (n2 + w * (n3 + w * (n4 + w * (n5 + w * (n6 + w * (n7 + w * (n8 + w * n9))))))))
+    den = d0 + w * (d1 + w * (d2 + w * (d3 + w * (d4 + w * (d5 + w * (d6 + w * (d7 + w * (d8 + w * d9))))))))
+    return math.cos(x) * num / den
 
 
 # each kernel's (direct, series) forms, for x >= X_SWITCH and below it

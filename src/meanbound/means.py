@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegeneratePairError, DomainError
-from .kernels import _H2_NUM, _H4_NUM, _poly
+from .kernels import _H2_NUM, _H4_NUM
 
 __all__ = [
     "MeanKind",
@@ -144,8 +144,9 @@ _EVALUATORS = {
 # and T, a function of r in [0, 1) free of cancellation as r -> 1.  P and T
 # are (t - theta)/(theta*t^2), theta = asin t or atan t: below the cutoff, via
 # series in theta^2, the first 9 and 8 terms (ten would move last bits) of
-# kernels' (theta - sin theta)/theta^3 and (sin theta - theta cos theta)/theta^3;
-# above it, from theta = pi/2 - 2*atan(sqrt r) or pi/4 - atan r.
+# kernels' (theta - sin theta)/theta^3 and (sin theta - theta cos theta)/theta^3,
+# summed by straight-line Horner as kernels sums its tables; above it, from
+# theta = pi/2 - 2*atan(sqrt r) or pi/4 - atan r.
 _SINE_GAP = _H4_NUM[:9]
 _TANGENT_GAP = _H2_NUM[:8]
 _EXCESS_CUTOFF = 0.9
@@ -168,7 +169,10 @@ def _excess_p(r: float) -> float:
     if t < _EXCESS_CUTOFF:
         theta = math.atan2(1.0 - r, 2.0 * math.sqrt(r))  # asin t, as in _seiffert_p
         q = theta / t
-        return -q * q * _poly(_SINE_GAP, theta * theta)
+        w = theta * theta
+        c0, c1, c2, c3, c4, c5, c6, c7, c8 = _SINE_GAP
+        gap = c0 + w * (c1 + w * (c2 + w * (c3 + w * (c4 + w * (c5 + w * (c6 + w * (c7 + w * c8)))))))
+        return -q * q * gap
     v = math.atan(math.sqrt(r))
     return (_ONE_MINUS_HALF_PI + 2.0 * (v - r / s)) / ((_HALF_PI - 2.0 * v) * t * t)
 
@@ -179,7 +183,10 @@ def _excess_t(r: float) -> float:
     if t < _EXCESS_CUTOFF:
         theta = math.atan(t)
         q = theta / t
-        return q * q * math.sqrt(1.0 + t * t) * _poly(_TANGENT_GAP, theta * theta)
+        w = theta * theta
+        c0, c1, c2, c3, c4, c5, c6, c7 = _TANGENT_GAP
+        gap = c0 + w * (c1 + w * (c2 + w * (c3 + w * (c4 + w * (c5 + w * (c6 + w * c7))))))
+        return q * q * math.sqrt(1.0 + t * t) * gap
     v = math.atan(r)
     return (_ONE_MINUS_QUARTER_PI + (v - 2.0 * r / s)) / ((_QUARTER_PI - v) * t * t)
 

@@ -56,9 +56,15 @@ MUTANTS = [
            "return (s - x * c) / (x * (2.0 * h * h))", "return (s - x * c) / (x * (1.0 - c))",
            (_K + "TestH2Oracle::test_direct_branch_against_mpmath",)),
     Mutant("kernels: h4 series off by 2^-51", "kernels.py",
-           "return math.cos(x) * _poly(_H4_NUM, w) / _poly(_H4_DEN, w)",
-           "return math.cos(x) * _poly(_H4_NUM, w) / _poly(_H4_DEN, w) * (1 + 2.0**-51)",
+           "return math.cos(x) * num / den", "return math.cos(x) * num / den * (1 + 2.0**-51)",
            (_K + "TestKernelOracle::test_worst_ulp_error[h4-series]",)),
+    # h2's denominator without its w^6 term: dropping its w^7, w^8 or w^9
+    # term instead moves no bit for x < 1/2, so no test could catch it
+    Mutant("kernels: h2's denominator without its w^6 term", "kernels.py",
+           "(d6 + w * (d7 + w * (d8 + w * d9))))))))\n    return num / den",
+           "(w * (d7 + w * (d8 + w * d9))))))))\n    return num / den",
+           (_M + "TestExcesses::test_straight_line_horner_matches_the_loop_bitwise[h2]",
+            _K + "TestKernelOracle::test_worst_ulp_error[h2-series]")),
     Mutant("kernels: h3 direct off by 2^-48", "kernels.py",
            "return (x - s * c) / (x * s * s)", "return (x - s * c) / (x * s * s) * (1 + 2.0**-48)",
            (_K + "TestKernelOracle::test_worst_ulp_error[h3-direct]",)),
@@ -84,6 +90,10 @@ MUTANTS = [
            "return (_ONE_MINUS_HALF_PI + 2.0 * (v - r / s)) / ((_HALF_PI - 2.0 * v) * t * t)",
            "return (_ONE_MINUS_HALF_PI + 2.0 * (v - r / s)) / ((_HALF_PI - 2.0 * v) * t * t) * (1 - 1e-11)",
            (_M + "TestExcesses::test_against_mpmath",)),
+    Mutant("means: P's series with its last two coefficients swapped", "means.py",
+           "c0, c1, c2, c3, c4, c5, c6, c7, c8 = _SINE_GAP", "c0, c1, c2, c3, c4, c5, c6, c8, c7 = _SINE_GAP",
+           (_M + "TestExcesses::test_straight_line_horner_matches_the_loop_bitwise[P]",
+            _M + "TestExcesses::test_against_mpmath")),
     Mutant("means: G's excess times 1 + 1e-13 for t >= 0.99", "means.py",
            "return -(1.0 + r) / (g * g)",
            "return -(1.0 + r) / (g * g) * (1 + 1e-13 * ((1.0 - r) / (1.0 + r) >= 0.99))",
@@ -162,6 +172,9 @@ MUTANTS = [
     Mutant("cli: a violated certify exits 0", "cli.py",
            "0 if all(report.ok for report in reports) else 1", "0",
            (_C + "TestPinnedTranscripts::test_pinned_violation_bytes",)),
+    Mutant("cli: a closed stdout's BrokenPipeError escapes", "cli.py",
+           "    except BrokenPipeError:\n", "    except ZeroDivisionError:\n",
+           (_C + "TestModuleEntryPoint::test_closed_stdout_exits_quietly",)),
     Mutant("cli: series orders up to 32", "cli.py",
            "_SERIES_MAX_ORDER = 16", "_SERIES_MAX_ORDER = 32", (_C + "TestSeriesCommand::test_order_out_of_range",)),
     Mutant("cli: JSON schema version 2", "cli.py",

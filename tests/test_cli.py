@@ -419,10 +419,13 @@ class TestModuleEntryPoint:
         ("series", "--fn", "h1", "--order", "16"),
         ("bounds-table",),
         ("certify", "--id", "all", "--samples", "200", "--format", "json"),
+        ("mean", "--kind", "T", "--a", "3", "--b", "1", "--format", "csv"),
+        ("hfun", "--id", "h4", "--x", "0.3"),
     ])
     def test_closed_stdout_exits_quietly(self, capsys, argv):
         # stdout is a pipe whose reader has already gone, as under `| head`
-        # once head has exited: no traceback, and the command's own exit code
+        # once head has exited, for each of the five commands: no traceback,
+        # and the command's own exit code
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         read_end, write_end = os.pipe()

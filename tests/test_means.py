@@ -16,7 +16,7 @@ from meanbound import (
     half_sum_ratio,
     seiffert_p_arctan_form,
 )
-from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM
+from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM, _h2_series, _h4_series
 from meanbound.means import (
     _ENDS,
     _EXCESS_CUTOFF,
@@ -28,7 +28,6 @@ from meanbound.means import (
     _SERIES_CUTOFF,
     _SINE_GAP,
     _TANGENT_GAP,
-    _poly,
 )
 
 import _oracle as oracle
@@ -44,6 +43,17 @@ P_1P001 = 1.0004999583541532      # direct branch, u ~ 5e-4
 T_1P001 = 1.000500083291682
 
 ALL_KINDS = list(MeanKind)
+
+
+def _poly(coeffs, w):
+    """sum(coeffs[k]*w^k) by the Horner loop, innermost term first: the
+    reference that kernels' and means' straight-line forms must match bit
+    for bit."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * w + c
+    return acc
+
 
 positive = st.floats(min_value=1e-150, max_value=1e150, allow_nan=False, allow_infinity=False)
 
@@ -409,6 +419,39 @@ _ASIN_OVER_T = [Fraction(math.comb(2 * k, k), 4**k * (2 * k + 1)) for k in range
 _ATAN_OVER_T = [Fraction((-1) ** k, 2 * k + 1) for k in range(40)]
 
 
+def _loop_excess_p(r):
+    t = (1.0 - r) / (1.0 + r)
+    theta = math.atan2(1.0 - r, 2.0 * math.sqrt(r))
+    q = theta / t
+    return -q * q * _poly(_SINE_GAP, theta * theta)
+
+
+def _loop_excess_t(r):
+    t = (1.0 - r) / (1.0 + r)
+    theta = math.atan(t)
+    q = theta / t
+    return q * q * math.sqrt(1.0 + t * t) * _poly(_TANGENT_GAP, theta * theta)
+
+
+def _r_at(t_of_theta):
+    """w -> r with theta = sqrt(w) and t = t_of_theta(theta) = (1 - r)/(1 + r)."""
+    def r(w):
+        t = t_of_theta(math.sqrt(w))
+        return (1.0 - t) / (1.0 + t)
+    return r
+
+
+# table -> (its straight-line form, the same form by the loop, the top of the
+# w range it serves, the argument at w): the kernels' series below x = 1/2 and
+# the excesses' series branches below t = 0.9
+_LOOP_FORMS = {
+    "h2": (_h2_series, lambda x: _poly(_H2_NUM, x * x) / _poly(_H2_DEN, x * x), 0.25, math.sqrt),
+    "h4": (_h4_series, lambda x: math.cos(x) * _poly(_H4_NUM, x * x) / _poly(_H4_DEN, x * x), 0.25, math.sqrt),
+    "P": (_EXCESSES[MeanKind.SEIFFERT_P], _loop_excess_p, math.asin(0.9) ** 2, _r_at(math.sin)),
+    "T": (_EXCESSES[MeanKind.SEIFFERT_T], _loop_excess_t, math.atan(0.9) ** 2, _r_at(math.tan)),
+}
+
+
 class TestExcesses:
     # every mean is A*(1 + t^2*e) with t = (1-r)/(1+r); e is the excess
     def test_gap_series_are_the_exact_factorial_quotients(self):
@@ -432,6 +475,19 @@ class TestExcesses:
         ]:
             assert table == tuple(float(c) for c in series[3::2])
         assert _SINE_GAP == _H4_NUM[:9] and _TANGENT_GAP == _H2_NUM[:8]
+
+    @pytest.mark.parametrize("table", list(_LOOP_FORMS))
+    def test_straight_line_horner_matches_the_loop_bitwise(self, table):
+        # 2^14 + 1 evenly spaced w, from 0 to the top of the range the table
+        # serves: 1/4 for x < 1/2, or the w at t = 0.9 for the excesses, whose
+        # t = 0 is 0/0 and whose t >= 0.9 takes the other branch
+        form, loop, top, arg = _LOOP_FORMS[table]
+        args = [arg(top * i / 2**14) for i in range(2**14 + 1)]
+        if table in ("P", "T"):
+            args = [r for r in args if 0.0 < (1.0 - r) / (1.0 + r) < _EXCESS_CUTOFF]
+        assert len(args) >= 2**14 - 1
+        for a in args:
+            assert _same_bits(form(a), loop(a)), (table, a)
 
     @pytest.mark.parametrize("kind, series", [
         (MeanKind.SEIFFERT_P, _ASIN_OVER_T), (MeanKind.SEIFFERT_T, _ATAN_OVER_T),
