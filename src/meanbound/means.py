@@ -77,9 +77,10 @@ class PositivePair(_PairFields):
         return f"PositivePair(a={self.a!r}, b={self.b!r}, degenerate={self.degenerate!r})"
 
 
-# Below the cutoff P and T are A*(1 + u^2*e), e their excess (below): the more
-# accurate form there (the direct quotients stay within a few ulp too, against
-# mpmath).  At r == 1 both the quotients and the excesses are 0/0; P = T = A.
+# Below the cutoff P and T are A*(1 + u^2*e), e their excess (below).  The direct
+# quotients alone give P(1.0000000000000001e-150, 1e-150) = 9.999999999999999e-151
+# < min(a, b) and, on (1 + d, 1) for d log-spaced on [2^-52, 2e-4], worst errors of
+# 1.3 ulp for P and 1.6 for T, against 1.1 and 1.3.  At r == 1 both are 0/0; P = T = A.
 _SERIES_CUTOFF = 1e-4
 
 
@@ -146,7 +147,10 @@ _EVALUATORS = {
 # series in theta^2, the first 9 and 8 terms (ten would move last bits) of
 # kernels' (theta - sin theta)/theta^3 and (sin theta - theta cos theta)/theta^3,
 # summed by straight-line Horner as kernels sums its tables; above it, from
-# theta = pi/2 - 2*atan(sqrt r) or pi/4 - atan r.
+# theta = pi/2 - 2*atan(sqrt r) or pi/4 - atan r.  All ten terms there would gain at most
+# 1.3 ulp (6.3 against 7.6 for P, 3.0 against 3.6 for T, on 6000 uniform r; on a log grid
+# the closed forms win, 3 against 4) and add 80-95 us, 11%, to a 2000-sample seven-spec
+# certify_many (Python 3.11, 2-core Xeon).
 _SINE_GAP = _H4_NUM[:9]
 _TANGENT_GAP = _H2_NUM[:8]
 _EXCESS_CUTOFF = 0.9

@@ -1,15 +1,18 @@
 """High-precision references for the tests: the eight means and their
-excesses, the ratio of an inequality and the four kernels, in mpmath.  Each
-value is computed at mpmath's working precision, which every caller states
-with mpmath.workdps; callers skip through pytest.importorskip("mpmath")
-before calling, since mpmath is a test dependency only."""
+excesses, the ratio of an inequality and the four kernels, in mpmath, and
+the whole-domain pairs they are checked on.  Each value is computed at
+mpmath's working precision, which every caller states with mpmath.workdps;
+callers skip through pytest.importorskip("mpmath") before calling, since
+mpmath is a test dependency only."""
+
+import math
 
 try:
     import mpmath
 except ImportError:
     mpmath = None
 
-from meanbound import HFunctionId, MeanKind
+from meanbound import HFunctionId, MeanKind, PositivePair
 
 
 def mean(kind, a, b):
@@ -59,3 +62,24 @@ def h(fn_id, x):
         HFunctionId.H3: lambda: (x - s * c) / (x * s * s),
         HFunctionId.H4: lambda: (x - s) * c / (x - s * c),
     }[fn_id]()
+
+
+def pairs():
+    """(1 + d, 1) for d log-uniform on [2^-52, 1e300], 1280 points, and on
+    [1e-15, 1e-3], 256 points, across the Seiffert means' series cutoff;
+    then (m, m*r) for r = min/max log-uniform on [2^-1073, 2^-1022], where r
+    is subnormal, 64 points at each of four m; m*r is taken through the log,
+    so that it carries all 53 bits where it is normal; then, in both orders,
+    pairs whose r underflows to 0 and pairs with a subnormal a or b."""
+    out = []
+    for lo, hi, n in ((2.0**-52, 1e300, 1280), (1e-15, 1e-3, 256)):
+        ln_lo, ln_hi = math.log(lo), math.log(hi)
+        out += [PositivePair(1.0 + math.exp(ln_lo + (ln_hi - ln_lo) * i / (n - 1)), 1.0) for i in range(n)]
+    ln_lo, ln_hi = math.log(2.0**-1073), math.log(2.0**-1022)
+    for i in range(64):
+        ln_r = ln_lo + (ln_hi - ln_lo) * i / 63
+        out += [PositivePair(m, math.exp(math.log(m) + ln_r)) for m in (1.7e308, 3e250, 1e150, 7e15)]
+    for low in (5e-324, 1e-320, 3.3e-315, 1e-310, 2.2e-308, 1e-300, 1e-30):
+        for m in (1.5 * low, 3.0 * low, 1.0, 1e20, 1e300, 1.7e308):
+            out += [PositivePair(m, low), PositivePair(low, m)]
+    return out

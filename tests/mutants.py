@@ -58,13 +58,17 @@ MUTANTS = [
     Mutant("kernels: h4 series off by 2^-51", "kernels.py",
            "return math.cos(x) * num / den", "return math.cos(x) * num / den * (1 + 2.0**-51)",
            (_K + "TestKernelOracle::test_worst_ulp_error[h4-series]",)),
-    # h2's denominator without its w^6 term: dropping its w^7, w^8 or w^9
-    # term instead moves no bit for x < 1/2, so no test could catch it
+    # h2's denominator without its w^6 term: dropping its w^8 or w^9 term
+    # instead moves at most one of 200 000 random x < 1/2, too few to catch
     Mutant("kernels: h2's denominator without its w^6 term", "kernels.py",
-           "(d6 + w * (d7 + w * (d8 + w * d9))))))))\n    return num / den",
-           "(w * (d7 + w * (d8 + w * d9))))))))\n    return num / den",
+           "_quotient_sums(_H2_NUM, _H2_DEN, x)", "_quotient_sums(_H2_NUM, (*_H2_DEN[:6], 0.0, *_H2_DEN[7:]), x)",
            (_M + "TestExcesses::test_straight_line_horner_matches_the_loop_bitwise[h2]",
             _K + "TestKernelOracle::test_worst_ulp_error[h2-series]")),
+    Mutant("kernels: the quotient's numerator and denominator sums swapped", "kernels.py",
+           "= num\n    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9 = den\n",
+           "= den\n    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9 = num\n",
+           (_K + "TestKernelOracle::test_worst_ulp_error[h2-series]",
+            _M + "TestExcesses::test_straight_line_horner_matches_the_loop_bitwise[h4]")),
     Mutant("kernels: h3 direct off by 2^-48", "kernels.py",
            "return (x - s * c) / (x * s * s)", "return (x - s * c) / (x * s * s) * (1 + 2.0**-48)",
            (_K + "TestKernelOracle::test_worst_ulp_error[h3-direct]",)),
@@ -154,7 +158,7 @@ MUTANTS = [
     Mutant("bounds: a tie moves the worst sample on", "bounds.py",
            "if lo < lo_0:", "if lo <= lo_0:", (_B + "TestFold::test_ties_keep_the_first_sample",)),
     Mutant("bounds: the sin substitution's theta without its 2", "bounds.py",
-           '2.0 * math.sqrt(r) if theta_sub == "sin"', 'math.sqrt(r) if theta_sub == "sin"',
+           '2.0 * math.sqrt(r) if spec.theta_sub == "sin"', 'math.sqrt(r) if spec.theta_sub == "sin"',
            (_B + "TestRatio::test_kernel_route_against_mpmath",)),
     Mutant("bounds: the lane formula a step short", "bounds.py",
            "(seed * _SEED_MIX + (index + 1) * _PHI) & _M64", "(seed * _SEED_MIX + index * _PHI) & _M64",

@@ -551,33 +551,12 @@ class TestEnds:
                 assert abs(far[kind] - mpmath.mpf(m_inf.numerator) / m_inf.denominator) < 1e-48, kind
 
 
-def _oracle_pairs():
-    """(1 + d, 1) for d log-uniform on [2^-52, 1e300], 1280 points, and on
-    [1e-15, 1e-3], 256 points, across the Seiffert means' series cutoff;
-    then (m, m*r) for r = min/max log-uniform on [2^-1073, 2^-1022], where r
-    is subnormal, 64 points at each of four m; m*r is taken through the log,
-    so that it carries all 53 bits where it is normal; then, in both orders,
-    pairs whose r underflows to 0 and pairs with a subnormal a or b."""
-    pairs = []
-    for lo, hi, n in ((2.0**-52, 1e300, 1280), (1e-15, 1e-3, 256)):
-        ln_lo, ln_hi = math.log(lo), math.log(hi)
-        pairs += [PositivePair(1.0 + math.exp(ln_lo + (ln_hi - ln_lo) * i / (n - 1)), 1.0) for i in range(n)]
-    ln_lo, ln_hi = math.log(2.0**-1073), math.log(2.0**-1022)
-    for i in range(64):
-        ln_r = ln_lo + (ln_hi - ln_lo) * i / 63
-        pairs += [PositivePair(m, math.exp(math.log(m) + ln_r)) for m in (1.7e308, 3e250, 1e150, 7e15)]
-    for low in (5e-324, 1e-320, 3.3e-315, 1e-310, 2.2e-308, 1e-300, 1e-30):
-        for m in (1.5 * low, 3.0 * low, 1.0, 1e20, 1e300, 1.7e308):
-            pairs += [PositivePair(m, low), PositivePair(low, m)]
-    return pairs
-
-
 def _worst_ulp(mpmath, f, kind):
     """The largest |f(pair) - M(pair)| over the oracle pairs, in ulp of M, with
     M the 60-digit mean of that kind."""
     worst = 0.0
     with mpmath.workdps(60):
-        for pair in _oracle_pairs():
+        for pair in oracle.pairs():
             want = oracle.mean(kind, pair.a, pair.b)
             worst = max(worst, float(abs(f(pair) - want) / math.ulp(float(want))))
     return worst
