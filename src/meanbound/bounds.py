@@ -66,8 +66,13 @@ def _check_spec(spec: object) -> None:
         raise DomainError(f"spec must be an InequalitySpec, got {spec!r}")
 
 
-# theta_sub -> right end of the theta range
-_THETA_SUBS = {"sin": math.pi / 2, "tan": math.pi / 4}
+# theta_sub -> theta(r), r = min(a, b)/max(a, b), from sin(theta) or tan(theta) =
+# (1 - r)/(1 + r).  Unlike asin near 1, neither atan2 amplifies rounding as a/b
+# grows, and theta(0) is the right end of the theta range, pi/2 or pi/4.
+_THETA_SUBS = {
+    "sin": lambda r: math.atan2(1.0 - r, 2.0 * math.sqrt(r)),
+    "tan": lambda r: math.atan2(1.0 - r, 1.0 + r),
+}
 
 
 class _SpecFields(NamedTuple):
@@ -87,7 +92,7 @@ class InequalitySpec(_SpecFields):
     The claim is alpha*hi + (1-alpha)*lo < target < beta*hi + (1-beta)*lo,
     and (target - lo)/(hi - lo) == p*h(theta) + q with t = (x-1)/(x+1) and
     t = sin(theta) ('sin') or t = tan(theta) ('tan'), theta in
-    (0, theta_right), where theta_right is pi/2 or pi/4 accordingly.
+    (0, theta_right), where theta_right is theta at r = 0, pi/2 or pi/4.
     """
 
     __slots__ = ()
@@ -111,7 +116,7 @@ class InequalitySpec(_SpecFields):
 
     @property
     def theta_right(self) -> float:
-        return _THETA_SUBS[self.theta_sub]
+        return _THETA_SUBS[self.theta_sub](0.0)
 
 
 SPECS: dict[str, InequalitySpec] = {
@@ -187,6 +192,15 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     return _SHARP[key]
 
 
+def _ratio_r(spec: InequalitySpec, pair: PositivePair) -> float:
+    """r = min(a, b)/max(a, b) of pair for a ratio of spec, refusing a == b."""
+    _check_spec(spec)
+    _, r = _reduce(pair)
+    if r == 1.0:  # exactly when a == b
+        raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
+    return r
+
+
 def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
     """(target - lo)/(hi - lo) as (e_target - e_lo)/(e_hi - e_lo), e the means'
     excesses: each mean is A*(1 + t^2*e), A the arithmetic mean, t = (1-r)/(1+r)
@@ -196,10 +210,7 @@ def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
     alpha, and only a == b is refused.  It reads only the spec's target, hi and
     lo, so it cannot see a crooked kernel, theta_sub, p or q; sharp_bounds and
     equivalence_check check the reduction."""
-    _check_spec(spec)
-    _, r = _reduce(pair)
-    if r == 1.0:  # exactly when a == b
-        raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
+    r = _ratio_r(spec, pair)
     excesses = _EXCESSES[spec.target], _EXCESSES[spec.hi], _EXCESSES[spec.lo]
     e_target, e_hi, e_lo = [e(r) if callable(e) else e for e in excesses]
     if e_hi == e_lo:  # only for a pair of means outside SPECS
@@ -210,19 +221,15 @@ def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
 def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
     """The same ratio through the substitution chain, as p*h(theta) + q.
 
-    With r = min(a, b)/max(a, b), sin(theta) or tan(theta) = (1-r)/(1+r)
-    gives theta = atan2(1 - r, 2*sqrt(r)) or atan2(1 - r, 1 + r).  Unlike
-    asin near 1, neither amplifies rounding as a/b grows, and r = 0 gives
-    theta_right.  For the seven SPECS it is within 4e-15 relative of a
-    60-digit ratio of the means for a/b - 1 in [1e-12, 1e300] and for r = 0
-    (worst measured 7.2e-16).  It evaluates the reduction as given, crooked
-    or not; sharp_bounds and equivalence_check check it against the means.
-    A p or q so large that p*h + q is not finite raises DomainError."""
-    _check_spec(spec)
-    _, r = _reduce(pair)
-    if r == 1.0:  # exactly when a == b
-        raise DegeneratePairError(f"ratio of {spec.id} is 0/0 at a == b")
-    theta = math.atan2(1.0 - r, 2.0 * math.sqrt(r) if spec.theta_sub == "sin" else 1.0 + r)
+    theta is the spec's theta(r) in _THETA_SUBS, r = min(a, b)/max(a, b),
+    so r = 0 gives theta_right.  For the seven SPECS it is within 4e-15
+    relative of a 60-digit ratio of the means for a/b - 1 in [1e-12, 1e300]
+    and for r = 0 (worst measured 7.2e-16).  It evaluates the reduction as
+    given, crooked or not; sharp_bounds and equivalence_check check it
+    against the means.  A p or q so large that p*h + q is not finite raises
+    DomainError."""
+    r = _ratio_r(spec, pair)  # checks the spec before theta_sub is read
+    theta = _THETA_SUBS[spec.theta_sub](r)
     value = spec.p * h_eval(spec.kernel, theta) + spec.q
     if not math.isfinite(value):
         raise DomainError(f"{spec.id}: p*h(theta) + q = {value!r} is not finite at theta={theta!r}")
@@ -256,7 +263,8 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
     extrema; sharp_bounds and equivalence_check check the reduction.
     """
     _check_spec(spec)
-    thetas = [*_LIMIT_PROBES, *(spec.theta_right * i / _SCAN_STEPS for i in range(1, _SCAN_STEPS + 1))]
+    right = spec.theta_right
+    thetas = [*_LIMIT_PROBES, *(right * i / _SCAN_STEPS for i in range(1, _SCAN_STEPS + 1))]
     values = [spec.p * h_eval(spec.kernel, theta) + spec.q for theta in thetas]
     for theta, value in zip(thetas, values):
         if math.isinf(value):
@@ -441,9 +449,12 @@ def _certify_chunk(
     return results
 
 
-def _check_run(n_samples: object, seed: object, tol: object,
-               alpha: object = None, beta: object = None) -> None:
-    """The argument checks of certify and certify_many."""
+def _certify(specs: list, n_samples: object, seed: object, tol: object,
+             alpha: object = None, beta: object = None) -> list[CertificationReport]:
+    """certify and certify_many: one report per spec, over one shared stream,
+    at alpha and beta when given, else at the spec's sharp constants."""
+    for spec in specs:
+        _check_spec(spec)
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -453,22 +464,19 @@ def _check_run(n_samples: object, seed: object, tol: object,
     if not 0.0 < tol <= _TOL_MAX:
         bound = "positive" if tol <= 0.0 else f"at most {_TOL_MAX!r}"
         raise DomainError(f"tol must be {bound}, got {tol!r}")
-
-
-def _certify_specs(checks: list[tuple[InequalitySpec, float, float]], n_samples: int, seed: int,
-                   tol: float) -> list[CertificationReport]:
-    """One report per (spec, alpha, beta) check, over one shared stream."""
+    sharps = [sharp_bounds(spec) for spec in specs]
+    checks = [(spec, sharp.alpha if alpha is None else float(alpha), sharp.beta if beta is None else float(beta))
+              for spec, sharp in zip(specs, sharps)]
     results = _certify_chunk(checks, tol, seed, n_samples)
     beta_pair, alpha_pair = PositivePair(_BETA_PROBE_X, 1.0), PositivePair(_ALPHA_PROBE_X, 1.0)
     reports = []
-    for (spec, alpha, beta), (violations, lo, lo_x, hi, hi_x) in zip(checks, results):
-        lower, upper = lo - alpha, beta - hi
+    for (spec, check_alpha, check_beta), sharp, (violations, lo, lo_x, hi, hi_x) in zip(checks, sharps, results):
+        lower, upper = lo - check_alpha, check_beta - hi
         worst, worst_x = (upper, hi_x) if upper < lower else (lower, lo_x)
-        # per call (32 us of a 0.8 ms seven-spec certify_many at 2000 samples, Python 3.11,
+        # per call (23 us of a 0.79 ms seven-spec certify_many at 2000 samples, Python 3.11,
         # 2-core Xeon): a store keyed on the spec would keep what _EXCESSES held at first
         # use, so a substituted excess would leak into later calls, and the probes would
         # miss the live ratio
-        sharp = sharp_bounds(spec)
         beta_gap = abs(ratio(spec, beta_pair) - sharp.beta)
         alpha_gap = abs(ratio(spec, alpha_pair) - sharp.alpha)
         violations += int(beta_gap > _BETA_PROBE_TOL) + int(alpha_gap > _ALPHA_PROBE_TOL)
@@ -506,11 +514,7 @@ def certify(
     The report is a value, never an exception, and is deterministic for a
     fixed seed.
     """
-    _check_spec(spec)
-    _check_run(n_samples, seed, tol, alpha, beta)
-    sharp = sharp_bounds(spec)
-    check = (spec, sharp.alpha if alpha is None else float(alpha), sharp.beta if beta is None else float(beta))
-    return _certify_specs([check], n_samples, seed, tol)[0]
+    return _certify([spec], n_samples, seed, tol, alpha, beta)[0]
 
 
 def certify_many(
@@ -532,11 +536,7 @@ def certify_many(
         raise DomainError(f"specs must be an iterable of InequalitySpecs, got {specs!r}") from None
     if not specs:
         raise DomainError("certify_many needs at least one spec")
-    for spec in specs:
-        _check_spec(spec)
-    _check_run(n_samples, seed, tol)
-    checks = [(spec, sharp.alpha, sharp.beta) for spec, sharp in zip(specs, map(sharp_bounds, specs))]
-    return _certify_specs(checks, n_samples, seed, tol)
+    return _certify(specs, n_samples, seed, tol)
 
 
 # ---------------------------------------------------------------------------

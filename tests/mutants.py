@@ -158,8 +158,14 @@ MUTANTS = [
     Mutant("bounds: a tie moves the worst sample on", "bounds.py",
            "if lo < lo_0:", "if lo <= lo_0:", (_B + "TestFold::test_ties_keep_the_first_sample",)),
     Mutant("bounds: the sin substitution's theta without its 2", "bounds.py",
-           '2.0 * math.sqrt(r) if spec.theta_sub == "sin"', 'math.sqrt(r) if spec.theta_sub == "sin"',
+           "math.atan2(1.0 - r, 2.0 * math.sqrt(r))", "math.atan2(1.0 - r, math.sqrt(r))",
            (_B + "TestRatio::test_kernel_route_against_mpmath",)),
+    Mutant("bounds: certify ignores its alpha", "bounds.py",
+           "sharp.alpha if alpha is None else float(alpha)", "sharp.alpha",
+           (_B + "TestCertify::test_raised_alpha_is_violated",)),
+    Mutant("bounds: a ratio at a == b not refused", "bounds.py",
+           "    if r == 1.0:  # exactly when a == b\n", "    if False:\n",
+           (_B + "TestRatio::test_degenerate_pair_rejected",)),
     Mutant("bounds: the lane formula a step short", "bounds.py",
            "(seed * _SEED_MIX + (index + 1) * _PHI) & _M64", "(seed * _SEED_MIX + index * _PHI) & _M64",
            (_B + "TestStream::test_walk_is_the_full_draw_and_split",)),

@@ -48,6 +48,35 @@ EXPECTED_CONSTANTS = {
     "thm5.3": (2 / math.pi, 2 / 3),
 }
 
+# Each mean is A*(1 + t^2*e), t = (1-r)/(1+r); the (t^0, t^2) coefficients of
+# its excess e, from the Maclaurin series of sqrt(1 - t^2), sqrt(1 + t^2),
+# t/asin(t) and t/atan(t); C, Cbar, A and H have only their constant.
+EXCESS_T0_T2 = {
+    MeanKind.GEOMETRIC: (Fraction(-1, 2), Fraction(-1, 8)),
+    MeanKind.ROOT_SQUARE: (Fraction(1, 2), Fraction(-1, 8)),
+    MeanKind.SEIFFERT_P: (Fraction(-1, 6), Fraction(-17, 360)),
+    MeanKind.SEIFFERT_T: (Fraction(1, 3), Fraction(-4, 45)),
+    MeanKind.CONTRA_HARMONIC: (Fraction(1), Fraction(0)),
+    MeanKind.CENTROIDAL: (Fraction(1, 3), Fraction(0)),
+    MeanKind.ARITHMETIC: (Fraction(0), Fraction(0)),
+    MeanKind.HARMONIC: (Fraction(-1), Fraction(0)),
+}
+# beta - ratio = kappa_beta*t^2 + O(t^4)
+KAPPA_BETA = {
+    "prop1.1": Fraction(17, 360), "prop1.2": Fraction(17, 720), "prop1.3": Fraction(1, 90),
+    "prop1.4": Fraction(17, 480), "thm5.1": Fraction(2, 45), "thm5.2": Fraction(7, 80), "thm5.3": Fraction(1, 90),
+}
+
+
+def _beta_and_kappa_beta(spec):
+    """(beta, kappa_beta) from the excesses' t^0 and t^2 coefficients: with
+    dT = e_target - e_lo and dH = e_hi - e_lo, the ratio dT/dH is
+    beta - kappa_beta*t^2 + O(t^4), beta = dT_0/dH_0 and
+    kappa_beta = -(dT_2 - beta*dH_2)/dH_0."""
+    (t_0, t_2), (h_0, h_2), (l_0, l_2) = (EXCESS_T0_T2[kind] for kind in (spec.target, spec.hi, spec.lo))
+    beta = (t_0 - l_0) / (h_0 - l_0)
+    return beta, -((t_2 - l_2) - beta * (h_2 - l_2)) / (h_0 - l_0)
+
 
 class TestRegistry:
     def test_exactly_seven_rows(self):
@@ -339,6 +368,19 @@ class TestRatio:
                     assert ratio(spec, pair) == approx(beta, abs=1e-15)
         with pytest.raises(DegeneratePairError, match="thm5.2"):
             ratio(SPECS["thm5.2"], PositivePair(1.0, 1.0))
+
+    @pytest.mark.parametrize("spec_id", list(SPECS))
+    def test_beta_end_follows_the_excesses_t2_terms(self, spec_id):
+        # an oracle free of mpmath: beta and kappa_beta from the excesses'
+        # series, against ratio at d = 1e-3, where O(t^4) is about 1.5e-7 of
+        # kappa_beta*t^2
+        spec = SPECS[spec_id]
+        beta, kappa = _beta_and_kappa_beta(spec)
+        assert str(beta) == sharp_bounds(spec).beta_exact
+        assert kappa == KAPPA_BETA[spec_id]
+        x = 1.0 + 1e-3
+        t = (x - 1.0) / (x + 1.0)
+        assert (float(beta) - ratio(spec, PositivePair(x, 1.0))) / (t * t) == approx(float(kappa), rel=1e-6)
 
     def test_against_mpmath_per_decade(self):
         # the ratio of the means at 100 digits, on exact binary64 pairs with
@@ -1021,6 +1063,21 @@ class TestCertifyMany:
         with pytest.raises(DomainError) as one:
             certify(SPECS["prop1.1"], n_samples, seed, tol)
         assert str(many.value) == str(one.value)
+
+    def test_sharp_bounds_is_called_once_per_spec(self, monkeypatch):
+        calls = Counter()
+
+        def counted(spec):
+            calls[spec.id] += 1
+            return sharp_bounds(spec)
+
+        monkeypatch.setattr(bounds, "sharp_bounds", counted)
+        certify_many(SPECS.values(), 100, 42, 1e-12)
+        assert calls == dict.fromkeys(SPECS, 1)
+        for spec in SPECS.values():
+            calls.clear()
+            certify(spec, 100, 42, 1e-12, alpha=0.1)
+            assert calls == {spec.id: 1}
 
 
 class TestEquivalence:
