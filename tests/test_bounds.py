@@ -267,16 +267,6 @@ class TestRatio:
             with pytest.raises(DegeneratePairError):
                 fn(SPECS["prop1.3"], PositivePair(1, 1))
 
-    def test_mean_route_equals_kernel_route(self):
-        # the reduction identity, checked across the sampling range, down to
-        # 1e-12 from a == b, where both routes cancel nothing
-        ln_lo, ln_hi = math.log1p(1e-12), math.log(1e8)
-        for spec in SPECS.values():
-            for i in range(60):
-                x = math.exp(ln_lo + (ln_hi - ln_lo) * i / 59.0)
-                pair = PositivePair(x, 1.0)
-                assert ratio(spec, pair) == approx(ratio_via_kernel(spec, pair), rel=1e-11)
-
     def test_swap_invariant(self):
         spec = SPECS["prop1.1"]
         assert ratio(spec, PositivePair(7, 2)) == approx(ratio(spec, PositivePair(2, 7)), rel=1e-13)
@@ -338,19 +328,14 @@ class TestRatio:
         pairs += [(1e300, 1e-300), (1.7e308, 5e-324), (2.0, 5e-324), (1e20, 1e-310)]
         worst = 0.0
         with mpmath.workdps(60):
-            for spec in SPECS.values():
-                for pair in pairs:
-                    for a, b in (pair, pair[::-1]):
-                        ref = oracle.ratio(spec, a, b)
+            for pair in pairs:
+                for a, b in (pair, pair[::-1]):
+                    means = oracle.means(a, b)
+                    for spec in SPECS.values():
+                        ref = oracle.ratio(spec, means)
                         got = ratio_via_kernel(spec, PositivePair(a, b))
                         worst = max(worst, float(abs(got - ref) / abs(ref)))
         assert worst <= 4e-15
-
-    def test_kernel_route_past_the_binary64_ratio_range(self):
-        # min/max underflows to 0; theta is then the right end of its range
-        for spec in SPECS.values():
-            for pair in (PositivePair(1e300, 1e-300), PositivePair(1e-300, 1e300)):
-                assert ratio_via_kernel(spec, pair) == approx(sharp_bounds(spec).alpha, rel=1e-14)
 
     def test_a_kernel_ratio_that_overflows_is_refused(self):
         # p and q are finite, but p*h + q is not: 1e308*(0.83 + 1) > 1.8e308
@@ -394,10 +379,11 @@ class TestRatio:
         worst = 0.0
         with mpmath.workdps(100):
             for pair in pairs + oracle.pairs():
+                means = oracle.means(pair.a, pair.b)
                 for spec in SPECS.values():
                     got = ratio(spec, pair)
                     assert got == ratio(spec, PositivePair(pair.b, pair.a)), (spec.id, pair)
-                    ref = float(oracle.ratio(spec, pair.a, pair.b))
+                    ref = float(oracle.ratio(spec, means))
                     worst = max(worst, abs(got - ref) / math.ulp(ref))
         assert worst <= 16.0
 
@@ -693,21 +679,11 @@ def _reference_chunk(spec, alpha, beta, tol, seed, n_samples):
 
 
 class TestStream:
-    # indices past 2^64 and seeds at the edges of 64 bits check that every
-    # value is reduced mod 2^64.
-    @pytest.mark.parametrize("seed", [0, 1, 42, -7, 2**70, 2**64 - 1, -(2**64)])
-    @pytest.mark.parametrize("start, stop", [
-        (7, 7), (0, 1), (0, 300), (_BLOCK - 1, 2 * _BLOCK + 1), (10**12, 10**12 + 40),
-        (0, _BLOCK - 1), (0, _BLOCK), (0, _BLOCK + 1), (100, 2 * _BLOCK + 100), (2**64 - 5, 2**64 + _BLOCK),
-    ])
-    def test_block_draw_matches_the_scalar_formula(self, seed, start, stop):
-        # the two ends of each range: _lane draws each index alone
-        ends = [start, stop - 1] if stop > start else []
-        assert [_lane(seed, i) for i in ends] == [_weyl_lane(seed, i) for i in ends]
-
     def test_a_rotated_seed_is_the_stream_moved_on(self):
         # sample i of _rotated(seed, start) is sample start + i of seed, so a
-        # run over the indices start, start + 1, ... is a run of the rotated seed
+        # run over the indices start, start + 1, ... is a run of the rotated seed;
+        # indices past 2^64 and seeds at the edges of 64 bits check that every
+        # value is reduced mod 2^64
         for seed in (0, 5, 42, -7, 2**64 - 1, 2**70 + 3):
             for start in (1, 86, _BLOCK - 1, 10**12, 2**64 - 5, 2**70):
                 rotated = _rotated(seed, start)
@@ -728,10 +704,9 @@ class TestStream:
         for n in (2000, 100_000):
             assert widest(_stream_lanes(seed, n)) * n <= 2 * 2**64, (seed, n)
 
-    @pytest.mark.parametrize("start", [_LANE_END, _M64, 2**40, 0, 2**63, _M64 - 2**40],
-                             ids=["lane-end", "M64", "2^40", "0", "2^63", "M64-2^40"])
+    @pytest.mark.parametrize("start", [_LANE_END, _M64], ids=["lane-end", "M64"])
     @pytest.mark.parametrize("first", [0, _BLOCK, 10**6])
-    @pytest.mark.parametrize("size", [1, 2, 3, 8, 2000, _BLOCK])
+    @pytest.mark.parametrize("size", [1, _BLOCK])
     def test_walk_is_the_full_draw_and_split(self, monkeypatch, start, first, size):
         # every lane, then one comparison per lane: the lanes <= _LANE_END and
         # the first lane past it in its place; the others past it are left out.
