@@ -704,9 +704,10 @@ class TestStream:
         for n in (2000, 100_000):
             assert widest(_stream_lanes(seed, n)) * n <= 2 * 2**64, (seed, n)
 
-    @pytest.mark.parametrize("start", [_LANE_END, _M64], ids=["lane-end", "M64"])
+    @pytest.mark.parametrize("start", [_LANE_END, _M64, 2**40, 0, 2**63, _M64 - 2**40],
+                             ids=["lane-end", "M64", "2^40", "0", "2^63", "M64-2^40"])
     @pytest.mark.parametrize("first", [0, _BLOCK, 10**6])
-    @pytest.mark.parametrize("size", [1, _BLOCK])
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 2000, _BLOCK])
     def test_walk_is_the_full_draw_and_split(self, monkeypatch, start, first, size):
         # every lane, then one comparison per lane: the lanes <= _LANE_END and
         # the first lane past it in its place; the others past it are left out.
