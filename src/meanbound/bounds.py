@@ -341,32 +341,26 @@ def _walk(seed: int, first: int, size: int) -> tuple[list[int], int]:
     for 1 <= size <= _BLOCK: kept holds, in order, the lanes <= _LANE_END and the
     first lane past _LANE_END, at its place end (size when there is none); the
     size - len(kept) others past _LANE_END are never built.  It steps one sample
-    at a time up to the first lane <= _LANE_END after end, then from one lane
+    at a time, except that once end is found it hops from each lane
     <= _LANE_END to the next by _RETURNS."""
-    lane = _lane(seed, first)
-    kept = []
-    while lane <= _LANE_END:  # the block's first lanes, up to the first past _LANE_END
-        kept.append(lane)
-        if len(kept) == size:
-            return kept, size
-        lane = (lane + _PHI) & _M64
-    end = i = len(kept)
-    kept.append(lane)
-    while lane > _LANE_END:  # on to the next lane <= _LANE_END
+    lane, kept, end, i = _lane(seed, first), [], size, 0
+    while i < size:  # lane is that of sample first + i
+        if lane <= _LANE_END:
+            kept.append(lane)
+            if end < size:
+                for g, offset in _RETURNS:
+                    landed = (lane + offset) & _M64
+                    if landed <= _LANE_END:
+                        break
+                i += g
+                lane = landed
+                continue
+        elif end == size:  # the block's first lane past _LANE_END
+            end = len(kept)
+            kept.append(lane)
         i += 1
-        if i == size:
-            return kept, end
         lane = (lane + _PHI) & _M64
-    while True:
-        kept.append(lane)
-        for g, offset in _RETURNS:
-            landed = (lane + offset) & _M64
-            if landed <= _LANE_END:
-                break
-        i += g
-        if i >= size:
-            return kept, end
-        lane = landed
+    return kept, end
 
 
 # each probe's gate is 4x, rounded down, the worst gap over SPECS at its x:
@@ -417,10 +411,11 @@ def _certify_chunk(
     indices (each lane depends on (seed, index) alone).  A block's samples
     on lanes above _LANE_END (x > 2^120, about 84% of them) share every
     excess, their end values; these hold from r = 2^-110 on, a margin of
-    2^57 lanes.  _walk hops from one kept lane to the next by _RETURNS and
-    never builds the others: the first of them is evaluated, in its place
-    end among the kept samples, and the other size - len(kept) count as
-    copies of it (none when no lane is past _LANE_END).  Each check folds a
+    2^57 lanes.  _walk steps to the block's first lane past _LANE_END, then
+    hops from one kept lane to the next by _RETURNS, so it never builds the
+    others past it: that first one is evaluated, in its place end among the
+    kept samples, and the other size - len(kept) count as copies of it
+    (none when no lane is past _LANE_END).  Each check folds a
     block's ratios with min and max, looks up a sample's x only when an
     extreme improves, and counts its violations only when an extreme
     crosses alpha - tol or beta + tol."""

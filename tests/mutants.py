@@ -174,6 +174,30 @@ MUTANTS = [
     Mutant("bounds: the lane formula not reduced mod 2^64", "bounds.py",
            "(seed * _SEED_MIX + (index + 1) * _PHI) & _M64", "(seed * _SEED_MIX + (index + 1) * _PHI)",
            (_B + "TestStream::test_a_rotated_seed_is_the_stream_moved_on",)),
+    Mutant("bounds: the walk drops a lane on _LANE_END", "bounds.py",
+           "        if lane <= _LANE_END:\n", "        if lane < _LANE_END:\n",
+           (_B + "TestStream::test_a_later_lane_on_lane_end_is_kept[step]",)),
+    Mutant("bounds: the walk's hop skips a landing on _LANE_END", "bounds.py",
+           "if landed <= _LANE_END:", "if landed < _LANE_END:",
+           (_B + "TestStream::test_a_later_lane_on_lane_end_is_kept[hop]",)),
+    Mutant("bounds: the walk's hop a sample short", "bounds.py",
+           "                i += g\n", "                i += g - 1\n",
+           (_B + "TestStream::test_walk_is_the_full_draw_and_split[2000-0-0]",)),
+    Mutant("bounds: the walk's step not reduced mod 2^64", "bounds.py",
+           "lane = (lane + _PHI) & _M64", "lane = lane + _PHI",
+           (_B + "TestStream::test_walk_is_the_full_draw_and_split[2000-0-0]",)),
+    Mutant("bounds: the walk's hop not reduced mod 2^64", "bounds.py",
+           "landed = (lane + offset) & _M64", "landed = lane + offset",
+           (_B + "TestStream::test_walk_is_the_full_draw_and_split[2000-0-0]",)),
+    Mutant("bounds: the walk hops before the block's first ended lane", "bounds.py",
+           "if end < size:", "if end <= size:",
+           (_B + "TestStream::test_walk_is_the_full_draw_and_split[2000-0-0]",)),
+    Mutant("bounds: the walk's end recorded one lane late", "bounds.py",
+           "            end = len(kept)\n", "            end = len(kept) + 1\n",
+           (_B + "TestStream::test_walk_is_the_full_draw_and_split[1-0-0]",)),
+    Mutant("bounds: the walk runs a sample past its block", "bounds.py",
+           "while i < size:", "while i <= size:",
+           (_B + "TestStream::test_walk_is_the_full_draw_and_split[1-0-0]",)),
     Mutant("bounds: the monotonicity scan forgives a rise of 1e-9", "bounds.py",
            "all(later >= earlier for", "all(later >= earlier - 1e-9 for",
            (_B + "TestNumericExtrema::test_interior_bump_between_the_ends_is_caught",)),
