@@ -721,7 +721,7 @@ class TestStream:
 
     @pytest.mark.parametrize("start", [_LANE_END, _M64, 0], ids=["lane-end", "M64", "0"])
     @pytest.mark.parametrize("first", [0, _BLOCK, 10**6])
-    @pytest.mark.parametrize("size", [1, 3, 2000, _BLOCK])
+    @pytest.mark.parametrize("size", [1, 2, 3, 2000, _BLOCK])
     def test_walk_is_the_full_draw_and_split(self, monkeypatch, start, first, size):
         # every lane, then one comparison per lane: the lanes <= _LANE_END and
         # the first lane past it in its place; the others past it are left out.
