@@ -34,7 +34,7 @@ from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
 from .means import _ENDS, _EXCESSES, MeanKind, PositivePair
 from .means import _reduce
-from .means import eval_mean  # noqa: F401  (unused, but perfbench/tracing.py wraps it here)
+from .means import eval_mean  # noqa: F401  (unused; perfbench/tracing.py wraps it, TestFusedLoop counts 0 calls)
 
 __all__ = [
     "CertificationReport",
@@ -448,8 +448,6 @@ def _certify(specs: list, n_samples: object, seed: object, tol: object,
              alpha: object = None, beta: object = None) -> list[CertificationReport]:
     """certify and certify_many: one report per spec, over one shared stream,
     at alpha and beta when given, else at the spec's sharp constants."""
-    for spec in specs:
-        _check_spec(spec)
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise DomainError(f"{name} must be an integer, got {value!r}")
