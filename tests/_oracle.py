@@ -66,14 +66,15 @@ def h(fn_id, x):
 
 
 def pairs():
-    """(2, 1), (3, 1) and (4, 1), where A(3, 1) and G(4, 1) are exactly 2;
+    """(1.0001, 1), on the Seiffert means' series branch; (2, 1), (3, 1) and
+    (4, 1), where A(3, 1) and G(4, 1) are exactly 2;
     (1 + d, 1) for d log-uniform on [2^-52, 1e300], 1280 points, and on
     [1e-15, 1e-3], 256 points, across the Seiffert means' series cutoff;
     then (m, m*r) for r = min/max log-uniform on [2^-1073, 2^-1022], where r
     is subnormal, 64 points at each of four m; m*r is taken through the log,
     so that it carries all 53 bits where it is normal; then, in both orders,
     pairs whose r underflows to 0 and pairs with a subnormal a or b."""
-    out = [PositivePair(a, 1.0) for a in (2.0, 3.0, 4.0)]
+    out = [PositivePair(a, 1.0) for a in (1.0001, 2.0, 3.0, 4.0)]
     for lo, hi, n in ((2.0**-52, 1e300, 1280), (1e-15, 1e-3, 256)):
         ln_lo, ln_hi = math.log(lo), math.log(hi)
         out += [PositivePair(1.0 + math.exp(ln_lo + (ln_hi - ln_lo) * i / (n - 1)), 1.0) for i in range(n)]

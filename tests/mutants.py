@@ -120,6 +120,9 @@ MUTANTS = [
            '    m, r = _reduce(pair)\n    if r == 0.0:\n        raise DomainError("r underflows")\n    try:\n',
            (_M + "TestMeanOracle::test_eval_mean_against_mpmath[P-3.2]",
             _M + "TestEvalMean::test_refuses_a_ratio_beyond_the_binary64_range[MeanKind.SEIFFERT_P]")),
+    Mutant("means: r one ulp low when a < b", "means.py",
+           "    return b, a / b", "    return b, math.nextafter(a / b, 0.0)",
+           (_M + "TestReferenceForms::test_eval_mean_matches_the_two_argument_forms_bitwise",)),
     Mutant("means: G and H from r down to the subnormal r", "means.py",
            "_SUBNORMAL_R = 2.0**-1022", "_SUBNORMAL_R = 2.0**-1074",
            (_M + "TestMeanOracle::test_eval_mean_against_mpmath[G-3.5]",)),

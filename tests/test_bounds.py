@@ -33,10 +33,6 @@ from meanbound.means import _ENDS, _EXCESSES
 
 import _oracle as oracle
 
-# 60-digit reference values.
-RATIO_PROP11_2_1 = 0.8277638965669817  # h1(asin(1/3))
-RATIO_THM51_2_1 = 0.661996629074508    # 1 - h3(atan(1/3))/2
-
 # Each mean is A*(1 + t^2*e), t = (1-r)/(1+r); the (t^0, t^2) coefficients of
 # its excess e, from the Maclaurin series of sqrt(1 - t^2), sqrt(1 + t^2),
 # t/asin(t) and t/atan(t); C, Cbar, A and H have only their constant.
@@ -72,29 +68,10 @@ class TestRegistry:
         assert list(SPECS) == [
             "prop1.1", "prop1.2", "prop1.3", "prop1.4", "thm5.1", "thm5.2", "thm5.3",
         ]
-
-    @pytest.mark.parametrize(
-        "spec_id,target,hi,lo,kernel,sub,right,p,q",
-        [
-            ("prop1.1", "P", "A", "H", "h1", "sin", math.pi / 2, 1.0, 0.0),
-            ("prop1.2", "P", "C", "H", "h1", "sin", math.pi / 2, 0.5, 0.0),
-            ("prop1.3", "T", "S", "A", "h2", "tan", math.pi / 4, 1.0, 0.0),
-            ("prop1.4", "P", "Cbar", "H", "h1", "sin", math.pi / 2, 0.75, 0.0),
-            ("thm5.1", "T", "C", "H", "h3", "tan", math.pi / 4, -0.5, 1.0),
-            ("thm5.2", "S", "C", "T", "h4", "tan", math.pi / 4, 1.0, 0.0),
-            ("thm5.3", "P", "A", "G", "h2", "sin", math.pi / 2, 1.0, 0.0),
-        ],
-    )
-    def test_row_contents(self, spec_id, target, hi, lo, kernel, sub, right, p, q):
-        spec = SPECS[spec_id]
-        assert spec.target.value == target
-        assert spec.hi.value == hi
-        assert spec.lo.value == lo
-        assert spec.kernel.value == kernel
-        assert spec.theta_sub == sub
-        assert spec.theta_right == right
-        assert spec.p == p and spec.q == q
-        assert spec.p != 0.0
+        # the right end of theta's range, where t = 1: no output or reduction
+        # check pins this field bit for bit
+        for spec in SPECS.values():
+            assert spec.theta_right == {"sin": math.pi / 2, "tan": math.pi / 4}[spec.theta_sub], spec.id
 
     # an unknown substitution used to mean atan silently; p and q feed the
     # exact beta, where a NaN would be a bare ValueError from Fraction
@@ -230,24 +207,10 @@ class TestCrookedReduction:
 
 
 class TestRatio:
-    def test_prop11_anchor(self):
-        pair = PositivePair(2, 1)
-        assert ratio(SPECS["prop1.1"], pair) == approx(RATIO_PROP11_2_1, rel=1e-12)
-        assert ratio_via_kernel(SPECS["prop1.1"], pair) == approx(RATIO_PROP11_2_1, rel=1e-13)
-
-    def test_thm51_anchor(self):
-        pair = PositivePair(2, 1)
-        assert ratio(SPECS["thm5.1"], pair) == approx(RATIO_THM51_2_1, rel=1e-12)
-        assert ratio_via_kernel(SPECS["thm5.1"], pair) == approx(RATIO_THM51_2_1, rel=1e-13)
-
     def test_degenerate_pair_rejected(self):
         for fn in (ratio, ratio_via_kernel):
             with pytest.raises(DegeneratePairError):
                 fn(SPECS["prop1.3"], PositivePair(1, 1))
-
-    def test_swap_invariant(self):
-        spec = SPECS["prop1.1"]
-        assert ratio(spec, PositivePair(7, 2)) == approx(ratio(spec, PositivePair(2, 7)), rel=1e-13)
 
     def test_strictly_monotone_in_x(self):
         # numerical shadow of the kernel monotonicity: every ratio falls
@@ -297,12 +260,12 @@ class TestRatio:
                 assert math.isfinite(value)
 
     def test_kernel_route_against_mpmath(self):
-        # the ratio from the means at 60 digits, on exact binary64 pairs
-        # with d = a/b - 1 from 1e-12 to 1e300 (worst 5.6e-16 past 3.7e15),
-        # and on pairs whose min/max underflows to 0
+        # the ratio from the means at 60 digits, on (2, 1), on exact binary64
+        # pairs with d = a/b - 1 from 1e-12 to 1e300 (worst 5.6e-16 past
+        # 3.7e15), and on pairs whose min/max underflows to 0
         mpmath = pytest.importorskip("mpmath")
         ln_lo, ln_hi = math.log(1e-12), math.log(1e300)
-        pairs = [(1.0 + math.exp(ln_lo + (ln_hi - ln_lo) * i / 199.0), 1.0) for i in range(200)]
+        pairs = [(2.0, 1.0)] + [(1.0 + math.exp(ln_lo + (ln_hi - ln_lo) * i / 199.0), 1.0) for i in range(200)]
         pairs += [(1e300, 1e-300), (1.7e308, 5e-324), (2.0, 5e-324), (1e20, 1e-310)]
         worst = 0.0
         with mpmath.workdps(60):
@@ -546,11 +509,6 @@ class TestCertify:
         assert report.samples == 1
         assert report.ok
 
-    def test_deterministic(self):
-        a = certify(SPECS["thm5.2"], 3000, 9, 1e-12)
-        b = certify(SPECS["thm5.2"], 3000, 9, 1e-12)
-        assert a == b
-
     def test_shards_merge_to_the_whole_range(self):
         # the stream is keyed by (seed, index), so split index ranges merged
         # with the same worst-margin / smallest-x tiebreak give the whole
@@ -679,20 +637,21 @@ class TestStream:
                 rotated = _rotated(seed, start)
                 assert [_lane(rotated, i) for i in range(3)] == [_weyl_lane(seed, start + i) for i in range(3)]
 
-    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 20260808, -1, -7, -(2**64), 2**64, 2**64 - 1, 2**70 + 3])
-    def test_widest_gap_is_under_two_over_n(self, seed):
-        # the first n values of the golden-ratio Weyl sequence cut [0, 2^64)
-        # into gaps of at most 2*2^64/n, both ends of the range included
-        # (measured: at most 1.89*2^64/n); any rotation, so any seed, keeps them
+    def test_widest_gap_is_under_two_over_n(self):
+        # the first n values of the golden-ratio Weyl sequence cut the circle
+        # [0, 2^64) into arcs of at most 2*2^64/n (measured: at most
+        # 1.89*2^64/n).  A seed adds a constant mod 2^64, a rotation, which
+        # keeps every arc, so seed 0 stands for every seed; and the two end
+        # gaps of [0, 2^64) are parts of one arc, the one that wraps past 0
         def widest(lanes):
             ordered = sorted(lanes)
-            return max(ordered[0], 2**64 - ordered[-1], *(b - a for a, b in zip(ordered, ordered[1:])))
+            return max(ordered[0] + 2**64 - ordered[-1], *(b - a for a, b in zip(ordered, ordered[1:])))
 
-        first = _stream_lanes(seed, 400)
+        first = _stream_lanes(0, 400)
         for n in range(2, 401):
-            assert widest(first[:n]) * n <= 2 * 2**64, (seed, n)
+            assert widest(first[:n]) * n <= 2 * 2**64, n
         for n in (2000, 100_000):
-            assert widest(_stream_lanes(seed, n)) * n <= 2 * 2**64, (seed, n)
+            assert widest(_stream_lanes(0, n)) * n <= 2 * 2**64, n
 
     @pytest.mark.parametrize("start", [_LANE_END, _M64, 0], ids=["lane-end", "M64", "0"])
     @pytest.mark.parametrize("first", [0, _BLOCK, 10**6])

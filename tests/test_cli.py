@@ -1,7 +1,6 @@
 import argparse
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -22,11 +21,6 @@ def run_cli(capsys, *argv):
 
 
 class TestMeanCommand:
-    def test_seiffert_p(self, capsys):
-        code, out, _ = run_cli(capsys, "mean", "--kind", "P", "--a", "2", "--b", "1")
-        assert code == 0
-        assert out.strip() == P_2_1_REPR
-
     def test_arithmetic(self, capsys):
         code, out, _ = run_cli(capsys, "mean", "--kind", "A", "--a", "3", "--b", "1")
         assert code == 0
@@ -54,71 +48,7 @@ class TestMeanCommand:
         assert json.loads(json.dumps(record)) == record
 
 
-class TestBoundsTableCommand:
-    def test_csv_has_seven_rows(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds-table", "--format", "csv")
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert len(lines) == 8  # header + 7 rows
-        assert lines[0].startswith("id,target,hi,lo,alpha_exact,alpha,beta_exact,beta,kernel")
-
-    def test_constants_in_json(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds-table", "--format", "json")
-        assert code == 0
-        rows = {r["id"]: r for r in json.loads(out)["results"]}
-        assert rows["prop1.1"]["alpha"] == 2 / math.pi
-        assert rows["prop1.1"]["beta"] == 5 / 6
-        assert rows["prop1.3"]["alpha_exact"] == "(4-pi)/((sqrt2-1)*pi)"
-        assert rows["thm5.1"]["kernel"] == "h3"
-        assert rows["thm5.2"]["target"] == "S"
-
-    def test_csv_json_payloads_match(self, capsys):
-        _, csv_out, _ = run_cli(capsys, "bounds-table", "--format", "csv")
-        _, json_out, _ = run_cli(capsys, "bounds-table", "--format", "json")
-        rows = json.loads(json_out)["results"]
-        csv_lines = csv_out.strip().split("\n")[1:]
-        for line, row in zip(csv_lines, rows):
-            cells = line.split(",")
-            assert cells[5] == repr(row["alpha"])
-            assert cells[7] == repr(row["beta"])
-
-    def test_text_lists_all_ids(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds-table")
-        assert code == 0
-        for spec_id in ("prop1.1", "prop1.4", "thm5.1", "thm5.3"):
-            assert spec_id in out
-
-    def test_reruns_are_byte_identical(self, capsys):
-        _, first, _ = run_cli(capsys, "bounds-table", "--format", "json")
-        _, second, _ = run_cli(capsys, "bounds-table", "--format", "json")
-        assert first == second
-
-
 class TestCertifyCommand:
-    def test_single_spec_ok(self, capsys):
-        code, out, _ = run_cli(capsys, "certify", "--id", "prop1.1", "--samples", "2000",
-                               "--seed", "42", "--format", "json")
-        assert code == 0
-        result = json.loads(out)["results"][0]
-        assert result["violations"] == 0
-        assert result["samples"] == 2000
-        # the samples reach a sharp constant to within rounding
-        assert abs(result["worst_margin"]) <= 1e-15
-
-    def test_one_sample(self, capsys):
-        code, out, _ = run_cli(capsys, "certify", "--id", "prop1.1", "--samples", "1",
-                               "--format", "json")
-        assert code == 0
-        assert json.loads(out)["results"][0]["samples"] == 1
-
-    def test_all_runs_every_spec(self, capsys):
-        code, out, _ = run_cli(capsys, "certify", "--id", "all", "--samples", "500",
-                               "--seed", "3", "--format", "json")
-        assert code == 0
-        assert [r["id"] for r in json.loads(out)["results"]] == [
-            "prop1.1", "prop1.2", "prop1.3", "prop1.4", "thm5.1", "thm5.2", "thm5.3",
-        ]
-
     def test_unknown_id_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--id", "nosuch"])
@@ -142,13 +72,6 @@ class TestCertifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: tol must be at most")
-
-    def test_deterministic_output(self, capsys):
-        args = ("certify", "--id", "thm5.2", "--samples", "1500", "--seed", "8",
-                "--format", "json")
-        _, first, _ = run_cli(capsys, *args)
-        _, second, _ = run_cli(capsys, *args)
-        assert first == second
 
     # SHA-256 of the stdout of `meanbound certify --id all --samples <samples>
     # --seed 42 --format <fmt>`; any change to a report's bits changes these.
@@ -264,62 +187,18 @@ class TestPinnedTranscripts:
 
 
 class TestSeriesCommand:
-    def test_h1_order_2(self, capsys):
-        code, out, _ = run_cli(capsys, "series", "--fn", "h1", "--order", "2",
-                               "--format", "json")
-        assert code == 0
-        rows = json.loads(out)["results"]
-        assert rows[0] == {"n": 1, "power": 0, "exact": "5/6", "value": 5 / 6}
-        assert rows[1]["exact"] == "-17/360"
-        assert rows[1]["value"] == -17 / 360
-
-    def test_h3_order_1(self, capsys):
-        code, out, _ = run_cli(capsys, "series", "--fn", "h3", "--order", "1",
-                               "--format", "json")
-        assert code == 0
-        assert json.loads(out)["results"][0]["exact"] == "2/3"
-
-    def test_csc_order_1(self, capsys):
-        code, out, _ = run_cli(capsys, "series", "--fn", "csc", "--order", "1",
-                               "--format", "json")
-        row = json.loads(out)["results"][0]
-        assert row["power"] == 1 and row["exact"] == "1/6"
-
-    def test_cot_and_cscsq(self, capsys):
-        _, out, _ = run_cli(capsys, "series", "--fn", "cot", "--order", "1", "--format", "json")
-        assert json.loads(out)["results"][0]["exact"] == "-1/3"
-        _, out, _ = run_cli(capsys, "series", "--fn", "cscsq", "--order", "1", "--format", "json")
-        assert json.loads(out)["results"][0]["exact"] == "1/3"
-
     @pytest.mark.parametrize("order", ["0", "17", "-3"])
     def test_order_out_of_range(self, capsys, order):
         code, _, err = run_cli(capsys, "series", "--fn", "h1", "--order", order)
         assert code == 2
         assert "order" in err
 
-    def test_text_format(self, capsys):
-        code, out, _ = run_cli(capsys, "series", "--fn", "h1", "--order", "2")
-        assert code == 0
-        assert "5/6" in out and "-17/360" in out
-
 
 class TestHfunCommand:
-    def test_h1_at_half_pi(self, capsys):
-        code, out, _ = run_cli(capsys, "hfun", "--id", "h1", "--x", "1.5707963267948966")
-        assert code == 0
-        assert float(out.strip()) == 2 / math.pi
-
     def test_outside_domain(self, capsys):
         code, _, err = run_cli(capsys, "hfun", "--id", "h1", "--x", "3.2")
         assert code == 2
         assert "error" in err
-
-    def test_csv_format(self, capsys):
-        code, out, _ = run_cli(capsys, "hfun", "--id", "h3", "--x", "0.25", "--format", "csv")
-        assert code == 0
-        header, row = out.strip().split("\n")
-        assert header == "id,x,value"
-        assert row.startswith("h3,0.25,")
 
 
 class TestParserReuse:

@@ -35,10 +35,6 @@ import _oracle as oracle
 # Reference values computed with a 60-digit arbitrary-precision evaluator
 # and rounded to binary64.
 P_ARCTAN_9_1 = 4.31362086458322   # 8/(4*atan(3) - pi)
-P_1P0001 = 1.000049999583354      # series branch, u ~ 5e-5
-T_1P0001 = 1.0000500008332918
-P_1P001 = 1.0004999583541532      # direct branch, u ~ 5e-4
-T_1P001 = 1.000500083291682
 
 ALL_KINDS = list(MeanKind)
 
@@ -78,44 +74,6 @@ class TestPositivePair:
 
 
 class TestEvalMean:
-    def test_seiffert_continuous_extension(self):
-        assert eval_mean(MeanKind.SEIFFERT_P, PositivePair(5, 5)) == 5.0
-        assert eval_mean(MeanKind.SEIFFERT_T, PositivePair(5, 5)) == 5.0
-
-    @pytest.mark.parametrize(
-        "kind,expected",
-        [
-            (MeanKind.SEIFFERT_P, P_1P0001),
-            (MeanKind.SEIFFERT_T, T_1P0001),
-        ],
-    )
-    def test_seiffert_series_branch(self, kind, expected):
-        assert eval_mean(kind, PositivePair(1.0001, 1.0)) == approx(expected, rel=1e-15)
-
-    @pytest.mark.parametrize(
-        "kind,expected",
-        [
-            (MeanKind.SEIFFERT_P, P_1P001),
-            (MeanKind.SEIFFERT_T, T_1P001),
-        ],
-    )
-    def test_seiffert_direct_branch(self, kind, expected):
-        assert eval_mean(kind, PositivePair(1.001, 1.0)) == approx(expected, rel=1e-14)
-
-    def test_seiffert_branches_join_smoothly(self):
-        # u ~ 9.5e-5 routes to the series; the direct quotient must agree
-        pair = PositivePair(1.00019, 1.0)
-        u = (pair.a - pair.b) / (pair.a + pair.b)
-        direct = (pair.a - pair.b) / (2.0 * math.asin(u))
-        assert eval_mean(MeanKind.SEIFFERT_P, pair) == approx(direct, rel=1e-13)
-        direct_t = (pair.a - pair.b) / (2.0 * math.atan(u))
-        assert eval_mean(MeanKind.SEIFFERT_T, pair) == approx(direct_t, rel=1e-13)
-
-    def test_every_kind_has_an_evaluator(self):
-        pair = PositivePair(3, 2)
-        for kind in ALL_KINDS:
-            assert 2.0 <= eval_mean(kind, pair) <= 3.0
-
     @pytest.mark.parametrize("kind", ["P", "SEIFFERT_P", None, [MeanKind.SEIFFERT_P]])
     def test_rejects_unknown_kind(self, kind):
         with pytest.raises(DomainError, match="MeanKind.CONTRA_HARMONIC, MeanKind.CENTROIDAL"):
@@ -163,28 +121,6 @@ class TestInvariants:
             for kind in ALL_KINDS:
                 assert lo <= eval_mean(kind, pair) <= hi
 
-    @given(a=positive, b=positive)
-    @settings(max_examples=200, derandomize=True)
-    def test_symmetry(self, a, b):
-        fwd = PositivePair(a, b)
-        rev = PositivePair(b, a)
-        for kind in ALL_KINDS:
-            assert eval_mean(kind, fwd) == eval_mean(kind, rev)
-
-    @pytest.mark.parametrize(
-        "a,b",
-        [
-            # Seiffert series branch, |a-b|/(a+b) < 1e-4
-            (1.0001, 1.0), (1.00019, 1.0), (1.0 + 2**-52, 1.0), (3.0, 3.00003),
-            (1e300, 1.00001e300), (1e-300, 1.00001e-300),
-            # extreme magnitudes, direct branch
-            (1e300, 3e299), (1e-300, 3e-299), (1e300, 1e10), (1e-300, 1e-10), (1e150, 1e-150),
-        ],
-    )
-    def test_symmetry_bitwise_at_branch_and_range_edges(self, a, b):
-        for kind in ALL_KINDS:
-            assert eval_mean(kind, PositivePair(a, b)) == eval_mean(kind, PositivePair(b, a))
-
     @given(
         a=st.floats(min_value=1e-30, max_value=1e30),
         b=st.floats(min_value=1e-30, max_value=1e30),
@@ -220,13 +156,6 @@ class TestHalfSumRatio:
         assert half_sum_ratio(PositivePair(1, 1)) == 0.0
         assert half_sum_ratio(PositivePair(1e6, 1)) == approx(999999 / 1000001, rel=1e-15)
 
-    @given(a=positive, b=positive)
-    @settings(max_examples=300, derandomize=True)
-    def test_range_and_antisymmetry(self, a, b):
-        u = half_sum_ratio(PositivePair(a, b))
-        assert -1.0 < u < 1.0
-        assert half_sum_ratio(PositivePair(b, a)) == -u
-
 
 class TestSeiffertPArctanForm:
     def test_degenerate_rejected(self):
@@ -243,15 +172,15 @@ class TestSeiffertPArctanForm:
             naive = (x - 1.0) / (4.0 * math.atan(math.sqrt(x)) - math.pi)
             assert seiffert_p_arctan_form(pair) == approx(naive, rel=1e-11)
 
-    def test_symmetric(self):
-        assert seiffert_p_arctan_form(PositivePair(1, 9)) == approx(P_ARCTAN_9_1, rel=1e-14)
-
 
 # The two-argument forms M(x, y) on x, y = a/m, b/m with m = max(a, b),
 # kept as an oracle: the one-variable evaluators m*M(1, r) must give the
 # same bits, sign included, since one of x and y is exactly 1.0.  Near
 # x == y the Seiffert forms keep their own truncated series of u/asin(u)
 # and u/atan(u), independent of the excesses that eval_mean uses there.
+# Each form gives the same bits for (y, x) as for (x, y), or for
+# half_sum_ratio their negation, so matching them on both orders of every
+# pair is also the test of each function's symmetry.
 _U_OVER_ASIN = (1.0, -1.0 / 6.0, -17.0 / 360.0, -367.0 / 15120.0, -27859.0 / 1814400.0)
 _U_OVER_ATAN = (1.0, 1.0 / 3.0, -4.0 / 45.0, 44.0 / 945.0, -428.0 / 14175.0)
 
@@ -311,7 +240,8 @@ def _reference_pairs():
     """Both argument orders of pairs with a/b - 1 log-uniform on
     [1e-16, 1e300] or uniform on [0, 3e-4], at magnitudes 10^U(-300, 300);
     then, at power-of-two magnitudes, b/a on the 1000 doubles just below 1
-    and on 1000 each side of the Seiffert series cutoff."""
+    and on 1000 each side of the Seiffert series cutoff; then pairs at the
+    Seiffert means' branch edge and at the ends of the binary64 range."""
     rng = random.Random(20261018)
     ds = [10.0 ** rng.uniform(-16.0, 300.0) for _ in range(3000)]
     ds += [rng.uniform(0.0, 3e-4) for _ in range(1500)] + [0.0, 1e-4, 2**-52]
@@ -326,6 +256,15 @@ def _reference_pairs():
         m = 2.0 ** rng.randint(-1000, 1000)
         yield m, m * r
         yield m * r, m
+    for a, b in (
+        # series branch, |a - b|/(a + b) < 1e-4
+        (1.0001, 1.0), (1.00019, 1.0), (1.0 + 2**-52, 1.0), (3.0, 3.00003),
+        (1e300, 1.00001e300), (1e-300, 1.00001e-300),
+        # extreme magnitudes, direct branch
+        (1e300, 3e299), (1e-300, 3e-299), (1e300, 1e10), (1e-300, 1e-10), (1e150, 1e-150),
+    ):
+        yield a, b
+        yield b, a
 
 
 def _same_bits(got, want):
