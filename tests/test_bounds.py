@@ -68,10 +68,29 @@ class TestRegistry:
         assert list(SPECS) == [
             "prop1.1", "prop1.2", "prop1.3", "prop1.4", "thm5.1", "thm5.2", "thm5.3",
         ]
-        # the right end of theta's range, where t = 1: no output or reduction
-        # check pins this field bit for bit
-        for spec in SPECS.values():
-            assert spec.theta_right == {"sin": math.pi / 2, "tan": math.pi / 4}[spec.theta_sub], spec.id
+
+    @pytest.mark.parametrize(
+        "spec_id,target,hi,lo,kernel,sub,right,p,q",
+        [
+            ("prop1.1", "P", "A", "H", "h1", "sin", math.pi / 2, 1.0, 0.0),
+            ("prop1.2", "P", "C", "H", "h1", "sin", math.pi / 2, 0.5, 0.0),
+            ("prop1.3", "T", "S", "A", "h2", "tan", math.pi / 4, 1.0, 0.0),
+            ("prop1.4", "P", "Cbar", "H", "h1", "sin", math.pi / 2, 0.75, 0.0),
+            ("thm5.1", "T", "C", "H", "h3", "tan", math.pi / 4, -0.5, 1.0),
+            ("thm5.2", "S", "C", "T", "h4", "tan", math.pi / 4, 1.0, 0.0),
+            ("thm5.3", "P", "A", "G", "h2", "sin", math.pi / 2, 1.0, 0.0),
+        ],
+    )
+    def test_row_contents(self, spec_id, target, hi, lo, kernel, sub, right, p, q):
+        spec = SPECS[spec_id]
+        assert spec.target.value == target
+        assert spec.hi.value == hi
+        assert spec.lo.value == lo
+        assert spec.kernel.value == kernel
+        assert spec.theta_sub == sub
+        assert spec.theta_right == right
+        assert spec.p == p and spec.q == q
+        assert spec.p != 0.0
 
     # an unknown substitution used to mean atan silently; p and q feed the
     # exact beta, where a NaN would be a bare ValueError from Fraction
