@@ -16,7 +16,7 @@ moves strictly between its two endpoint limits: beta is approached as
 a -> b and alpha as a/b -> inf, and neither constant can be improved.
 
 This module takes both constants from the three means' exact end values,
-checks each reduction, stated once as data, against them, recovers them
+checks each reduction, stated once as data, exactly, recovers them
 from the kernel (the limit at 0+ read off theta = 2^-27, a direct
 evaluation at theta_right, and a scan that checks the monotonicity in
 between), and certifies each inequality on deterministic samples.
@@ -164,6 +164,66 @@ _ALPHA_EXACT = {
 _SHARP: dict[tuple, SharpBounds] = {}
 
 
+class _Poly(dict):
+    """A polynomial in theta, s = sin(theta) and c = cos(theta): its nonzero rational
+    coefficients by the exponents (i, j, k) of theta^i s^j c^k, j <= 1.  A product
+    rewrites s^2 as 1 - c^2, so this normal form is unique and vanishes on an interval
+    only when empty, theta being transcendental over Q(sin(theta), cos(theta))."""
+
+    def __add__(self, other: _Poly) -> _Poly:
+        sums = {mono: self.get(mono, 0) + other.get(mono, 0) for mono in self.keys() | other.keys()}
+        return _Poly({mono: coef for mono, coef in sums.items() if coef})
+
+    def __sub__(self, other: _Poly) -> _Poly:
+        return self + _Poly({mono: -coef for mono, coef in other.items()})
+
+    def __mul__(self, other: _Poly) -> _Poly:
+        out: dict[tuple[int, int, int], Fraction] = {}
+        for (i, j, k), a in self.items():
+            for (i2, j2, k2), b in other.items():
+                theta, s, c = i + i2, j + j2, k + k2
+                if s == 2:  # s^2 = 1 - c^2
+                    s = 0
+                    out[theta, 0, c + 2] = out.get((theta, 0, c + 2), 0) - a * b
+                out[theta, s, c] = out.get((theta, s, c), 0) + a * b
+        return _Poly({mono: coef for mono, coef in out.items() if coef})
+
+
+_ONE, _THREE, _THETA, _S, _C = (_Poly({mono: n}) for mono, n in (
+    ((0, 0, 0), 1), ((0, 0, 0), 3), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)))
+# each mean over A as (numerator, denominator) for t = (a - b)/(a + b) = sin(theta)
+# or tan(theta): only the means of a SPECS triple under its substitution
+_MEANS_IN_THETA = {
+    "sin": {MeanKind.CONTRA_HARMONIC: (_ONE + _S * _S, _ONE), MeanKind.CENTROIDAL: (_THREE + _S * _S, _THREE),
+            MeanKind.ARITHMETIC: (_ONE, _ONE), MeanKind.HARMONIC: (_C * _C, _ONE),
+            MeanKind.GEOMETRIC: (_C, _ONE), MeanKind.SEIFFERT_P: (_S, _THETA)},
+    "tan": {MeanKind.CONTRA_HARMONIC: (_ONE, _C * _C), MeanKind.ARITHMETIC: (_ONE, _ONE),
+            MeanKind.HARMONIC: (_C * _C - _S * _S, _C * _C), MeanKind.ROOT_SQUARE: (_ONE, _C),
+            MeanKind.SEIFFERT_T: (_S, _C * _THETA)},
+}
+_KERNELS_IN_THETA = {  # as kernels states them
+    HFunctionId.H1: (_S - _THETA * _C * _C, _THETA * _S * _S),
+    HFunctionId.H2: (_S - _THETA * _C, _THETA * (_ONE - _C)),
+    HFunctionId.H3: (_THETA - _S * _C, _THETA * _S * _S),
+    HFunctionId.H4: ((_THETA - _S) * _C, _THETA - _S * _C),
+}
+
+
+def _reduction_holds(spec: InequalitySpec) -> bool:
+    """Whether (target - lo)/(hi - lo) == p*h(theta) + q for every theta in
+    (0, theta_right), decided exactly: every denominator is positive there, so
+    it holds when the cross-multiplied difference is the zero polynomial (and
+    hi - lo is not).  p and q are binary64, so Fraction holds them exactly."""
+    means = _MEANS_IN_THETA[spec.theta_sub]
+    if not {spec.target, spec.hi, spec.lo} <= means.keys():
+        return False
+    (n_t, d_t), (n_h, d_h), (n_l, d_l) = (means[kind] for kind in (spec.target, spec.hi, spec.lo))
+    n_k, d_k = _KERNELS_IN_THETA[spec.kernel]
+    p, q = (_Poly({(0, 0, 0): Fraction(value)}) for value in (spec.p, spec.q))  # a 0 vanishes in a product
+    span = n_h * d_l - n_l * d_h  # (hi - lo)*d_h*d_l
+    return bool(span) and not (n_t * d_l - n_l * d_t) * d_h * d_k - (p * n_k + q * d_k) * span * d_t
+
+
 def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     """Best-possible (alpha, beta) for one of the seven inequalities.
 
@@ -171,7 +231,7 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     (means._ENDS): beta exactly, alpha rounded once.  DomainError refuses
     a (target, hi, lo) outside SPECS, whatever its id (so no hi and lo that
     meet at an end get this far), and a reduction unless p*h(0+) + q == beta
-    and p*h(theta_right) + q is within 16 ulp of alpha (thm5.2's is 4 ulp off).
+    and p*h(theta) + q is (target - lo)/(hi - lo) exactly (_reduction_holds).
     Each accepted reduction is computed once; a refused one is refused on every call.
     """
     _check_spec(spec)
@@ -186,8 +246,8 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     alpha = float((t_1 - l_1) / (h_1 - l_1))
     if Fraction(spec.p) * H_INFO[spec.kernel].limit_at_zero + Fraction(spec.q) != beta:
         raise DomainError(f"{spec.id}: p*h(0+) + q is not its beta {beta}")
-    if not abs(spec.p * h_eval(spec.kernel, spec.theta_right) + spec.q - alpha) <= 16 * math.ulp(alpha):
-        raise DomainError(f"{spec.id}: p*h(theta_right) + q is not its alpha {alpha!r}")
+    if not _reduction_holds(spec):
+        raise DomainError(f"{spec.id}: p*h(theta) + q is not (target - lo)/(hi - lo) for t = {spec.theta_sub}(theta)")
     _SHARP[key] = SharpBounds(alpha=alpha, beta=float(beta), alpha_exact=_ALPHA_EXACT[codes], beta_exact=str(beta))
     return _SHARP[key]
 
@@ -209,7 +269,7 @@ def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
     measured 8.45 ulp, thm5.2 at a/b = 1.0000283); r underflowing to 0 gives
     alpha, and only a == b is refused.  It reads only the spec's target, hi and
     lo, so it cannot see a crooked kernel, theta_sub, p or q; sharp_bounds and
-    equivalence_check check the reduction."""
+    equivalence_check check the reduction exactly."""
     r = _ratio_r(spec, pair)
     excesses = _EXCESSES[spec.target], _EXCESSES[spec.hi], _EXCESSES[spec.lo]
     e_target, e_hi, e_lo = [e(r) if callable(e) else e for e in excesses]
@@ -226,8 +286,8 @@ def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
     relative of a 60-digit ratio of the means for a/b - 1 in [1e-12, 1e300]
     and for r = 0 (worst measured 7.2e-16).  It evaluates the reduction as
     given, crooked or not; sharp_bounds and equivalence_check check it
-    against the means.  A p or q so large that p*h + q is not finite raises
-    DomainError."""
+    exactly against the means.  A p or q so large that p*h + q is not
+    finite raises DomainError."""
     r = _ratio_r(spec, pair)  # checks the spec before theta_sub is read
     theta = _THETA_SUBS[spec.theta_sub](r)
     value = spec.p * h_eval(spec.kernel, theta) + spec.q
@@ -260,7 +320,7 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
     of those thetas, and ConvergenceError, a sign of a bug, when the limit
     does not settle or the scan is not monotone (NaN fails both).
     It evaluates p*h + q as given, so it recovers a crooked reduction's
-    extrema; sharp_bounds and equivalence_check check the reduction.
+    extrema; sharp_bounds and equivalence_check check the reduction exactly.
     """
     _check_spec(spec)
     right = spec.theta_right
@@ -535,24 +595,11 @@ def certify_many(
 # ---------------------------------------------------------------------------
 # equivalence of the two routes to each ratio
 
-_EQ_SAMPLES = 1000
-_EQ_SEED = 20260808
-# 3.5 times the worst gap, 2.3e-15 (thm5.2), on the first 20 000 pairs of the seed
-_EQ_REL_TOL = 8e-15
-
 
 def equivalence_check() -> bool:
-    """True when ratio (from the means' excesses) and ratio_via_kernel (the
-    paper's p*h(theta) + q) agree to 8e-15 relative for every spec in SPECS,
-    on the first 1000 pairs of certify's stream for seed 20260808 (the worst
-    gap there is 1.1e-15), so a crooked reduction there fails it, down to a
-    p off by 1e-13 relative.  This implies the h1 proportions
-    ratio(prop1.2) = ratio(prop1.1)/2 and ratio(prop1.4) = 3 ratio(prop1.1)/4.
+    """True when every spec in SPECS passes _reduction_holds, so ratio (from
+    the means' excesses) and ratio_via_kernel compute one function.  A crooked
+    kernel, substitution, p or q in SPECS fails it, down to one ulp.  This
+    implies ratio(prop1.2) = ratio(prop1.1)/2 and ratio(prop1.4) = 3 ratio(prop1.1)/4.
     """
-    for x in _sample_xs([_lane(_EQ_SEED, i) for i in range(_EQ_SAMPLES)]):
-        pair = PositivePair(x, 1.0)
-        for spec in SPECS.values():
-            expected = ratio_via_kernel(spec, pair)
-            if not abs(ratio(spec, pair) - expected) <= _EQ_REL_TOL * abs(expected):
-                return False
-    return True
+    return all(_reduction_holds(spec) for spec in SPECS.values())

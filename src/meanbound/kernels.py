@@ -207,8 +207,8 @@ def _tail_bound(name: str, x: float, out: SeriesEvaluation, n_coeffs: int) -> fl
         if i > n_coeffs:
             term *= y * (2 * i - 1) / (2 * i - 3)
         return term * (1.0 + 2.0 * y / ((2 * i - 1) * gap)) / gap
-    if i > n_coeffs:
-        term *= y / (1.0 - 0.25 ** (i - 1))
+    if i > n_coeffs:  # i = 33, where the ratio's 1/(1 - 4^-(i - 1)) rounds to 1.0
+        term *= y
     return term / ((1.0 - 0.25**i) * gap)
 
 

@@ -180,15 +180,29 @@ class TestSharpBounds:
 
 def _crooked_specs():
     """The reduction of prop1.3 with p = 1.1, q = -1/15, whose beta is within
-    1 ulp of the sharp 2/3 while its alpha is 7e-4 off; each spec with p
-    scaled by 1 + 2^-30 or q raised by 2^-30; and thm5.3 on the tan
-    substitution or on h3, which keep its exact beta 2/3 but not its alpha."""
+    1 ulp of the sharp 2/3 while its alpha is 7e-4 off; and each spec with p
+    scaled by 1 + 2^-30 or q raised by 2^-30, with p or q one ulp up or down,
+    on each other kernel, and on the other substitution.  thm5.3 on the tan
+    substitution or on h3 keeps its exact beta 2/3 but not its alpha."""
     yield pytest.param(SPECS["prop1.3"]._replace(p=1.1, q=-1 / 15), id="prop1.3-p1.1-q-1/15")
     for spec in SPECS.values():
         yield pytest.param(spec._replace(p=spec.p * (1 + 2.0**-30)), id=f"{spec.id}-p")
         yield pytest.param(spec._replace(q=spec.q + 2.0**-30), id=f"{spec.id}-q")
-    yield pytest.param(SPECS["thm5.3"]._replace(theta_sub="tan"), id="thm5.3-tan")
-    yield pytest.param(SPECS["thm5.3"]._replace(kernel=HFunctionId.H3), id="thm5.3-h3")
+        for field in ("p", "q"):
+            for way, toward in (("up", math.inf), ("down", -math.inf)):
+                one_ulp = math.nextafter(getattr(spec, field), toward)
+                yield pytest.param(spec._replace(**{field: one_ulp}), id=f"{spec.id}-{field}-ulp-{way}")
+        for kernel in HFunctionId:
+            if kernel != spec.kernel:
+                yield pytest.param(spec._replace(kernel=kernel), id=f"{spec.id}-{kernel.value}")
+        other = "tan" if spec.theta_sub == "sin" else "sin"
+        yield pytest.param(spec._replace(theta_sub=other), id=f"{spec.id}-{other}")
+
+
+def _at(poly, theta):
+    """A polynomial of bounds' exact reduction tables, evaluated in floats at theta."""
+    s, c = math.sin(theta), math.cos(theta)
+    return sum(float(coef) * theta**i * s**j * c**k for (i, j, k), coef in poly.items())
 
 
 class TestCrookedReduction:
@@ -214,15 +228,33 @@ class TestCrookedReduction:
     def test_the_right_beta_with_the_wrong_alpha_is_refused(self, changes):
         crooked = SPECS["thm5.3"]._replace(**changes)
         assert Fraction(crooked.p) * H_INFO[crooked.kernel].limit_at_zero + Fraction(crooked.q) == Fraction(2, 3)
-        with pytest.raises(DomainError, match=r"thm5\.3: p\*h\(theta_right\) \+ q is not its alpha"):
+        with pytest.raises(DomainError, match=r"thm5\.3: p\*h\(theta\) \+ q is not \(target - lo\)/\(hi - lo\)"):
             sharp_bounds(crooked)
 
     def test_an_alpha_25_ulp_off_is_refused(self):
         # beta stays exact, (1 + 2^-46)/4 - 2^-48 = 1/4, while p*h4(pi/4) + q
-        # moves to 25 ulp below alpha; the gate is 16 ulp
+        # moves to 25 ulp below alpha; the exact check refuses any p or q change
         crooked = SPECS["thm5.2"]._replace(p=1 + 2.0**-46, q=-(2.0**-48))
-        with pytest.raises(DomainError, match=r"thm5\.2: p\*h\(theta_right\) \+ q is not its alpha"):
+        with pytest.raises(DomainError, match=r"thm5\.2: p\*h\(theta\) \+ q is not \(target - lo\)/\(hi - lo\)"):
             sharp_bounds(crooked)
+
+    # the exact check's tables against the float code it stands for
+    @pytest.mark.parametrize("sub", ["sin", "tan"])
+    def test_each_mean_in_theta_is_the_mean_over_a(self, sub):
+        right = {"sin": math.pi / 2, "tan": math.pi / 4}[sub]
+        for theta in (0.1 * right, 0.5 * right, 0.9 * right):
+            t = math.sin(theta) if sub == "sin" else math.tan(theta)
+            pair = PositivePair(1.0 + t, 1.0 - t)
+            a = eval_mean(MeanKind.ARITHMETIC, pair)
+            for kind, (num, den) in bounds._MEANS_IN_THETA[sub].items():
+                expected = eval_mean(kind, pair) / a
+                assert _at(num, theta) / _at(den, theta) == approx(expected, rel=1e-13), (kind, theta)
+
+    @pytest.mark.parametrize("kernel", list(HFunctionId), ids=lambda kernel: kernel.value)
+    def test_each_kernel_in_theta_is_h_eval(self, kernel):
+        num, den = bounds._KERNELS_IN_THETA[kernel]
+        for theta in (0.3, 0.7, 1.2, 1.5):
+            assert _at(num, theta) / _at(den, theta) == approx(h_eval(kernel, theta), rel=1e-13), theta
 
 
 class TestRatio:
@@ -1030,7 +1062,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("spec_id", sorted(SPECS))
     def test_p_off_by_1e_13_fails(self, monkeypatch, spec_id):
-        # the routes agree to 2.3e-15 on 20 000 pairs; a 1e-12 gate let this through
+        # a float comparison of the two routes to a 1e-12 gate let this through
         spec = SPECS[spec_id]
         monkeypatch.setitem(SPECS, spec_id, spec._replace(p=spec.p * (1 + 1e-13)))
         assert not equivalence_check()
