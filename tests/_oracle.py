@@ -6,6 +6,7 @@ callers skip through pytest.importorskip("mpmath") before calling, since
 mpmath is a test dependency only."""
 
 import math
+import random
 
 try:
     import mpmath
@@ -73,7 +74,10 @@ def pairs():
     then (m, m*r) for r = min/max log-uniform on [2^-1073, 2^-1022], where r
     is subnormal, 64 points at each of four m; m*r is taken through the log,
     so that it carries all 53 bits where it is normal; then, in both orders,
-    pairs whose r underflows to 0 and pairs with a subnormal a or b."""
+    pairs whose r underflows to 0 and pairs with a subnormal a or b; then 256
+    seeded pairs b = 10^U(-300, 300), a = b*10^U(-8, 8), a != b, whose
+    r = min/max carries its own rounding, and one such pair where the
+    centroidal mean once lost 3.1 ulp."""
     out = [PositivePair(a, 1.0) for a in (1.0001, 2.0, 3.0, 4.0)]
     for lo, hi, n in ((2.0**-52, 1e300, 1280), (1e-15, 1e-3, 256)):
         ln_lo, ln_hi = math.log(lo), math.log(hi)
@@ -85,4 +89,11 @@ def pairs():
     for low in (5e-324, 1e-320, 3.3e-315, 1e-310, 2.2e-308, 1e-300, 1e-30):
         for m in (1.5 * low, 3.0 * low, 1.0, 1e20, 1e300, 1.7e308):
             out += [PositivePair(m, low), PositivePair(low, m)]
+    rng = random.Random(20261020)
+    for _ in range(256):
+        b = 10.0 ** rng.uniform(-300.0, 300.0)
+        a = b * 10.0 ** rng.uniform(-8.0, 8.0)
+        if a != b:
+            out.append(PositivePair(a, b))
+    out.append(PositivePair(2.4492246442172334e+62, 1.0927635268211617e+62))
     return out

@@ -52,6 +52,9 @@ MUTANTS = [
            '    if n_max >= 4 and values[1] != Fraction(-1, 30):\n'
            '        raise ArithmeticError(f"B_4 must be -1/30, recurrence produced {values[1]}")\n',
            "", (_BE + "TestConstructionChecks::test_wrong_b4_is_refused_by_its_own_check",)),
+    Mutant("bernoulli: the B_2 check never fails", "bernoulli.py",
+           "if values[0] != Fraction(1, 6):", "if False:",
+           (_BE + "TestConstructionChecks::test_wrong_b4_is_refused_by_its_own_check",)),
     Mutant("bernoulli: zeta summed over 10 terms", "bernoulli.py",
            "_ZETA_TERMS = 100", "_ZETA_TERMS = 10", (_BE + "TestExactValues::test_leading_values",)),
     Mutant("kernels: h2 direct with 1 - cos x", "kernels.py",
@@ -87,6 +90,9 @@ MUTANTS = [
            "    if i > n_coeffs:  # i = 33", "    if i >= n_coeffs:  # i = 33",
            (_K + "TestReciprocalSineSeries::test_truncation_bound_covers_the_exact_tail[csc]",
             _K + "TestReciprocalSineSeries::test_truncation_bound_covers_the_exact_tail[cot]")),
+    Mutant("kernels: the cscsq cap step's ratio 3% high", "kernels.py",
+           "term *= y * (2 * i - 1) / (2 * i - 3)", "term *= y * (2 * i + 1) / (2 * i - 3)",
+           (_K + "TestReciprocalSineSeries::test_truncation_bound_covers_the_exact_tail[cscsq]",)),
     Mutant("kernels: h1 series off by 2^-49", "kernels.py",
            '["h1"], 1.0, x * x).value', '["h1"], 1.0, x * x).value * (1 + 2.0**-49)',
            (_K + "TestKernelOracle::test_worst_ulp_error[h1-series]",)),
@@ -120,9 +126,11 @@ MUTANTS = [
            "return (_ONE_MINUS_QUARTER_PI + (v - 2.0 * r / s)) / ((_QUARTER_PI - v) * t * t)",
            "return (_ONE_MINUS_QUARTER_PI + (v - 2.0 * r / s)) / ((_QUARTER_PI - v) * t * t) * (1 + 1e-12)",
            (_M + "TestExcesses::test_against_mpmath",)),
-    Mutant("means: T's direct quotient off by 2^-50", "means.py",
-           "return (1.0 - r) / (2.0 * math.atan(u))", "return (1.0 - r) / (2.0 * math.atan(u)) * (1 + 2.0**-50)",
-           (_M + "TestMeanOracle::test_eval_mean_against_mpmath[T-3.2]",)),
+    Mutant("means: the excess form off by 2^-50", "means.py",
+           "return a + a * t * t * excess(r)", "return (a + a * t * t * excess(r)) * (1 + 2.0**-50)",
+           (_M + "TestMeanOracle::test_eval_mean_against_mpmath[C-3.6]",
+            _M + "TestMeanOracle::test_eval_mean_against_mpmath[Cbar-2.8]",
+            _M + "TestMeanOracle::test_eval_mean_against_mpmath[T-3.2]")),
     Mutant("means: r == 0 refused again", "means.py",
            "    m, r = _reduce(pair)\n    try:\n",
            '    m, r = _reduce(pair)\n    if r == 0.0:\n        raise DomainError("r underflows")\n    try:\n',
@@ -154,6 +162,12 @@ MUTANTS = [
     Mutant("bounds: the exact check always holds", "bounds.py",
            "    means = _MEANS_IN_THETA[spec.theta_sub]\n", "    return True\n",
            (_B + "TestCrookedReduction::test_the_right_beta_with_the_wrong_alpha_is_refused[tan]",)),
+    Mutant("bounds: sharp_bounds' store never read", "bounds.py",
+           "    if key in _SHARP:\n", "    if False:\n",
+           (_B + "TestSharpBounds::test_computed_once_per_reduction",)),
+    Mutant("bounds: numeric_extrema returns every ratio as falling", "bounds.py",
+           "return (right_end, lim_left) if decreasing else", "return (right_end, lim_left) if True else",
+           (_B + "TestNumericExtrema::test_ordering",)),
     Mutant("bounds: the old beta probe gate, 1e-6", "bounds.py",
            "_BETA_PROBE_TOL = 8.7e-10", "_BETA_PROBE_TOL = 1e-6",
            (_B + "TestProbes::test_each_failed_probe_is_one_violation[1e-08-0.0]",)),

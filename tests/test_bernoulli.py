@@ -88,17 +88,19 @@ class TestConstructionChecks:
             bernoulli_table(64)
 
     def test_wrong_b4_is_refused_by_its_own_check(self, monkeypatch):
-        # -1/31 has B_4's sign, so only the B_4 check names the fault
+        # -1/31 has B_4's sign and 1/7 has B_2's, so only the check of that
+        # entry names the fault
         exact = bernoulli._bernoulli_exact
+        cases = ((1, Fraction(-1, 31), "B_4 must be -1/30"), (0, Fraction(1, 7), "B_2 must be 1/6"))
+        for index, wrong, message in cases:
+            def broken(n_terms, index=index, wrong=wrong):
+                values = exact(n_terms)
+                values[index] = wrong
+                return values
 
-        def broken(n_terms):
-            values = exact(n_terms)
-            values[1] = Fraction(-1, 31)
-            return values
-
-        monkeypatch.setattr(bernoulli, "_bernoulli_exact", broken)
-        with pytest.raises(ArithmeticError, match="B_4 must be -1/30"):
-            bernoulli_table(64)
+            monkeypatch.setattr(bernoulli, "_bernoulli_exact", broken)
+            with pytest.raises(ArithmeticError, match=message):
+                bernoulli_table(64)
 
     def test_zeta_sum_within_its_stated_bound(self):
         # the truncated sum must be good to 1e-15 for the 1e-12 check to mean anything

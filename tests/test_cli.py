@@ -134,7 +134,7 @@ class TestPinnedTranscripts:
     # in all three formats: any change to the bytes a command writes
     # changes its digest.
     @pytest.mark.parametrize("command, digest", [
-        ("mean", "04aebd89f6c4d3b9d76508107439bbe446a790eced4acb7f1d0f25e18c03465a"),
+        ("mean", "5274e21dca28638ae7b3e6dcfc7fa1931e8fe91adf3dce02a49d251f0d93728a"),
         ("hfun", "82bfc65532f021ad70c42bf42642ba183cc2bf885bf99c66ef88d1b1877873bd"),
         ("bounds-table", "9cd789ef2d0da11c4c045669d1f843a2ce26a86c3c800f090ce3730f55451239"),
         ("series", "3ba4ab74ebb52e02865bcbbb62c1be4524497e1f56617b6b7f8bde81008e7171"),

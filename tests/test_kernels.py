@@ -111,6 +111,8 @@ class TestReciprocalSineSeries:
                 # tight to the rounding of the bound's own arithmetic
                 assert tail <= out.truncation_bound * (1 + 1e-13), (x, out)
                 assert out.truncation_bound <= 1.5 * tail, (x, out)
+                if out.terms_used == 32:  # capped: measured within 3e-15 of the tail
+                    assert out.truncation_bound <= tail * (1 + 1e-13), (x, out)
                 k = ks[abs(x) >= math.pi / 2]
                 assert abs(out.value - f) <= out.truncation_bound + k * math.ulp(max(1.0, abs(float(f)))), (x, out)
 
