@@ -278,6 +278,15 @@ def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
     return (e_target - e_lo) / (e_hi - e_lo)
 
 
+def _kernel_ratio(spec: InequalitySpec, theta: float) -> float:
+    """p*h(theta) + q for spec, refusing a value that overflows (p and q are
+    finite, so only an injected NaN from h gets past)."""
+    value = spec.p * h_eval(spec.kernel, theta) + spec.q
+    if math.isinf(value):
+        raise DomainError(f"{spec.id}: p*h(theta) + q overflows to {value!r} at theta={theta!r}")
+    return value
+
+
 def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
     """The same ratio through the substitution chain, as p*h(theta) + q.
 
@@ -286,14 +295,10 @@ def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
     relative of a 60-digit ratio of the means for a/b - 1 in [1e-12, 1e300]
     and for r = 0 (worst measured 7.2e-16).  It evaluates the reduction as
     given, crooked or not; sharp_bounds and equivalence_check check it
-    exactly against the means.  A p or q so large that p*h + q is not
-    finite raises DomainError."""
+    exactly against the means.  A p or q so large that p*h + q overflows
+    raises DomainError."""
     r = _ratio_r(spec, pair)  # checks the spec before theta_sub is read
-    theta = _THETA_SUBS[spec.theta_sub](r)
-    value = spec.p * h_eval(spec.kernel, theta) + spec.q
-    if not math.isfinite(value):
-        raise DomainError(f"{spec.id}: p*h(theta) + q = {value!r} is not finite at theta={theta!r}")
-    return value
+    return _kernel_ratio(spec, _THETA_SUBS[spec.theta_sub](r))
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +330,7 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
     _check_spec(spec)
     right = spec.theta_right
     thetas = [*_LIMIT_PROBES, *(right * i / _SCAN_STEPS for i in range(1, _SCAN_STEPS + 1))]
-    values = [spec.p * h_eval(spec.kernel, theta) + spec.q for theta in thetas]
-    for theta, value in zip(thetas, values):
-        if math.isinf(value):
-            raise DomainError(f"{spec.id}: p*h(theta) + q overflows to {value!r} at theta={theta!r}")
+    values = [_kernel_ratio(spec, theta) for theta in thetas]
     lim_left = values[0]
     gap = abs(values[1] - lim_left)
     if not gap <= _SETTLE_ULP * math.ulp(lim_left):

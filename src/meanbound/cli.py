@@ -19,7 +19,8 @@ import sys
 from typing import Any
 
 from .errors import DomainError, MeanBoundError
-from .kernels import _SERIES_COEFFICIENTS, HFunctionId, default_table, h_eval
+from .kernels import _SERIES_COEFFICIENTS, HFunctionId, h_eval
+from .kernels import default_table  # noqa: F401  (unused; perfbench/tracing.py wraps it)
 from .means import MeanKind, PositivePair, eval_mean
 
 __all__ = ["main"]
@@ -103,7 +104,7 @@ def _cmd_certify(args: argparse.Namespace) -> _Result:
 def _cmd_series(args: argparse.Namespace) -> _Result:
     if not 1 <= args.order <= _SERIES_MAX_ORDER:
         raise DomainError(f"--order must be in [1, {_SERIES_MAX_ORDER}], got {args.order}")
-    coefficients = _SERIES_COEFFICIENTS[args.fn](args.order, default_table())
+    coefficients = _SERIES_COEFFICIENTS[args.fn](args.order)
     rows = [
         {"n": n, "power": power, "exact": str(coeff), "value": float(coeff)}
         for n, (power, coeff) in enumerate(coefficients, start=1)

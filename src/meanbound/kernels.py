@@ -94,33 +94,32 @@ def default_table() -> BernoulliTable:
 # exact series coefficients
 
 
-def _scaled_bernoulli(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
-    """(n, |B_2n| / (2n)!) for n = 1..order, the factor every series shares."""
-    try:
-        n_terms = table.n_terms
-    except AttributeError:
-        raise DomainError(f"table must be a BernoulliTable, got {table!r}") from None
+def _scaled_bernoulli(order: int) -> list[tuple[int, Fraction]]:
+    """(n, |B_2n| / (2n)!) for n = 1..order, from default_table(): the factor
+    every series shares."""
+    table = default_table()
+    n_terms = table.n_terms
     if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= n_terms:
         raise DomainError(f"order must be an integer in [1, {n_terms}], got {order!r}")
     return [(n, table.abs_b2n(n) / math.factorial(2 * n)) for n in range(1, order + 1)]
 
 
-def csc_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
+def csc_coefficients(order: int) -> list[tuple[int, Fraction]]:
     """(power, coefficient) of x^(2n-1), n = 1..order, in 1/sin x - 1/x."""
-    return [(2 * n - 1, 2 * (2 ** (2 * n - 1) - 1) * b) for n, b in _scaled_bernoulli(order, table)]
+    return [(2 * n - 1, 2 * (2 ** (2 * n - 1) - 1) * b) for n, b in _scaled_bernoulli(order)]
 
 
-def cot_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
+def cot_coefficients(order: int) -> list[tuple[int, Fraction]]:
     """(power, coefficient) of x^(2n-1) in cot x - 1/x; all negative."""
-    return [(2 * n - 1, -(2 ** (2 * n)) * b) for n, b in _scaled_bernoulli(order, table)]
+    return [(2 * n - 1, -(2 ** (2 * n)) * b) for n, b in _scaled_bernoulli(order)]
 
 
-def csc_sq_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
+def csc_sq_coefficients(order: int) -> list[tuple[int, Fraction]]:
     """(power, coefficient) of x^(2n-2) in 1/sin^2 x - 1/x^2."""
-    return [(2 * n - 2, 2 ** (2 * n) * (2 * n - 1) * b) for n, b in _scaled_bernoulli(order, table)]
+    return [(2 * n - 2, 2 ** (2 * n) * (2 * n - 1) * b) for n, b in _scaled_bernoulli(order)]
 
 
-def h1_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
+def h1_coefficients(order: int) -> list[tuple[int, Fraction]]:
     """(power, coefficient) of x^(2n-2) in h1 = 1 + csc(x)/x - csc^2(x).
 
     The constant term, which takes the standalone 1, is 5/6; every later
@@ -128,17 +127,17 @@ def h1_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fracti
     """
     out = [
         (power, a - b)
-        for (_, a), (power, b) in zip(csc_coefficients(order, table), csc_sq_coefficients(order, table))
+        for (_, a), (power, b) in zip(csc_coefficients(order), csc_sq_coefficients(order))
     ]
     out[0] = (0, out[0][1] + 1)
     return out
 
 
-def h3_coefficients(order: int, table: BernoulliTable) -> list[tuple[int, Fraction]]:
+def h3_coefficients(order: int) -> list[tuple[int, Fraction]]:
     """(power, coefficient) of x^(2n-2) in h3 = csc^2(x) - cot(x)/x; all positive."""
     return [
         (power, a - b)
-        for (power, a), (_, b) in zip(csc_sq_coefficients(order, table), cot_coefficients(order, table))
+        for (power, a), (_, b) in zip(csc_sq_coefficients(order), cot_coefficients(order))
     ]
 
 
@@ -156,7 +155,7 @@ _SERIES_COEFFICIENTS = {
 def _float_coefficients(table: BernoulliTable) -> Mapping[str, tuple[float, ...]]:
     """Binary64 coefficients of the five series, as many as the table holds."""
     return MappingProxyType({
-        name: tuple(float(c) for _, c in fn(table.n_terms, table))
+        name: tuple(float(c) for _, c in fn(table.n_terms))
         for name, fn in _SERIES_COEFFICIENTS.items()
     })
 

@@ -207,16 +207,12 @@ _M_OF_R = _EVALUATORS | {
 }
 
 
-def _not_a_pair(pair: object) -> DomainError:
-    return DomainError(f"pair must be a PositivePair, got {pair!r}")
-
-
 def _reduce(pair: PositivePair) -> tuple[float, float]:
     """(m, r) = (max(a, b), min(a, b)/max(a, b)), so M(a, b) == m*M(1, r)."""
     try:
         a, b = pair.a, pair.b
     except AttributeError:
-        raise _not_a_pair(pair) from None
+        raise DomainError(f"pair must be a PositivePair, got {pair!r}") from None
     if a >= b:
         return a, b / a
     return b, a / b

@@ -102,6 +102,11 @@ MUTANTS = [
     Mutant("kernels: h1's constant term without the standalone 1", "kernels.py",
            "out[0] = (0, out[0][1] + 1)", "out[0] = (0, out[0][1])",
            (_K + "TestCoefficients::test_h1_leading_terms",)),
+    Mutant("kernels: the order check without its upper bound, so the table's own check refuses 33", "kernels.py",
+           "not 1 <= order <= n_terms:", "not 1 <= order:", (_K + "TestCoefficients::test_order_validation",)),
+    Mutant("kernels: h_limit's left limits one ulp high", "kernels.py",
+           "        return float(info.limit_at_zero)\n", "        return math.nextafter(float(info.limit_at_zero), 1.0)\n",
+           (_K + "TestHLimit::test_left_limits",)),
     Mutant("means: P's excess times 1 + 1e-11 for t >= 0.9", "means.py",
            "return (_ONE_MINUS_HALF_PI + 2.0 * (v - r / s)) / ((_HALF_PI - 2.0 * v) * t * t)",
            "return (_ONE_MINUS_HALF_PI + 2.0 * (v - r / s)) / ((_HALF_PI - 2.0 * v) * t * t) * (1 + 1e-11)",
@@ -162,6 +167,8 @@ MUTANTS = [
     Mutant("bounds: the exact check always holds", "bounds.py",
            "    means = _MEANS_IN_THETA[spec.theta_sub]\n", "    return True\n",
            (_B + "TestCrookedReduction::test_the_right_beta_with_the_wrong_alpha_is_refused[tan]",)),
+    Mutant("bounds: the exact check holds when hi - lo vanishes", "bounds.py",
+           "return bool(span) and not ", "return not ", (_B + "TestEquivalence::test_a_triple_of_one_mean_fails",)),
     Mutant("bounds: sharp_bounds' store never read", "bounds.py",
            "    if key in _SHARP:\n", "    if False:\n",
            (_B + "TestSharpBounds::test_computed_once_per_reduction",)),
@@ -237,6 +244,12 @@ MUTANTS = [
     Mutant("cli: a closed stdout's BrokenPipeError escapes", "cli.py",
            "    except BrokenPipeError:\n", "    except ZeroDivisionError:\n",
            (_C + "TestModuleEntryPoint::test_closed_stdout_exits_quietly",)),
+    Mutant("cli: an unknown attribute not refused", "cli.py",
+           '    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")\n', "    pass\n",
+           ("tests/test_api.py::test_unknown_attributes_are_refused[meanbound.cli]",)),
+    Mutant("cli: every attribute served as bounds.certify", "cli.py",
+           '    if name == "certify":\n', "    if True:\n",
+           ("tests/test_api.py::test_unknown_attributes_are_refused[meanbound.cli]",)),
     Mutant("cli: series orders up to 32", "cli.py",
            "_SERIES_MAX_ORDER = 16", "_SERIES_MAX_ORDER = 32", (_C + "TestSeriesCommand::test_order_out_of_range",)),
     Mutant("cli: JSON schema version 2", "cli.py",
@@ -246,6 +259,9 @@ MUTANTS = [
     Mutant("__init__: meanbound.cli found by searching every module", "__init__.py",
            'if name in _MODULES or name == "cli":', "if name in _MODULES:",
            (_C + "TestImportFootprint::test_only_bounds_commands_load_bounds",)),
+    Mutant("__init__: an unknown attribute not refused", "__init__.py",
+           '            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")\n', "            pass\n",
+           ("tests/test_api.py::test_unknown_attributes_are_refused[meanbound]",)),
 ]
 
 

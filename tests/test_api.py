@@ -1,6 +1,7 @@
 """The public API: each module's __all__ is the one list of its public
 names, and the package re-exports exactly those plus __version__."""
 
+import importlib
 import inspect
 from decimal import Decimal
 
@@ -65,8 +66,16 @@ def test_equivalence_check_takes_no_arguments():
     assert not inspect.signature(meanbound.equivalence_check).parameters
 
 
-# Arguments of the wrong type: a tuple for a PositivePair, None for a
-# BernoulliTable or an InequalitySpec, None or an int for a list of specs,
+@pytest.mark.parametrize("module_name", ["meanbound", "meanbound.cli"])
+def test_unknown_attributes_are_refused(module_name):
+    # each module's __getattr__ serves its lazy names and refuses the rest
+    module = importlib.import_module(module_name)
+    with pytest.raises(AttributeError, match=f"^module '{module_name}' has no attribute 'nosuch'$"):
+        module.nosuch
+
+
+# Arguments of the wrong type: a tuple for a PositivePair, None for an
+# order or an InequalitySpec, None or an int for a list of specs,
 # an id for a spec, an unhashable theta_sub or spec id, and a Decimal,
 # which compares with floats but fails in the kernels' float arithmetic.
 @pytest.mark.parametrize("call", [
@@ -77,7 +86,7 @@ def test_equivalence_check_takes_no_arguments():
     lambda: ratio_via_kernel(None, PositivePair(2.0, 1.0)),
     lambda: half_sum_ratio((1, 2)),
     lambda: seiffert_p_arctan_form((2.0, 1.0)),
-    lambda: csc_coefficients(2, None),
+    lambda: csc_coefficients(None),
     lambda: h_eval(HFunctionId.H1, Decimal("0.7")),
     lambda: h_eval(HFunctionId.H1, Decimal("0.3")),
     lambda: certify(None, 10, 1, 1e-12),

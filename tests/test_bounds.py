@@ -336,7 +336,7 @@ class TestRatio:
     def test_a_kernel_ratio_that_overflows_is_refused(self):
         # p and q are finite, but p*h + q is not: 1e308*(0.83 + 1) > 1.8e308
         spec = SPECS["prop1.1"]._replace(p=1e308, q=1e308)
-        with pytest.raises(DomainError, match=r"prop1\.1: p\*h\(theta\) \+ q = inf is not finite at theta=0\.33983"):
+        with pytest.raises(DomainError, match=r"prop1\.1: p\*h\(theta\) \+ q overflows to inf at theta=0\.33983"):
             ratio_via_kernel(spec, PositivePair(2.0, 1.0))
 
     def test_only_a_equal_b_is_refused_and_the_error_names_the_spec(self):
@@ -1076,6 +1076,12 @@ class TestEquivalence:
     def test_crooked_reduction_fails(self, monkeypatch, crooked):
         # ratio_via_kernel follows the reduction in SPECS and ratio does not
         monkeypatch.setitem(SPECS, crooked.id, crooked)
+        assert not equivalence_check()
+
+    def test_a_triple_of_one_mean_fails(self, monkeypatch):
+        # hi - lo vanishes, so the cross-multiplied difference is zero whatever the kernel
+        A = MeanKind.ARITHMETIC
+        monkeypatch.setitem(SPECS, "AAA", SPECS["prop1.1"]._replace(id="AAA", target=A, hi=A, lo=A))
         assert not equivalence_check()
 
 

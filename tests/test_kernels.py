@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -102,7 +103,7 @@ class TestReciprocalSineSeries:
               *(math.pi * (1.0 - 2.0**-k) for k in range(1, 50, 4))]
         with mpmath.workdps(60):
             terms = [(p, mpmath.mpf(c.numerator) / c.denominator)
-                     for p, c in coefficients(32, default_table())]
+                     for p, c in coefficients(32)]
             for x in xs:
                 out = series(x)
                 mx = mpmath.mpf(x)
@@ -119,26 +120,23 @@ class TestReciprocalSineSeries:
 
 class TestCoefficients:
     def test_h1_leading_terms(self):
-        table = default_table()
-        assert h1_coefficients(3, table) == [
+        assert h1_coefficients(3) == [
             (0, Fraction(5, 6)),
             (2, Fraction(-17, 360)),
             (4, Fraction(-43, 5040)),
         ]
 
     def test_h3_leading_terms(self):
-        table = default_table()
-        assert h3_coefficients(3, table) == [
+        assert h3_coefficients(3) == [
             (0, Fraction(2, 3)),
             (2, Fraction(4, 45)),
             (4, Fraction(4, 315)),
         ]
 
     def test_reciprocal_sine_leading_terms(self):
-        table = default_table()
-        assert csc_coefficients(2, table) == [(1, Fraction(1, 6)), (3, Fraction(7, 360))]
-        assert cot_coefficients(2, table) == [(1, Fraction(-1, 3)), (3, Fraction(-1, 45))]
-        assert csc_sq_coefficients(2, table) == [(0, Fraction(1, 3)), (2, Fraction(1, 15))]
+        assert csc_coefficients(2) == [(1, Fraction(1, 6)), (3, Fraction(7, 360))]
+        assert cot_coefficients(2) == [(1, Fraction(-1, 3)), (3, Fraction(-1, 45))]
+        assert csc_sq_coefficients(2) == [(0, Fraction(1, 3)), (2, Fraction(1, 15))]
 
     def test_sign_structure(self):
         # every raw h1 coefficient is negative, every h3 coefficient positive
@@ -148,12 +146,13 @@ class TestCoefficients:
             assert n * 2 ** (2 * n + 1) * table.abs_b2n(n) > 0
 
     def test_order_validation(self):
-        table = bernoulli_table(8)
+        # 33 is past the 32 terms of the one table, refused by the order check
+        # itself rather than by the table's own index check
         for fn in (csc_coefficients, cot_coefficients, csc_sq_coefficients,
                    h1_coefficients, h3_coefficients):
-            for bad in (0, 5, True, False, 2.0, "2", None):
-                with pytest.raises(DomainError):
-                    fn(bad, table)
+            for bad in (0, 33, True, False, 2.0, "2", None):
+                with pytest.raises(DomainError, match=re.escape(f"order must be an integer in [1, 32], got {bad!r}")):
+                    fn(bad)
 
     def test_all_five_match_an_independent_expansion(self):
         # Each series from the Taylor series of sin and cos by exact power
@@ -184,14 +183,13 @@ class TestCoefficients:
         h1 = div([a - b for a, b in zip(S, mul(C, C))][1:] + [0], S2)[:order]
         h3 = div([a - b for a, b in zip(one, mul(S, C))][1:] + [0], S2)[:order]
 
-        table = default_table()
         odd = [2 * n - 1 for n in range(1, order + 1)]
         even = [2 * n - 2 for n in range(1, order + 1)]
-        assert csc_coefficients(order, table) == list(zip(odd, csc))
-        assert cot_coefficients(order, table) == list(zip(odd, cot))
-        assert csc_sq_coefficients(order, table) == list(zip(even, csc_sq))
-        assert h1_coefficients(order, table) == list(zip(even, h1))
-        assert h3_coefficients(order, table) == list(zip(even, h3))
+        assert csc_coefficients(order) == list(zip(odd, csc))
+        assert cot_coefficients(order) == list(zip(odd, cot))
+        assert csc_sq_coefficients(order) == list(zip(even, csc_sq))
+        assert h1_coefficients(order) == list(zip(even, h1))
+        assert h3_coefficients(order) == list(zip(even, h3))
 
 
 class TestHEval:
@@ -254,10 +252,10 @@ class TestHEval:
 
 class TestHLimit:
     def test_left_limits(self):
-        assert h_limit(H1, "left") == approx(5 / 6, rel=0)
-        assert h_limit(H2, "left") == approx(2 / 3, rel=0)
-        assert h_limit(H3, "left") == approx(2 / 3, rel=0)
-        assert h_limit(H4, "left") == approx(1 / 4, rel=0)
+        assert h_limit(H1, "left") == 5 / 6
+        assert h_limit(H2, "left") == 2 / 3
+        assert h_limit(H3, "left") == 2 / 3
+        assert h_limit(H4, "left") == 1 / 4
 
     def test_right_limits(self):
         assert h_limit(H1, "right") == -math.inf
