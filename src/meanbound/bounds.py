@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
-from .means import _ENDS, _EXCESSES, MeanKind, PositivePair
+from .means import _ENDS, _EXCESSES, _THETA_SUBS, MeanKind, PositivePair
 from .means import _reduce
 from .means import eval_mean  # noqa: F401  (unused; perfbench/tracing.py wraps it, TestFusedLoop counts 0 calls)
 
@@ -64,15 +64,6 @@ def _check_finite(**named: object) -> None:
 def _check_spec(spec: object) -> None:
     if not isinstance(spec, InequalitySpec):
         raise DomainError(f"spec must be an InequalitySpec, got {spec!r}")
-
-
-# theta_sub -> theta(r), r = min(a, b)/max(a, b), from sin(theta) or tan(theta) =
-# (1 - r)/(1 + r).  Unlike asin near 1, neither atan2 amplifies rounding as a/b
-# grows, and theta(0) is the right end of the theta range, pi/2 or pi/4.
-_THETA_SUBS = {
-    "sin": lambda r: math.atan2(1.0 - r, 2.0 * math.sqrt(r)),
-    "tan": lambda r: math.atan2(1.0 - r, 1.0 + r),
-}
 
 
 class _SpecFields(NamedTuple):
@@ -290,13 +281,13 @@ def _kernel_ratio(spec: InequalitySpec, theta: float) -> float:
 def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
     """The same ratio through the substitution chain, as p*h(theta) + q.
 
-    theta is the spec's theta(r) in _THETA_SUBS, r = min(a, b)/max(a, b),
+    theta is the spec's theta(r) in means._THETA_SUBS, r = min(a, b)/max(a, b),
     so r = 0 gives theta_right.  For the seven SPECS it is within 4e-15
     relative of a 60-digit ratio of the means for a/b - 1 in [1e-12, 1e300]
-    and for r = 0 (worst measured 7.2e-16).  It evaluates the reduction as
-    given, crooked or not; sharp_bounds and equivalence_check check it
-    exactly against the means.  A p or q so large that p*h + q overflows
-    raises DomainError."""
+    and for r = 0 (worst measured 1.95e-15, prop1.3, with a/b - 1 below 20).
+    It evaluates the reduction as given, crooked or not; sharp_bounds and
+    equivalence_check check it exactly against the means.  A p or q so large
+    that p*h + q overflows raises DomainError."""
     r = _ratio_r(spec, pair)  # checks the spec before theta_sub is read
     return _kernel_ratio(spec, _THETA_SUBS[spec.theta_sub](r))
 
@@ -425,10 +416,10 @@ def _walk(seed: int, first: int, size: int) -> tuple[list[int], int]:
     return kept, end
 
 
-# each probe's gate is 4x, rounded down, the worst gap over SPECS at its x:
-# 2.187e-10 (thm5.2) from beta and 8.104e-5 (prop1.1) from alpha
-_BETA_PROBE_X = 1.0 + 1e-4
-_ALPHA_PROBE_X = 1e8
+# certify's probe pairs (x, 1), built once; each gate is 4x, rounded down, the worst
+# gap over SPECS at its x: 2.187e-10 (thm5.2) from beta and 8.104e-5 (prop1.1) from alpha
+_BETA_PROBE = PositivePair(1.0 + 1e-4, 1.0)
+_ALPHA_PROBE = PositivePair(1e8, 1.0)
 _BETA_PROBE_TOL = 8.7e-10
 _ALPHA_PROBE_TOL = 3.2e-4
 _TOL_MAX = 1e-9
@@ -523,17 +514,16 @@ def _certify(specs: list, n_samples: object, seed: object, tol: object,
     checks = [(spec, sharp.alpha if alpha is None else float(alpha), sharp.beta if beta is None else float(beta))
               for spec, sharp in zip(specs, sharps)]
     results = _certify_chunk(checks, tol, seed, n_samples)
-    beta_pair, alpha_pair = PositivePair(_BETA_PROBE_X, 1.0), PositivePair(_ALPHA_PROBE_X, 1.0)
     reports = []
     for (spec, check_alpha, check_beta), sharp, (violations, lo, lo_x, hi, hi_x) in zip(checks, sharps, results):
         lower, upper = lo - check_alpha, check_beta - hi
         worst, worst_x = (upper, hi_x) if upper < lower else (lower, lo_x)
-        # per call (23 us of a 0.79 ms seven-spec certify_many at 2000 samples, Python 3.11,
-        # 2-core Xeon): a store keyed on the spec would keep what _EXCESSES held at first
-        # use, so a substituted excess would leak into later calls, and the probes would
-        # miss the live ratio
-        beta_gap = abs(ratio(spec, beta_pair) - sharp.beta)
-        alpha_gap = abs(ratio(spec, alpha_pair) - sharp.alpha)
+        # the probes' ratios per call (23 us of a 0.79 ms seven-spec certify_many at 2000
+        # samples, Python 3.11, 2-core Xeon): a store keyed on the spec would keep what
+        # _EXCESSES held at first use, so a substituted excess would leak into later calls,
+        # and the probes would miss the live ratio
+        beta_gap = abs(ratio(spec, _BETA_PROBE) - sharp.beta)
+        alpha_gap = abs(ratio(spec, _ALPHA_PROBE) - sharp.alpha)
         violations += int(beta_gap > _BETA_PROBE_TOL) + int(alpha_gap > _ALPHA_PROBE_TOL)
         reports.append(CertificationReport(
             id=spec.id, samples=n_samples, violations=violations, worst_margin=worst, seed=seed, tolerance=tol,

@@ -151,6 +151,7 @@ _SERIES_COEFFICIENTS = {
 }
 
 
+# the table key costs a 26-33 us hash per series call; it stays until perfbench's storage is bounded
 @lru_cache(maxsize=None)
 def _float_coefficients(table: BernoulliTable) -> Mapping[str, tuple[float, ...]]:
     """Binary64 coefficients of the five series, as many as the table holds."""

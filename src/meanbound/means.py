@@ -98,13 +98,20 @@ def _root_square(r: float) -> float:
     return math.sqrt(0.5 * (1.0 + r * r))
 
 
+# The two substitutions, t = (1 - r)/(1 + r) = sin(theta) or tan(theta): theta_sub ->
+# theta(r), r in [0, 1].  asin t is taken as atan2(1 - r, 2*sqrt(r)), since asin amplifies
+# the quotient's rounding by 1/sqrt(1 - t^2) as t -> 1 and atan2 does not; atan amplifies
+# it by at most 1 on [0, 1].  theta(0) is the right end of the theta range, pi/2 or pi/4.
+_THETA_SUBS = {
+    "sin": lambda r: math.atan2(1.0 - r, 2.0 * math.sqrt(r)),
+    "tan": lambda r: math.atan((1.0 - r) / (1.0 + r)),
+}
+
+
 def _seiffert_p(r: float) -> float:
     if (1.0 - r) / (1.0 + r) < _SERIES_CUTOFF:
         return _excess_form(_excess_p, r)
-    # asin((1-r)/(1+r)) == atan2(1 - r, 2*sqrt(r)); asin amplifies the
-    # quotient's rounding by 1/sqrt(1-u^2) as u -> 1, atan2 does not, and
-    # r == 0 gives pi/2
-    return (1.0 - r) / (2.0 * math.atan2(1.0 - r, 2.0 * math.sqrt(r)))
+    return (1.0 - r) / (2.0 * _THETA_SUBS["sin"](r))
 
 
 # kind -> r -> M(1, r), r in [0, 1], for the means not in the excess form: the excesses
@@ -149,7 +156,7 @@ def _excess_p(r: float) -> float:
     s = 1.0 + r
     t = (1.0 - r) / s
     if t < _EXCESS_CUTOFF:
-        theta = math.atan2(1.0 - r, 2.0 * math.sqrt(r))  # asin t, as in _seiffert_p
+        theta = _THETA_SUBS["sin"](r)
         q = theta / t
         w = theta * theta
         c0, c1, c2, c3, c4, c5, c6, c7, c8 = _SINE_GAP
@@ -163,7 +170,7 @@ def _excess_t(r: float) -> float:
     s = 1.0 + r
     t = (1.0 - r) / s
     if t < _EXCESS_CUTOFF:
-        theta = math.atan(t)
+        theta = _THETA_SUBS["tan"](r)
         q = theta / t
         w = theta * theta
         c0, c1, c2, c3, c4, c5, c6, c7 = _TANGENT_GAP

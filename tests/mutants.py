@@ -136,6 +136,9 @@ MUTANTS = [
            (_M + "TestMeanOracle::test_eval_mean_against_mpmath[C-3.6]",
             _M + "TestMeanOracle::test_eval_mean_against_mpmath[Cbar-2.8]",
             _M + "TestMeanOracle::test_eval_mean_against_mpmath[T-3.2]")),
+    Mutant("means: the sin substitution's theta without its 2", "means.py",
+           "math.atan2(1.0 - r, 2.0 * math.sqrt(r))", "math.atan2(1.0 - r, math.sqrt(r))",
+           (_B + "TestRatio::test_kernel_route_against_mpmath",)),
     Mutant("means: r == 0 refused again", "means.py",
            "    m, r = _reduce(pair)\n    try:\n",
            '    m, r = _reduce(pair)\n    if r == 0.0:\n        raise DomainError("r underflows")\n    try:\n',
@@ -184,6 +187,11 @@ MUTANTS = [
     Mutant("bounds: numeric_extrema's settle gate 2^40 ulp", "bounds.py",
            "_SETTLE_ULP = 4", "_SETTLE_ULP = 2**40",
            (_B + "TestNumericExtrema::test_unsettled_limit_at_zero_is_caught",)),
+    Mutant("bounds: numeric_extrema's settle gate 5 ulp", "bounds.py",
+           "_SETTLE_ULP = 4", "_SETTLE_ULP = 5",
+           (_B + "TestNumericExtrema::test_unsettled_limit_at_zero_is_caught[5-ulp-at-2^-26]",)),
+    Mutant("bounds: numeric_extrema's settle gate 3 ulp", "bounds.py",
+           "_SETTLE_ULP = 4", "_SETTLE_ULP = 3", (_B + "TestNumericExtrema::test_a_gap_of_4_ulp_settles",)),
     Mutant("bounds: _LANE_END at x = 2^100", "bounds.py",
            "_LANE_END = int((math.log(2.0**120)", "_LANE_END = int((math.log(2.0**100)",
            (_B + "TestStream::test_lanes_past_lane_end_have_ended",)),
@@ -192,9 +200,6 @@ MUTANTS = [
            (_B + "TestFusedLoop::test_ended_samples_fold_like_the_reference",)),
     Mutant("bounds: a tie moves the worst sample on", "bounds.py",
            "if lo < lo_0:", "if lo <= lo_0:", (_B + "TestFold::test_ties_keep_the_first_sample",)),
-    Mutant("bounds: the sin substitution's theta without its 2", "bounds.py",
-           "math.atan2(1.0 - r, 2.0 * math.sqrt(r))", "math.atan2(1.0 - r, math.sqrt(r))",
-           (_B + "TestRatio::test_kernel_route_against_mpmath",)),
     Mutant("bounds: certify ignores its alpha", "bounds.py",
            "sharp.alpha if alpha is None else float(alpha)", "sharp.alpha",
            (_B + "TestCertify::test_raised_alpha_is_violated",)),

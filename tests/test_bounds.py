@@ -491,11 +491,19 @@ class TestNumericExtrema:
         lambda fn_id, x: -1e-3 * math.sqrt(x),
         # a NaN at the probe read as the limit makes the gap NaN
         lambda fn_id, x: math.nan if x == 2.0**-27 else 0.0,
-    ], ids=["alternating-1e-6", "monotone-sqrt-bias", "nan-at-2^-27"])
+        # h1 is 5/6 at both probes, so a gap of 5 ulp, one past the gate
+        lambda fn_id, x: -5 * math.ulp(5 / 6) if x == 2.0**-26 else 0.0,
+    ], ids=["alternating-1e-6", "monotone-sqrt-bias", "nan-at-2^-27", "5-ulp-at-2^-26"])
     def test_unsettled_limit_at_zero_is_caught(self, monkeypatch, shift):
         _wrap_h_eval(monkeypatch, shift)
         with pytest.raises(ConvergenceError, match=r"prop1\.1: the limit at 0\+ did not settle"):
             numeric_extrema(SPECS["prop1.1"])
+
+    def test_a_gap_of_4_ulp_settles(self, monkeypatch):
+        # h1 is 5/6 at both probes; moved down at theta = 2^-26 only, the scan
+        # still falls and the limit's gap is exactly 4 ulp, the gate
+        _wrap_h_eval(monkeypatch, lambda fn_id, x: -4 * math.ulp(5 / 6) if x == 2.0**-26 else 0.0)
+        assert numeric_extrema(SPECS["prop1.1"]) == (2 / math.pi, 5 / 6)
 
     @pytest.mark.parametrize("field, extrema", [
         ("p", (6.366197723675814e+307, 8.333333333333334e+307)),  # 1e308 times (2/pi, 5/6)
