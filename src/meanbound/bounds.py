@@ -28,6 +28,7 @@ import math
 import numbers
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
@@ -416,10 +417,10 @@ def _walk(seed: int, first: int, size: int) -> tuple[list[int], int]:
     return kept, end
 
 
-# certify's probe pairs (x, 1), built once; each gate is 4x, rounded down, the worst
-# gap over SPECS at its x: 2.187e-10 (thm5.2) from beta and 8.104e-5 (prop1.1) from alpha
-_BETA_PROBE = PositivePair(1.0 + 1e-4, 1.0)
-_ALPHA_PROBE = PositivePair(1e8, 1.0)
+# certify's probes (x, 1) as r = 1/x, x = 1 + 1e-4 for beta and 1e8 for alpha; each gate
+# is 4x, rounded down, the worst gap over SPECS at its x: 2.187e-10 (thm5.2) from beta
+# and 8.104e-5 (prop1.1) from alpha
+_PROBE_RS = 1.0 / (1.0 + 1e-4), 1.0 / 1e8
 _BETA_PROBE_TOL = 8.7e-10
 _ALPHA_PROBE_TOL = 3.2e-4
 _TOL_MAX = 1e-9
@@ -468,10 +469,16 @@ def _certify_chunk(
     hops from one kept lane to the next by _RETURNS, so it never builds the
     others past it: that first one is evaluated, in its place end among the
     kept samples, and the other size - len(kept) count as copies of it
-    (none when no lane is past _LANE_END).  Each check folds a
-    block's ratios with min and max, looks up a sample's x only when an
-    extreme improves, and counts its violations only when an extreme
-    crosses alpha - tol or beta + tol."""
+    (none when no lane is past _LANE_END).  A constant excess stays one
+    float.  Each check folds a block's ratios with min and max, looks up a
+    sample's x only when an extreme improves, and counts its violations
+    only when an extreme crosses alpha - tol or beta + tol.  Over constant
+    hi and lo with e_hi > e_lo (prop1.1, prop1.2, prop1.4 and thm5.1 among
+    SPECS) the rounded (e - e_lo)/(e_hi - e_lo) never falls as the target's
+    excess e rises, so the extremes are those of the column's min and max,
+    taken once per block and shared; x is the first sample whose own ratio
+    is the extreme, scanned for, since a later argmin can round to it, and
+    the ratios are listed only to count violations."""
     kinds = {kind: _EXCESSES[kind] for spec, _, _ in checks for kind in (spec.target, spec.hi, spec.lo)}
     results: list[tuple] = [(0, math.inf, None, -math.inf, None)] * len(checks)
     for first in range(0, n_samples, _BLOCK):
@@ -480,17 +487,28 @@ def _certify_chunk(
         copies = size - len(kept)
         xs = _sample_xs(kept)
         rs = [1.0 / x for x in xs]
-        excess = {kind: list(map(e, rs)) if callable(e) else [e] * len(rs) for kind, e in kinds.items()}
+        excess = {kind: list(map(e, rs)) if callable(e) else e for kind, e in kinds.items()}
+        extremes = {}  # a target column's (min, max), shared by its constant-span checks
         for n, (spec, alpha, beta) in enumerate(checks):
-            rhos = [(e_t - e_l) / (e_h - e_l)
-                    for e_t, e_h, e_l in zip(excess[spec.target], excess[spec.hi], excess[spec.lo])]
-            lo, hi = min(rhos), max(rhos)
+            e_t, e_h, e_l = excess[spec.target], excess[spec.hi], excess[spec.lo]
+            if isinstance(e_t, list) and not isinstance(e_h, list) and not isinstance(e_l, list) and e_h > e_l:
+                if spec.target not in extremes:
+                    extremes[spec.target] = min(e_t), max(e_t)
+                d, rhos = e_h - e_l, None
+                lo, hi = ((e - e_l) / d for e in extremes[spec.target])
+                at = lambda rho: next(i for i, e in enumerate(e_t) if (e - e_l) / d == rho)  # noqa: E731
+            else:
+                columns = [e if isinstance(e, list) else repeat(e, len(rs)) for e in (e_t, e_h, e_l)]
+                rhos = [(t - l) / (h - l) for t, h, l in zip(*columns)]
+                lo, hi, at = min(rhos), max(rhos), rhos.index
             violations, lo_0, lo_x, hi_0, hi_x = results[n]
             if lo < lo_0:  # on a tie the earlier block's sample stays
-                lo_0, lo_x = lo, xs[rhos.index(lo)]
+                lo_0, lo_x = lo, xs[at(lo)]
             if hi > hi_0:
-                hi_0, hi_x = hi, xs[rhos.index(hi)]
+                hi_0, hi_x = hi, xs[at(hi)]
             if lo - alpha < -tol or beta - hi < -tol:
+                if rhos is None:
+                    rhos = [(e - e_l) / d for e in e_t]
                 crossed = [rho - alpha < -tol or beta - rho < -tol for rho in rhos]
                 violations += sum(crossed) + (crossed[end] * copies if copies else 0)
             results[n] = violations, lo_0, lo_x, hi_0, hi_x
@@ -514,16 +532,19 @@ def _certify(specs: list, n_samples: object, seed: object, tol: object,
     checks = [(spec, sharp.alpha if alpha is None else float(alpha), sharp.beta if beta is None else float(beta))
               for spec, sharp in zip(specs, sharps)]
     results = _certify_chunk(checks, tol, seed, n_samples)
+    # each kind's excess at the two probes, once per call (10 us of a 0.63 ms seven-spec
+    # certify_many at 2000 samples, Python 3.11, 2-core Xeon): a store would keep what
+    # _EXCESSES held at first use, so a substituted excess would leak into later calls,
+    # and the probes would miss the live ratio
+    probes = {kind: [e(r) for r in _PROBE_RS] if callable(e) else [e, e] for kind, e in _EXCESSES.items()}
     reports = []
     for (spec, check_alpha, check_beta), sharp, (violations, lo, lo_x, hi, hi_x) in zip(checks, sharps, results):
         lower, upper = lo - check_alpha, check_beta - hi
         worst, worst_x = (upper, hi_x) if upper < lower else (lower, lo_x)
-        # the probes' ratios per call (23 us of a 0.79 ms seven-spec certify_many at 2000
-        # samples, Python 3.11, 2-core Xeon): a store keyed on the spec would keep what
-        # _EXCESSES held at first use, so a substituted excess would leak into later calls,
-        # and the probes would miss the live ratio
-        beta_gap = abs(ratio(spec, _BETA_PROBE) - sharp.beta)
-        alpha_gap = abs(ratio(spec, _ALPHA_PROBE) - sharp.alpha)
+        # ratio(spec, (x, 1)) at each probe: the same expression on the same excesses
+        (t_b, t_a), (h_b, h_a), (l_b, l_a) = probes[spec.target], probes[spec.hi], probes[spec.lo]
+        beta_gap = abs((t_b - l_b) / (h_b - l_b) - sharp.beta)
+        alpha_gap = abs((t_a - l_a) / (h_a - l_a) - sharp.alpha)
         violations += int(beta_gap > _BETA_PROBE_TOL) + int(alpha_gap > _ALPHA_PROBE_TOL)
         reports.append(CertificationReport(
             id=spec.id, samples=n_samples, violations=violations, worst_margin=worst, seed=seed, tolerance=tol,

@@ -102,16 +102,21 @@ def _root_square(r: float) -> float:
 # theta(r), r in [0, 1].  asin t is taken as atan2(1 - r, 2*sqrt(r)), since asin amplifies
 # the quotient's rounding by 1/sqrt(1 - t^2) as t -> 1 and atan2 does not; atan amplifies
 # it by at most 1 on [0, 1].  theta(0) is the right end of the theta range, pi/2 or pi/4.
-_THETA_SUBS = {
-    "sin": lambda r: math.atan2(1.0 - r, 2.0 * math.sqrt(r)),
-    "tan": lambda r: math.atan((1.0 - r) / (1.0 + r)),
-}
+def _theta_sin(r: float) -> float:
+    return math.atan2(1.0 - r, 2.0 * math.sqrt(r))
+
+
+def _theta_tan(r: float) -> float:
+    return math.atan((1.0 - r) / (1.0 + r))
+
+
+_THETA_SUBS = {"sin": _theta_sin, "tan": _theta_tan}
 
 
 def _seiffert_p(r: float) -> float:
     if (1.0 - r) / (1.0 + r) < _SERIES_CUTOFF:
         return _excess_form(_excess_p, r)
-    return (1.0 - r) / (2.0 * _THETA_SUBS["sin"](r))
+    return (1.0 - r) / (2.0 * _theta_sin(r))
 
 
 # kind -> r -> M(1, r), r in [0, 1], for the means not in the excess form: the excesses
@@ -156,7 +161,7 @@ def _excess_p(r: float) -> float:
     s = 1.0 + r
     t = (1.0 - r) / s
     if t < _EXCESS_CUTOFF:
-        theta = _THETA_SUBS["sin"](r)
+        theta = _theta_sin(r)
         q = theta / t
         w = theta * theta
         c0, c1, c2, c3, c4, c5, c6, c7, c8 = _SINE_GAP
@@ -170,7 +175,7 @@ def _excess_t(r: float) -> float:
     s = 1.0 + r
     t = (1.0 - r) / s
     if t < _EXCESS_CUTOFF:
-        theta = _THETA_SUBS["tan"](r)
+        theta = _theta_tan(r)
         q = theta / t
         w = theta * theta
         c0, c1, c2, c3, c4, c5, c6, c7 = _TANGENT_GAP

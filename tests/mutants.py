@@ -200,6 +200,14 @@ MUTANTS = [
            (_B + "TestFusedLoop::test_ended_samples_fold_like_the_reference",)),
     Mutant("bounds: a tie moves the worst sample on", "bounds.py",
            "if lo < lo_0:", "if lo <= lo_0:", (_B + "TestFold::test_ties_keep_the_first_sample",)),
+    Mutant("bounds: a shared extreme's sample taken as its column's argmin", "bounds.py",
+           "at = lambda rho: next(i for i, e in enumerate(e_t) if (e - e_l) / d == rho)",
+           "at = lambda rho: e_t.index(min(e_t) if rho == lo else max(e_t))",
+           (_B + "TestFusedLoop::test_shared_stream_matches_each_reference[3-registry]",
+            _B + "TestFusedLoop::test_a_rounding_tie_keeps_the_first_sample_not_the_columns_minimum")),
+    Mutant("bounds: the shared-extreme branch taken for e_hi != e_lo", "bounds.py",
+           "and e_h > e_l:", "and e_h != e_l:",
+           (_B + "TestFusedLoop::test_triples_outside_specs_fold_like_the_reference[swapped-span]",)),
     Mutant("bounds: certify ignores its alpha", "bounds.py",
            "sharp.alpha if alpha is None else float(alpha)", "sharp.alpha",
            (_B + "TestCertify::test_raised_alpha_is_violated",)),

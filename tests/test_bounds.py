@@ -936,6 +936,38 @@ class TestFusedLoop:
         fused = _certify_chunk(checks, 1e-12, seed, 3000)
         assert fused == [_reference_chunk(*check, 1e-12, seed, 3000) for check in checks]
 
+    @pytest.mark.parametrize("fields", [
+        {"hi": MeanKind.HARMONIC, "lo": MeanKind.ARITHMETIC},  # a constant span with e_hi < e_lo
+        {"target": MeanKind.CONTRA_HARMONIC},  # a constant target, C over A and H
+        {"hi": MeanKind.ROOT_SQUARE, "lo": MeanKind.GEOMETRIC},  # P between G and S: three varying excesses
+    ], ids=["swapped-span", "constant-target", "all-varying"])
+    def test_triples_outside_specs_fold_like_the_reference(self, fields):
+        # only a varying target over constant hi and lo with e_hi > e_lo reads
+        # its extremes off the target's column; these take the ratio list.  At
+        # alpha = beta = the first sample's ratio, every other ratio crosses a side
+        spec = SPECS["prop1.1"]._replace(**fields)
+        mid = ratio(spec, PositivePair(_stream_xs(3, 1)[0], 1.0))
+        checks = [(spec, -10.0, 10.0), (spec, mid, mid)]
+        fused = _certify_chunk(checks, 1e-12, 3, 3000)
+        assert fused == [_reference_chunk(*check, 1e-12, 3, 3000) for check in checks]
+        assert fused[0][0] == 0 and (fused[1][0] > 0) == ("target" not in fields)
+
+    def test_a_rounding_tie_keeps_the_first_sample_not_the_columns_minimum(self, monkeypatch):
+        # prop1.1's ratio is (e_P + 1)/1.  -0.5 + 2^-54 + 1 is halfway between
+        # 0.5 and its next double and rounds to even, 0.5, as -0.5 + 1 is: every
+        # ratio is 0.5, so both extremes are the stream's first sample, on the
+        # larger excess, and not the first sample holding the column's minimum
+        monkeypatch.setattr(bounds, "_LANE_END", _M64)
+        n = _BLOCK + 200
+        xs = _stream_xs(3, n)
+        cut = 0.5 / xs[0]  # below sample 0's r
+        monkeypatch.setitem(_EXCESSES, MeanKind.SEIFFERT_P, lambda r: -0.5 + 2.0**-54 if r > cut else -0.5)
+        assert -0.5 + 2.0**-54 != -0.5 and -0.5 + 2.0**-54 + 1.0 == -0.5 + 1.0 == 0.5
+        assert any(1.0 / x <= cut for x in xs[:_BLOCK])
+        check = (SPECS["prop1.1"], 0.25, 0.75)
+        assert _certify_chunk([check], 1e-12, 3, n) == [_reference_chunk(*check, 1e-12, 3, n)] == [
+            (0, 0.5, xs[0], 0.5, xs[0])]
+
     @pytest.mark.parametrize("perturbed_id", sorted(SPECS))
     @pytest.mark.parametrize("side", ["alpha", "beta"])
     def test_checks_do_not_leak_into_each_other(self, perturbed_id, side):
