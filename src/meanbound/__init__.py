@@ -4,7 +4,7 @@ The package evaluates eight means of two positive reals, the four
 monotone kernel functions h1..h4 that the sharp-bounds reductions rest
 on (with cancellation-safe series branches near 0), and the seven named
 double inequalities with their best-possible convex-combination
-constants, taken exactly from the means' end values, re-derived
+constants, taken exactly from each kernel's two ends, re-derived
 numerically, and certified on large deterministic samples.
 
 Each public name lives in one module's ``__all__`` and is imported on

@@ -15,11 +15,12 @@ kernels are strictly monotone, so the ratio
 moves strictly between its two endpoint limits: beta is approached as
 a -> b and alpha as a/b -> inf, and neither constant can be improved.
 
-This module takes both constants from the three means' exact end values,
-checks each reduction, stated once as data, exactly, recovers them
-from the kernel (the limit at 0+ read off theta = 2^-27, a direct
-evaluation at theta_right, and a scan that checks the monotonicity in
-between), and certifies each inequality on deterministic samples.
+This module checks each reduction, stated once as data, exactly, takes
+both constants from the kernel's two ends (beta from its exact limit at
+0+, alpha from its exact value at theta_right), recovers them again in
+floats (the limit at 0+ read off theta = 2^-27, a direct evaluation at
+theta_right, and a scan that checks the monotonicity in between), and
+certifies each inequality on deterministic samples.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
-from .means import _ENDS, _EXCESSES, _THETA_SUBS, MeanKind, PositivePair
+from .means import _EXCESSES, _THETA_SUBS, MeanKind, PositivePair
 from .means import _reduce
 from .means import eval_mean  # noqa: F401  (unused; perfbench/tracing.py wraps it, TestFusedLoop counts 0 calls)
 
@@ -146,7 +147,7 @@ class SharpBounds(NamedTuple):
 
 
 # alpha as the paper states it, for bounds-table, by (target, hi, lo) codes; the
-# float comes from the means.  A triple outside SPECS has none and is refused.
+# float comes from the kernel.  A triple outside SPECS has none and is refused.
 _ALPHA_EXACT = {
     ("P", "A", "H"): "2/pi", ("P", "C", "H"): "1/pi", ("T", "S", "A"): "(4-pi)/((sqrt2-1)*pi)",
     ("P", "Cbar", "H"): "3/(2*pi)", ("T", "C", "H"): "2/pi", ("S", "C", "T"): "(pi-2*sqrt2)/(sqrt2*pi-2*sqrt2)",
@@ -199,6 +200,10 @@ _KERNELS_IN_THETA = {  # as kernels states them
     HFunctionId.H3: (_THETA - _S * _C, _THETA * _S * _S),
     HFunctionId.H4: ((_THETA - _S) * _C, _THETA - _S * _C),
 }
+# (theta, sin theta, cos theta) at each substitution's theta_right, on 50-digit pi and sqrt(2)
+_PI = Fraction("3.1415926535897932384626433832795028841971693993751")
+_HALF_SQRT2 = Fraction("1.4142135623730950488016887242096980785696718753769") / 2
+_RIGHT_ENDS = {"sin": (_PI / 2, Fraction(1), Fraction(0)), "tan": (_PI / 4, _HALF_SQRT2, _HALF_SQRT2)}
 
 
 def _reduction_holds(spec: InequalitySpec) -> bool:
@@ -219,11 +224,12 @@ def _reduction_holds(spec: InequalitySpec) -> bool:
 def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     """Best-possible (alpha, beta) for one of the seven inequalities.
 
-    Each is (target - lo)/(hi - lo) over the three means' end values
-    (means._ENDS): beta exactly, alpha rounded once.  DomainError refuses
-    a (target, hi, lo) outside SPECS, whatever its id (so no hi and lo that
-    meet at an end get this far), and a reduction unless p*h(0+) + q == beta
-    and p*h(theta) + q is (target - lo)/(hi - lo) exactly (_reduction_holds).
+    DomainError refuses a (target, hi, lo) outside SPECS, whatever its id
+    (so no hi and lo that meet at an end get this far), and a reduction
+    unless p*h(theta) + q is (target - lo)/(hi - lo) exactly (_reduction_holds).
+    The proven p*h + q falls along theta, so its two ends are the constants:
+    beta = p*h(0+) + q exactly, from H_INFO's limit, and alpha the value at
+    theta_right, computed exactly on 50-digit pi and sqrt(2) and rounded once.
     Each accepted reduction is computed once; a refused one is refused on every call.
     """
     _check_spec(spec)
@@ -233,13 +239,14 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     codes = spec.target.value, spec.hi.value, spec.lo.value
     if codes not in _ALPHA_EXACT:
         raise DomainError(f"{spec.id}: no closed form is known for {codes[0]} between {codes[1]} and {codes[2]}")
-    (t_0, t_1), (h_0, h_1), (l_0, l_1) = (_ENDS[kind] for kind in (spec.target, spec.hi, spec.lo))
-    beta = (t_0 - l_0) / (h_0 - l_0)
-    alpha = float((t_1 - l_1) / (h_1 - l_1))
-    if Fraction(spec.p) * H_INFO[spec.kernel].limit_at_zero + Fraction(spec.q) != beta:
-        raise DomainError(f"{spec.id}: p*h(0+) + q is not its beta {beta}")
     if not _reduction_holds(spec):
         raise DomainError(f"{spec.id}: p*h(theta) + q is not (target - lo)/(hi - lo) for t = {spec.theta_sub}(theta)")
+    p, q = Fraction(spec.p), Fraction(spec.q)
+    beta = p * H_INFO[spec.kernel].limit_at_zero + q
+    theta, s, c = _RIGHT_ENDS[spec.theta_sub]
+    n_k, d_k = (sum(coef * theta**i * s**j * c**k for (i, j, k), coef in poly.items())
+                for poly in _KERNELS_IN_THETA[spec.kernel])
+    alpha = float(p * n_k / d_k + q)
     _SHARP[key] = SharpBounds(alpha=alpha, beta=float(beta), alpha_exact=_ALPHA_EXACT[codes], beta_exact=str(beta))
     return _SHARP[key]
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable
-from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
@@ -185,18 +184,9 @@ def _excess_t(r: float) -> float:
     return (_ONE_MINUS_QUARTER_PI + (v - 2.0 * r / s)) / ((_QUARTER_PI - v) * t * t)
 
 
-# Each mean's two end values, exact on 50-digit pi and sqrt(2): its excess at t = 0
-# (a == b) and M(1, 0) (a/b -> inf).  Over a triple, (target - lo)/(hi - lo) of a
-# column is its sharp beta or alpha.  C, Cbar, A and H keep their t = 0 excess.
-_PI = Fraction("3.1415926535897932384626433832795028841971693993751")
-_SQRT2 = Fraction("1.4142135623730950488016887242096980785696718753769")
-_ENDS = {
-    MeanKind.CONTRA_HARMONIC: (Fraction(1), Fraction(1)), MeanKind.CENTROIDAL: (Fraction(1, 3), Fraction(2, 3)),
-    MeanKind.ARITHMETIC: (Fraction(0), Fraction(1, 2)), MeanKind.GEOMETRIC: (Fraction(-1, 2), Fraction(0)),
-    MeanKind.HARMONIC: (Fraction(-1), Fraction(0)), MeanKind.ROOT_SQUARE: (Fraction(1, 2), _SQRT2 / 2),
-    MeanKind.SEIFFERT_P: (Fraction(-1, 6), 1 / _PI), MeanKind.SEIFFERT_T: (Fraction(1, 3), 2 / _PI),
-}
-_EXCESSES = {kind: float(e_0) for kind, (e_0, _) in _ENDS.items()} | {
+# kind -> its excess e, a float for C, Cbar, A and H and a function of r for G, S, P and T
+_EXCESSES = {
+    MeanKind.CONTRA_HARMONIC: 1.0, MeanKind.CENTROIDAL: 1 / 3, MeanKind.ARITHMETIC: 0.0, MeanKind.HARMONIC: -1.0,
     MeanKind.GEOMETRIC: _excess_g, MeanKind.ROOT_SQUARE: _excess_s,
     MeanKind.SEIFFERT_P: _excess_p, MeanKind.SEIFFERT_T: _excess_t,
 }

@@ -3,14 +3,16 @@ tests that must catch it.
 
     python tests/mutants.py
 
-copies src/, tests/ and pyproject.toml into a temporary directory and checks
-that every named test passes there.  Then, for each mutant, it replaces the
-old text, which must occur exactly once in its file, by the new text, runs
-the mutant's tests and restores the file.  A mutant is killed when pytest
-exits 1 (a test failed); a collection or usage error (exit 2 to 5), or a run
-past the timeout, is not a kill.  It prints one line per mutant and exits 1
-when any mutant survives.  It writes nothing outside the temporary
-directory, and each pytest child ends before the next starts.
+copies src/, tests/ and pyproject.toml into a temporary directory once per
+worker, min(available CPUs, 4) of them, and checks that every named test
+passes in one copy.  Then, for each mutant, a worker takes a copy no other
+mutant holds, replaces the old text, which must occur exactly once in its
+file, by the new text, runs the mutant's tests and restores the file.  A
+mutant is killed when pytest exits 1 (a test failed); a collection or usage
+error (exit 2 to 5), or a run past the timeout, is not a kill.  It prints
+one line per mutant, in table order, and exits 1 when any mutant survives.
+It writes nothing outside the temporary directory, and runs at most one
+pytest child per worker at a time.
 
 Stdlib only, and pytest does not collect it (its name does not start with
 test_); test_mutant_table.py checks the table against the source in tier-1.
@@ -22,10 +24,12 @@ never deleted with it.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -107,6 +111,10 @@ MUTANTS = [
     Mutant("kernels: h_limit's left limits one ulp high", "kernels.py",
            "        return float(info.limit_at_zero)\n", "        return math.nextafter(float(info.limit_at_zero), 1.0)\n",
            (_K + "TestHLimit::test_left_limits",)),
+    Mutant("kernels: h3's limit at 0+ raised by 2^-60", "kernels.py",
+           "HFunctionInfo(math.pi, True, Fraction(2, 3), math.inf)",
+           "HFunctionInfo(math.pi, True, Fraction(2, 3) + Fraction(1, 2**60), math.inf)",
+           (_B + "TestCrookedReduction::test_each_kernel_in_theta_starts_at_its_limit[h3]",)),
     Mutant("means: P's excess times 1 + 1e-11 for t >= 0.9", "means.py",
            "return (_ONE_MINUS_HALF_PI + 2.0 * (v - r / s)) / ((_HALF_PI - 2.0 * v) * t * t)",
            "return (_ONE_MINUS_HALF_PI + 2.0 * (v - r / s)) / ((_HALF_PI - 2.0 * v) * t * t) * (1 + 1e-11)",
@@ -172,6 +180,11 @@ MUTANTS = [
            (_B + "TestCrookedReduction::test_the_right_beta_with_the_wrong_alpha_is_refused[tan]",)),
     Mutant("bounds: the exact check holds when hi - lo vanishes", "bounds.py",
            "return bool(span) and not ", "return not ", (_B + "TestEquivalence::test_a_triple_of_one_mean_fails",)),
+    Mutant("bounds: tan's right end at pi/2", "bounds.py",
+           '"tan": (_PI / 4,', '"tan": (_PI / 2,', (_B + "TestSharpBounds::test_alphas_are_correctly_rounded",)),
+    Mutant("bounds: beta without q", "bounds.py",
+           "beta = p * H_INFO[spec.kernel].limit_at_zero + q", "beta = p * H_INFO[spec.kernel].limit_at_zero",
+           (_B + "TestSharpBounds::test_symbolic_forms",)),
     Mutant("bounds: sharp_bounds' store never read", "bounds.py",
            "    if key in _SHARP:\n", "    if False:\n",
            (_B + "TestSharpBounds::test_computed_once_per_reduction",)),
@@ -290,35 +303,51 @@ def _pytest(root: Path, tests) -> int | None:
         return None
 
 
+def _copy(root: Path) -> Path:
+    """A private copy of src/, tests/ and pyproject.toml at root."""
+    # no bytecode is copied or written, so no stale .pyc can stand in for a mutated file
+    skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    shutil.copytree(ROOT / "src", root / "src", ignore=skip)
+    shutil.copytree(ROOT / "tests", root / "tests", ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", root / "pyproject.toml")
+    return root
+
+
 def main() -> int:
+    workers = min(len(os.sched_getaffinity(0)), 4)
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        # no bytecode is copied or written, so no stale .pyc can stand in for a mutated file
-        skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-        shutil.copytree(ROOT / "src", root / "src", ignore=skip)
-        shutil.copytree(ROOT / "tests", root / "tests", ignore=skip)
-        shutil.copy2(ROOT / "pyproject.toml", root / "pyproject.toml")
-        code = _pytest(root, sorted({test for mutant in MUTANTS for test in mutant.tests}))
+        copies = [_copy(Path(tmp) / str(n)) for n in range(workers)]
+        code = _pytest(copies[0], sorted({test for mutant in MUTANTS for test in mutant.tests}))
         if code != 0:
             print(f"the named tests do not all pass unmutated (pytest exit {code})")
             return 1
-        survivors = 0
-        for mutant in MUTANTS:
-            path = root / "src" / "meanbound" / mutant.file
-            text = path.read_text()
-            found = text.count(mutant.old)
-            if found == 1:
+        roots: queue.SimpleQueue[Path] = queue.SimpleQueue()  # the copies no mutant holds
+        for root in copies:
+            roots.put(root)
+
+        def run(mutant: Mutant) -> tuple[int | None, str]:
+            root = roots.get()
+            try:
+                path = root / "src" / "meanbound" / mutant.file
+                text = path.read_text()
+                found = text.count(mutant.old)
+                if found != 1:
+                    return None, f"old text found {found} times"
                 path.write_text(text.replace(mutant.old, mutant.new))
                 code = _pytest(root, mutant.tests)
                 path.write_text(text)
-                why = f"pytest exit {code}"
-            else:
-                code, why = None, f"old text found {found} times"
-            if code == 1:
-                print(f"killed    {mutant.name}")
-            else:
-                survivors += 1
-                print(f"SURVIVED  {mutant.name} ({why})")
+                return code, f"pytest exit {code}"
+            finally:
+                roots.put(root)
+
+        survivors = 0
+        with ThreadPoolExecutor(workers) as pool:
+            for mutant, (code, why) in zip(MUTANTS, pool.map(run, MUTANTS)):  # in table order
+                if code == 1:
+                    print(f"killed    {mutant.name}")
+                else:
+                    survivors += 1
+                    print(f"SURVIVED  {mutant.name} ({why})")
         print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
         return 1 if survivors else 0
 

@@ -29,7 +29,7 @@ from meanbound import bounds
 from meanbound.bounds import (
     _BLOCK, _LANE_END, _LN_D_HI, _LN_D_LO, _M64, _PHI, _RETURNS, _SEED_MIX, _certify_chunk, _lane, _walk,
 )
-from meanbound.means import _ENDS, _EXCESSES
+from meanbound.means import _EXCESSES
 
 import _oracle as oracle
 
@@ -134,7 +134,7 @@ class TestSharpBounds:
 
     def test_alphas_are_correctly_rounded(self):
         # each printed alpha_exact, evaluated at 50 digits, rounds to the
-        # alpha taken from the means; in binary64, thm5.2's pi - 2*sqrt2
+        # alpha taken from the kernel; in binary64, thm5.2's pi - 2*sqrt2
         # cancels and leaves its alpha 6 ulp off
         mpmath = pytest.importorskip("mpmath")
         for spec in SPECS.values():
@@ -209,9 +209,26 @@ def _at(poly, theta):
     return sum(float(coef) * theta**i * s**j * c**k for (i, j, k), coef in poly.items())
 
 
+# sin and cos as exact Maclaurin coefficients of theta^0..theta^8
+_SIN = [Fraction((-1) ** (n // 2) * (n % 2), math.factorial(n)) for n in range(9)]
+_COS = [Fraction((-1) ** (n // 2) * (1 - n % 2), math.factorial(n)) for n in range(9)]
+
+
+def _maclaurin(poly):
+    """A polynomial of bounds' exact reduction tables as its exact Maclaurin
+    coefficients of theta^0..theta^8."""
+    out = [Fraction(0)] * 9
+    for (i, j, k), coef in poly.items():
+        term = [coef if n == i else Fraction(0) for n in range(9)]
+        for factor in [_SIN] * j + [_COS] * k:
+            term = [sum(term[m] * factor[n - m] for m in range(n + 1)) for n in range(9)]
+        out = [a + b for a, b in zip(out, term)]
+    return out
+
+
 class TestCrookedReduction:
-    # the constants come from the means, so a reduction p*h + q that does
-    # not reach them is refused wherever they are needed
+    # the constants come from the kernel only once the reduction is proven,
+    # so a crooked reduction is refused wherever they are needed
     @pytest.mark.parametrize("crooked", _crooked_specs())
     def test_sharp_bounds_refuses(self, crooked):
         # on every call: a refusal is not stored; certify, at the sharp or
@@ -259,6 +276,15 @@ class TestCrookedReduction:
         num, den = bounds._KERNELS_IN_THETA[kernel]
         for theta in (0.3, 0.7, 1.2, 1.5):
             assert _at(num, theta) / _at(den, theta) == approx(h_eval(kernel, theta), rel=1e-13), theta
+
+    @pytest.mark.parametrize("kernel", list(HFunctionId), ids=lambda kernel: kernel.value)
+    def test_each_kernel_in_theta_starts_at_its_limit(self, kernel):
+        # sharp_bounds' beta is p*limit_at_zero + q: the ratio of the lowest
+        # terms of the kernel's numerator and denominator, which share a degree
+        num, den = (_maclaurin(poly) for poly in bounds._KERNELS_IN_THETA[kernel])
+        lowest = next(n for n, coef in enumerate(den) if coef)
+        assert not any(num[:lowest])
+        assert num[lowest] / den[lowest] == H_INFO[kernel].limit_at_zero
 
 
 class TestRatio:
@@ -603,10 +629,10 @@ class TestCertify:
 
     @pytest.mark.parametrize("p", [0.51, 0.49])
     def test_crooked_p_is_caught(self, p):
-        # beta comes from the means, so a p that no longer reaches it is
-        # refused before any sample is drawn
+        # the exact check refuses a p that no longer gives the ratio of the
+        # means before any sample is drawn
         crooked = SPECS["prop1.2"]._replace(p=p)
-        with pytest.raises(DomainError, match=r"prop1\.2: p\*h\(0\+\) \+ q is not its beta 5/12"):
+        with pytest.raises(DomainError, match=r"prop1\.2: p\*h\(theta\) \+ q is not \(target - lo\)/\(hi - lo\)"):
             certify(crooked, 2000, 42, 1e-12)
 
     def test_raised_alpha_is_violated(self):
@@ -797,11 +823,13 @@ class TestStream:
 
     def test_end_values_are_the_far_means(self):
         # the ended excesses are those of G, S, P and T, each the t = 1
-        # excess 2*M(1, 0) - 1 to 1 ulp
-        for kind, excess in _EXCESSES.items():
-            if callable(excess):
-                want = float(2 * _ENDS[kind][1] - 1)
-                assert abs(excess(0.0) - want) <= math.ulp(want), kind
+        # excess 2*M(1, 0) - 1, M at 50 digits, to 1 ulp
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for kind, excess in _EXCESSES.items():
+                if callable(excess):
+                    want = float(2 * oracle.mean(kind, 1, 0) - 1)
+                    assert abs(excess(0.0) - want) <= math.ulp(want), kind
 
 
 def _moved_lanes(lane_end):

@@ -58,3 +58,9 @@ def test_compiles_without_warnings(path):
     # ast.parse misses the compiler's SyntaxWarnings (an asserted tuple, `is`
     # with a literal); in-process imports read __pycache__, so they miss them too
     compile(path.read_text(), str(path), "exec")
+
+
+def test_means_computes_in_binary64_only():
+    # exact arithmetic (the sharp constants' ends) lives in bounds and kernels
+    absolute, _ = _imports(Path(meanbound.__file__).parent / "means.py")
+    assert not absolute & {"fractions", "decimal"}

@@ -18,7 +18,6 @@ from meanbound import (
 )
 from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM, _h2_series, _h4_series
 from meanbound.means import (
-    _ENDS,
     _EXCESS_CUTOFF,
     _EXCESSES,
     _HALF_PI,
@@ -425,22 +424,22 @@ class TestExcesses:
 
 
 class TestEnds:
-    # each mean's excess at t = 0 and its value M(1, 0), which fix every
-    # sharp constant, against the means at 120 digits
+    # C, Cbar, A and H's excesses are constants: their limits at t = 0 and
+    # t = 1, against the means at 120 digits, each rounded to its float
     def test_against_mpmath_limits(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(120):
             # the excess (2M/(1 + r) - 1)/t^2 at t = 1e-25 is its limit at
             # t = 0 to O(t^2), and rounding costs it 50 of the 120 digits;
-            # M(1, r) at r = 0 is the limit as a/b -> inf
+            # at r = 0, t = 1, it is 2*M(1, 0) - 1
             t_small = mpmath.mpf(10) ** -25
             t, near = _mp_means(mpmath, (1 - t_small) / (1 + t_small))
             _, far = _mp_means(mpmath, 0)
-            for kind, (e_0, m_inf) in _ENDS.items():
-                assert isinstance(e_0, Fraction) and isinstance(m_inf, Fraction), kind
-                excess = (near[kind] * (1 + t) - 1) / (t * t)
-                assert abs(excess - mpmath.mpf(e_0.numerator) / e_0.denominator) < 1e-45, kind
-                assert abs(far[kind] - mpmath.mpf(m_inf.numerator) / m_inf.denominator) < 1e-48, kind
+            constants = {kind: e for kind, e in _EXCESSES.items() if not callable(e)}
+            assert len(constants) == 4
+            for kind, e in constants.items():
+                for limit in ((near[kind] * (1 + t) - 1) / (t * t), 2 * far[kind] - 1):
+                    assert abs(limit - e) <= math.ulp(e) / 2 + 1e-45, kind
 
 
 def _worst_ulp(mpmath, f, kind):
