@@ -15,12 +15,12 @@ kernels are strictly monotone, so the ratio
 moves strictly between its two endpoint limits: beta is approached as
 a -> b and alpha as a/b -> inf, and neither constant can be improved.
 
-This module checks each reduction, stated once as data, exactly, takes
-both constants from the kernel's two ends (beta from its exact limit at
-0+, alpha from its exact value at theta_right), recovers them again in
-floats (the limit at 0+ read off theta = 2^-27, a direct evaluation at
-theta_right, and a scan that checks the monotonicity in between), and
-certifies each inequality on deterministic samples.
+This module states each reduction once as data; proof checks it exactly
+and takes both constants from the kernel's two ends.  Here they are rounded
+once, and the rest is binary64 only: the constants are recovered again (the
+limit at 0+ read off theta = 2^-27, a direct evaluation at theta_right, and
+a scan that checks the monotonicity in between) and each inequality is
+certified on deterministic samples.
 """
 
 from __future__ import annotations
@@ -28,15 +28,14 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DegeneratePairError, DomainError
 from .kernels import H_INFO, HFunctionId, h_eval
-from .means import _EXCESSES, _THETA_SUBS, MeanKind, PositivePair
-from .means import _reduce
+from .means import _EXCESSES, _THETA_SUBS, MeanKind, PositivePair, _reduce
 from .means import eval_mean  # noqa: F401  (unused; perfbench/tracing.py wraps it, TestFusedLoop counts 0 calls)
+from .proof import _exact_ends, _reduction_holds
 
 __all__ = [
     "CertificationReport",
@@ -157,79 +156,15 @@ _ALPHA_EXACT = {
 _SHARP: dict[tuple, SharpBounds] = {}
 
 
-class _Poly(dict):
-    """A polynomial in theta, s = sin(theta) and c = cos(theta): its nonzero rational
-    coefficients by the exponents (i, j, k) of theta^i s^j c^k, j <= 1.  A product
-    rewrites s^2 as 1 - c^2, so this normal form is unique and vanishes on an interval
-    only when empty, theta being transcendental over Q(sin(theta), cos(theta))."""
-
-    def __add__(self, other: _Poly) -> _Poly:
-        sums = {mono: self.get(mono, 0) + other.get(mono, 0) for mono in self.keys() | other.keys()}
-        return _Poly({mono: coef for mono, coef in sums.items() if coef})
-
-    def __sub__(self, other: _Poly) -> _Poly:
-        return self + _Poly({mono: -coef for mono, coef in other.items()})
-
-    def __mul__(self, other: _Poly) -> _Poly:
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j, k), a in self.items():
-            for (i2, j2, k2), b in other.items():
-                theta, s, c = i + i2, j + j2, k + k2
-                if s == 2:  # s^2 = 1 - c^2
-                    s = 0
-                    out[theta, 0, c + 2] = out.get((theta, 0, c + 2), 0) - a * b
-                out[theta, s, c] = out.get((theta, s, c), 0) + a * b
-        return _Poly({mono: coef for mono, coef in out.items() if coef})
-
-
-_ONE, _THREE, _THETA, _S, _C = (_Poly({mono: n}) for mono, n in (
-    ((0, 0, 0), 1), ((0, 0, 0), 3), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)))
-# each mean over A as (numerator, denominator) for t = (a - b)/(a + b) = sin(theta)
-# or tan(theta): only the means of a SPECS triple under its substitution
-_MEANS_IN_THETA = {
-    "sin": {MeanKind.CONTRA_HARMONIC: (_ONE + _S * _S, _ONE), MeanKind.CENTROIDAL: (_THREE + _S * _S, _THREE),
-            MeanKind.ARITHMETIC: (_ONE, _ONE), MeanKind.HARMONIC: (_C * _C, _ONE),
-            MeanKind.GEOMETRIC: (_C, _ONE), MeanKind.SEIFFERT_P: (_S, _THETA)},
-    "tan": {MeanKind.CONTRA_HARMONIC: (_ONE, _C * _C), MeanKind.ARITHMETIC: (_ONE, _ONE),
-            MeanKind.HARMONIC: (_C * _C - _S * _S, _C * _C), MeanKind.ROOT_SQUARE: (_ONE, _C),
-            MeanKind.SEIFFERT_T: (_S, _C * _THETA)},
-}
-_KERNELS_IN_THETA = {  # as kernels states them
-    HFunctionId.H1: (_S - _THETA * _C * _C, _THETA * _S * _S),
-    HFunctionId.H2: (_S - _THETA * _C, _THETA * (_ONE - _C)),
-    HFunctionId.H3: (_THETA - _S * _C, _THETA * _S * _S),
-    HFunctionId.H4: ((_THETA - _S) * _C, _THETA - _S * _C),
-}
-# (theta, sin theta, cos theta) at each substitution's theta_right, on 50-digit pi and sqrt(2)
-_PI = Fraction("3.1415926535897932384626433832795028841971693993751")
-_HALF_SQRT2 = Fraction("1.4142135623730950488016887242096980785696718753769") / 2
-_RIGHT_ENDS = {"sin": (_PI / 2, Fraction(1), Fraction(0)), "tan": (_PI / 4, _HALF_SQRT2, _HALF_SQRT2)}
-
-
-def _reduction_holds(spec: InequalitySpec) -> bool:
-    """Whether (target - lo)/(hi - lo) == p*h(theta) + q for every theta in
-    (0, theta_right), decided exactly: every denominator is positive there, so
-    it holds when the cross-multiplied difference is the zero polynomial (and
-    hi - lo is not).  p and q are binary64, so Fraction holds them exactly."""
-    means = _MEANS_IN_THETA[spec.theta_sub]
-    if not {spec.target, spec.hi, spec.lo} <= means.keys():
-        return False
-    (n_t, d_t), (n_h, d_h), (n_l, d_l) = (means[kind] for kind in (spec.target, spec.hi, spec.lo))
-    n_k, d_k = _KERNELS_IN_THETA[spec.kernel]
-    p, q = (_Poly({(0, 0, 0): Fraction(value)}) for value in (spec.p, spec.q))  # a 0 vanishes in a product
-    span = n_h * d_l - n_l * d_h  # (hi - lo)*d_h*d_l
-    return bool(span) and not (n_t * d_l - n_l * d_t) * d_h * d_k - (p * n_k + q * d_k) * span * d_t
-
-
 def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     """Best-possible (alpha, beta) for one of the seven inequalities.
 
     DomainError refuses a (target, hi, lo) outside SPECS, whatever its id
     (so no hi and lo that meet at an end get this far), and a reduction
-    unless p*h(theta) + q is (target - lo)/(hi - lo) exactly (_reduction_holds).
-    The proven p*h + q falls along theta, so its two ends are the constants:
-    beta = p*h(0+) + q exactly, from H_INFO's limit, and alpha the value at
-    theta_right, computed exactly on 50-digit pi and sqrt(2) and rounded once.
+    unless p*h(theta) + q is (target - lo)/(hi - lo) exactly (proof's
+    _reduction_holds).  The proven p*h + q falls along theta, so its two ends
+    are the constants: proof's _exact_ends gives beta = p*h(0+) + q and alpha
+    = p*h(theta_right) + q exactly, and each is rounded once here.
     Each accepted reduction is computed once; a refused one is refused on every call.
     """
     _check_spec(spec)
@@ -241,13 +176,8 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
         raise DomainError(f"{spec.id}: no closed form is known for {codes[0]} between {codes[1]} and {codes[2]}")
     if not _reduction_holds(spec):
         raise DomainError(f"{spec.id}: p*h(theta) + q is not (target - lo)/(hi - lo) for t = {spec.theta_sub}(theta)")
-    p, q = Fraction(spec.p), Fraction(spec.q)
-    beta = p * H_INFO[spec.kernel].limit_at_zero + q
-    theta, s, c = _RIGHT_ENDS[spec.theta_sub]
-    n_k, d_k = (sum(coef * theta**i * s**j * c**k for (i, j, k), coef in poly.items())
-                for poly in _KERNELS_IN_THETA[spec.kernel])
-    alpha = float(p * n_k / d_k + q)
-    _SHARP[key] = SharpBounds(alpha=alpha, beta=float(beta), alpha_exact=_ALPHA_EXACT[codes], beta_exact=str(beta))
+    beta, alpha = _exact_ends(spec)
+    _SHARP[key] = SharpBounds(float(alpha), float(beta), _ALPHA_EXACT[codes], str(beta))
     return _SHARP[key]
 
 

@@ -165,26 +165,26 @@ MUTANTS = [
            "w = (1.0 - r) / (1.0 + r + 2.0 * math.sqrt(r))",
            "w = (1.0 - r) / (1.0 + r + 2.0 * math.sqrt(r)) * (1 + 2.0**-50)",
            (_M + "TestMeanOracle::test_seiffert_p_arctan_form_against_mpmath",)),
+    Mutant("proof: s^2 read as 1 + c^2", "proof.py",
+           "out.get((theta, 0, c + 2), 0) - a * b", "out.get((theta, 0, c + 2), 0) + a * b",
+           ("tests/test_acceptance.py::test_criterion_9_form_equivalence",
+            _B + "TestEquivalence::test_perturbed_map_fails")),
+    Mutant("proof: the exact check always holds", "proof.py",
+           "    means = _MEANS_IN_THETA[spec.theta_sub]\n", "    return True\n",
+           (_B + "TestCrookedReduction::test_the_right_beta_with_the_wrong_alpha_is_refused[tan]",)),
+    Mutant("proof: the exact check holds when hi - lo vanishes", "proof.py",
+           "return bool(span) and not ", "return not ", (_B + "TestEquivalence::test_a_triple_of_one_mean_fails",)),
+    Mutant("proof: tan's right end at pi/2", "proof.py",
+           '"tan": (_PI / 4,', '"tan": (_PI / 2,', (_B + "TestSharpBounds::test_alphas_are_correctly_rounded",)),
+    Mutant("proof: beta without q", "proof.py",
+           "beta = p * H_INFO[spec.kernel].limit_at_zero + q", "beta = p * H_INFO[spec.kernel].limit_at_zero",
+           (_B + "TestSharpBounds::test_symbolic_forms",)),
     Mutant("bounds: _RETURNS over (3, 5)", "bounds.py",
            "for g in (3, 5, 8)]", "for g in (3, 5)]",
            (_B + "TestStream::test_the_first_steps_that_can_land_are_3_5_8",)),
     Mutant("bounds: _RETURNS over (5, 3, 8)", "bounds.py",
            "for g in (3, 5, 8)]", "for g in (5, 3, 8)]",
            (_B + "TestStream::test_the_first_steps_that_can_land_are_3_5_8",)),
-    Mutant("bounds: s^2 read as 1 + c^2", "bounds.py",
-           "out.get((theta, 0, c + 2), 0) - a * b", "out.get((theta, 0, c + 2), 0) + a * b",
-           ("tests/test_acceptance.py::test_criterion_9_form_equivalence",
-            _B + "TestEquivalence::test_perturbed_map_fails")),
-    Mutant("bounds: the exact check always holds", "bounds.py",
-           "    means = _MEANS_IN_THETA[spec.theta_sub]\n", "    return True\n",
-           (_B + "TestCrookedReduction::test_the_right_beta_with_the_wrong_alpha_is_refused[tan]",)),
-    Mutant("bounds: the exact check holds when hi - lo vanishes", "bounds.py",
-           "return bool(span) and not ", "return not ", (_B + "TestEquivalence::test_a_triple_of_one_mean_fails",)),
-    Mutant("bounds: tan's right end at pi/2", "bounds.py",
-           '"tan": (_PI / 4,', '"tan": (_PI / 2,', (_B + "TestSharpBounds::test_alphas_are_correctly_rounded",)),
-    Mutant("bounds: beta without q", "bounds.py",
-           "beta = p * H_INFO[spec.kernel].limit_at_zero + q", "beta = p * H_INFO[spec.kernel].limit_at_zero",
-           (_B + "TestSharpBounds::test_symbolic_forms",)),
     Mutant("bounds: sharp_bounds' store never read", "bounds.py",
            "    if key in _SHARP:\n", "    if False:\n",
            (_B + "TestSharpBounds::test_computed_once_per_reduction",)),

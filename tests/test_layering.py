@@ -17,9 +17,9 @@ FLOOR = tuple(map(int, re.search(
     r'requires-python = ">=(\d+)\.(\d+)"', (Path(__file__).parents[1] / "pyproject.toml").read_text()).groups()))
 
 # lowest first: a module may import only modules listed before it, so kernels,
-# which holds the sin/cos Maclaurin tables, imports nothing from means, bounds
-# or cli
-LAYERS = ("errors", "bernoulli", "kernels", "means", "bounds", "cli", "__main__", "__init__")
+# which holds the sin/cos Maclaurin tables, imports nothing from means, proof,
+# bounds or cli
+LAYERS = ("errors", "bernoulli", "kernels", "means", "proof", "bounds", "cli", "__main__", "__init__")
 
 
 def _imports(path):
@@ -60,7 +60,8 @@ def test_compiles_without_warnings(path):
     compile(path.read_text(), str(path), "exec")
 
 
-def test_means_computes_in_binary64_only():
-    # exact arithmetic (the sharp constants' ends) lives in bounds and kernels
-    absolute, _ = _imports(Path(meanbound.__file__).parent / "means.py")
+@pytest.mark.parametrize("module", ["means", "bounds"])
+def test_computes_in_binary64_only(module):
+    # exact arithmetic lives in proof, kernels and bernoulli
+    absolute, _ = _imports(Path(meanbound.__file__).parent / f"{module}.py")
     assert not absolute & {"fractions", "decimal"}
