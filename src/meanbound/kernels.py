@@ -151,7 +151,10 @@ _SERIES_COEFFICIENTS = {
 }
 
 
-# the table key costs a 26-33 us hash per series call; it stays until perfbench's storage is bounded
+# The table key costs a 26-33 us hash of 32 Fractions per series call, about 70% of a
+# point query.  It stays while perfbench stores every repetition's latencies: a faster
+# query fits more repetitions into a run, which lifts point_sweep's peak RSS past its
+# bound (ROADMAP items 1a and 2).
 @lru_cache(maxsize=None)
 def _float_coefficients(table: BernoulliTable) -> Mapping[str, tuple[float, ...]]:
     """Binary64 coefficients of the five series, as many as the table holds."""
@@ -258,6 +261,8 @@ class HFunctionId(enum.Enum):
     H3 = "h3"
     H4 = "h4"
 
+    __hash__ = object.__hash__  # an identity hash, as means.MeanKind's, for C-speed lookups
+
 
 class HFunctionInfo(NamedTuple):
     """Domain, monotonicity direction, and endpoint limits of one kernel."""
@@ -308,10 +313,15 @@ def _h4_direct(x: float) -> float:
 #     x (1 - cos x)    = sum_k (-1)^(k+1) (2k+1)  x^(2k+1) / (2k+1)!
 #     x - sin x        = sum_k (-1)^(k+1)         x^(2k+1) / (2k+1)!
 #     x - sin x cos x  = sum_k (-1)^(k+1) 2^(2k)  x^(2k+1) / (2k+1)!
-# The common x^3 factor cancels in each quotient.  On 200 000 random x in
-# [0.4, 0.5) the first 9 terms (10 of _H4_DEN) give every bit of both
-# quotients and the first 8 (9) miss 45 values; the rest serve a switch
-# above 1/2, where the direct forms lose up to 17 ulp.  _quotient_sums sums
+# The common x^3 factor cancels in each quotient.  Each table alternates in
+# sign, and in w = x^2 <= 1/4 its term k + 1 over term k is at most
+# 4w/((2k+2)(2k+3)) <= 1/20, since c(k+1)/c(k) <= 4 for all four rules: the
+# terms fall from the first on, so the first omitted one bounds the
+# truncation.  At x = X_SWITCH, where that term is largest and each sum
+# smallest, it is below 2^-60 of its table's sum (a test checks this on the
+# exact coefficients), so the omitted terms move no bit.  8 terms (9 of
+# _H4_DEN) would meet that bound at 1/2; a switch at 1 (the direct forms
+# lose up to 17 ulp on [1/2, 1)) would need 12.  _quotient_sums sums
 # a pair of tables by straight-line Horner, innermost term first; means
 # takes the P and T excess series as prefixes of _H4_NUM and _H2_NUM.
 _QUOT_TERMS = 10

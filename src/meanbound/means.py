@@ -41,6 +41,10 @@ class MeanKind(enum.Enum):
     SEIFFERT_P = "P"
     SEIFFERT_T = "T"
 
+    # Members are singletons compared by identity, so the identity hash agrees with ==;
+    # it runs in C, where Enum.__hash__ is a Python call on every kind-keyed lookup.
+    __hash__ = object.__hash__
+
 
 class _PairFields(NamedTuple):
     a: float

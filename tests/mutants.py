@@ -115,6 +115,11 @@ MUTANTS = [
            "HFunctionInfo(math.pi, True, Fraction(2, 3), math.inf)",
            "HFunctionInfo(math.pi, True, Fraction(2, 3) + Fraction(1, 2**60), math.inf)",
            (_B + "TestCrookedReduction::test_each_kernel_in_theta_starts_at_its_limit[h3]",)),
+    Mutant("kernels: HFunctionId hashed by name", "kernels.py",
+           "    __hash__ = object.__hash__  # an identity hash, as means.MeanKind's, for C-speed lookups\n", "",
+           (_B + "TestKindKeys::test_dispatch_calls_no_enum_hash",)),
+    Mutant("means: MeanKind hashed by name", "means.py",
+           "    __hash__ = object.__hash__\n", "", (_B + "TestKindKeys::test_dispatch_calls_no_enum_hash",)),
     Mutant("means: P's excess times 1 + 1e-11 for t >= 0.9", "means.py",
            "return (_ONE_MINUS_HALF_PI + 2.0 * (v - r / s)) / ((_HALF_PI - 2.0 * v) * t * t)",
            "return (_ONE_MINUS_HALF_PI + 2.0 * (v - r / s)) / ((_HALF_PI - 2.0 * v) * t * t) * (1 + 1e-11)",

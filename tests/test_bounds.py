@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -1120,6 +1122,34 @@ class TestCertifyMany:
             calls.clear()
             certify(spec, 100, 42, 1e-12, alpha=0.1)
             assert calls == {spec.id: 1}
+
+
+class TestKindKeys:
+    def test_dispatch_calls_no_enum_hash(self):
+        # MeanKind and HFunctionId hash by identity, in C, so no table keyed on
+        # a kind runs enum.Enum.__hash__, a Python call per lookup.  The h1/h3
+        # series' Fraction hashes (the coefficient table's key) are not counted
+        hashed = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_name == "__hash__" and os.path.basename(code.co_filename) == "enum.py":
+                hashed.append(code.co_firstlineno)
+
+        specs = list(SPECS.values())
+        pairs = [PositivePair(2.0, 1.0), PositivePair(1.0, 1.0 + 1e-6)]  # direct and series branches
+        sys.setprofile(profile)
+        try:
+            for pair in pairs:
+                for kind in MeanKind:
+                    eval_mean(kind, pair)
+                for spec in specs:
+                    ratio(spec, pair)
+                    ratio_via_kernel(spec, pair)
+            certify_many(specs, 200, 42, 1e-12)
+        finally:
+            sys.setprofile(None)
+        assert hashed == []
 
 
 class TestEquivalence:

@@ -294,6 +294,24 @@ class TestModuleEntryPoint:
         code, out, _ = run_cli(capsys, *argv)
         assert (done.returncode, done.stdout) == (code, out)
 
+    # MeanKind and HFunctionId hash by address, and str hashes are salted per
+    # process: no output may depend on either
+    @pytest.mark.parametrize("argv, digest", [
+        (("certify", "--id", "all", "--samples", "2000", "--seed", "42", "--format", "json"),
+         "3b6f08c002893a4d3536242772a44eca2939cc4219d83fae27ef5c76a0a730e5"),
+        (("bounds-table", "--format", "json"),
+         "569fa1844bb15f8d821de4ad5162f74bbf98f4aa3f0ddbd41cc07503ba9d269d"),
+    ], ids=["certify", "bounds-table"])
+    def test_stdout_is_independent_of_the_hash_seed(self, argv, digest):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        outs = [
+            subprocess.run([sys.executable, "-m", "meanbound", *argv], capture_output=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}, timeout=60).stdout
+            for seed in ("0", "4242")
+        ]
+        assert outs[0] == outs[1]
+        assert hashlib.sha256(outs[0]).hexdigest() == digest
+
     @pytest.mark.parametrize("argv", [
         ("series", "--fn", "h1", "--order", "16"),
         ("bounds-table",),

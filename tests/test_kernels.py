@@ -29,6 +29,7 @@ from meanbound import (
     h_eval,
     h_limit,
 )
+from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM, _QUOT_TERMS
 
 import _oracle as oracle
 
@@ -248,6 +249,21 @@ class TestHEval:
                 assert all(d > 0 for d in diffs)
             else:
                 assert all(d < 0 for d in diffs)
+
+    @pytest.mark.parametrize("table, c", [
+        (_H2_NUM, lambda k: 2 * k), (_H2_DEN, lambda k: 2 * k + 1), (_H4_NUM, lambda k: 1), (_H4_DEN, lambda k: 4**k),
+    ], ids=["h2-num", "h2-den", "h4-num", "h4-den"])
+    def test_quotient_tables_truncate_below_2_to_the_minus_60(self, table, c):
+        # exact terms (-1)^(k+1) c(k)/(2k+1)! w^(k-1), k = 1..40, at x = X_SWITCH:
+        # alternating and falling past the table, the first omitted term bounds the rest
+        w = Fraction(X_SWITCH) ** 2
+        coefficients = [Fraction((-1) ** (k + 1) * c(k), math.factorial(2 * k + 1)) for k in range(1, 41)]
+        assert table == tuple(float(a) for a in coefficients[:_QUOT_TERMS])
+        terms = [a * w**k for k, a in enumerate(coefficients)]
+        assert all(u * v < 0 for u, v in zip(terms, terms[1:]))
+        omitted = terms[_QUOT_TERMS:]
+        assert all(abs(v) < abs(u) for u, v in zip(omitted, omitted[1:]))
+        assert abs(omitted[0]) < abs(sum(terms[:_QUOT_TERMS])) / 2**60
 
 
 class TestHLimit:
