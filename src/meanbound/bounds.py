@@ -319,12 +319,14 @@ def _sample_xs(lanes: list[int]) -> list[float]:
 # there needs _LANE_END set to _M64, which keeps every lane.
 _LANE_END = int((math.log(2.0**120) - _LN_D_LO) / _LN_D_SPAN * 2.0**64)
 
-# (g, g*_PHI mod 2^64), the hops from one lane <= _LANE_END to the next: the
-# return times of the golden rotation to [0, _LANE_END] take three values, the
-# third the sum of the other two (N. B. Slater, "Gaps and steps for the sequence
-# n*theta mod 1", 1967).  No other g below 8 lands, and from each lane one of the
-# three does, so the first that lands gives the next lane <= _LANE_END.
-_RETURNS = [(g, g * _PHI & _M64) for g in (3, 5, 8)]
+# The golden rotation's return map to [0, _LANE_END] exchanges three intervals
+# (N. B. Slater, "Gaps and steps for the sequence n*theta mod 1", 1967; M. Keane,
+# "Interval exchange transformations", 1975): the next lane <= _LANE_END after a
+# lane L <= _LANE_END is L + _HOP_5, 5 samples on, for L <= _CUT_5; L + _HOP_8,
+# 8 on, for L < _CUT_3; else L + _HOP_3, 3 on.  Each hop is g*_PHI mod 2^64,
+# less 2^64 where it wraps, so the landed lane needs no reduction.
+_HOP_3, _HOP_5, _HOP_8 = (3 * _PHI & _M64) - 2**64, 5 * _PHI & _M64, (8 * _PHI & _M64) - 2**64
+_CUT_3, _CUT_5 = -_HOP_3, _LANE_END - _HOP_5
 
 
 def _walk(seed: int, first: int, size: int) -> tuple[list[int], int]:
@@ -333,18 +335,18 @@ def _walk(seed: int, first: int, size: int) -> tuple[list[int], int]:
     first lane past _LANE_END, at its place end (size when there is none); the
     size - len(kept) others past _LANE_END are never built.  It steps one sample
     at a time, except that once end is found it hops from each lane
-    <= _LANE_END to the next by _RETURNS."""
+    <= _LANE_END to the next by the return map's three intervals."""
     lane, kept, end, i = _lane(seed, first), [], size, 0
     while i < size:  # lane is that of sample first + i
         if lane <= _LANE_END:
             kept.append(lane)
             if end < size:
-                for g, offset in _RETURNS:
-                    landed = (lane + offset) & _M64
-                    if landed <= _LANE_END:
-                        break
-                i += g
-                lane = landed
+                if lane <= _CUT_5:
+                    i, lane = i + 5, lane + _HOP_5
+                elif lane < _CUT_3:
+                    i, lane = i + 8, lane + _HOP_8
+                else:
+                    i, lane = i + 3, lane + _HOP_3
                 continue
         elif end == size:  # the block's first lane past _LANE_END
             end = len(kept)
@@ -403,9 +405,10 @@ def _certify_chunk(
     on lanes above _LANE_END (x > 2^120, about 84% of them) share every
     excess, their end values; these hold from r = 2^-110 on, a margin of
     2^57 lanes.  _walk steps to the block's first lane past _LANE_END, then
-    hops from one kept lane to the next by _RETURNS, so it never builds the
-    others past it: that first one is evaluated, in its place end among the
-    kept samples, and the other size - len(kept) count as copies of it
+    hops from one kept lane to the next, reading each hop off the lane by
+    the return map's three intervals, so it never builds the others past
+    it: that first one is evaluated, in its place end among the kept
+    samples, and the other size - len(kept) count as copies of it
     (none when no lane is past _LANE_END).  A constant excess stays one
     float.  Each check folds a block's ratios with min and max, looks up a
     sample's x only when an extreme improves, and counts its violations

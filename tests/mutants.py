@@ -184,11 +184,25 @@ MUTANTS = [
     Mutant("proof: beta without q", "proof.py",
            "beta = p * H_INFO[spec.kernel].limit_at_zero + q", "beta = p * H_INFO[spec.kernel].limit_at_zero",
            (_B + "TestSharpBounds::test_symbolic_forms",)),
-    Mutant("bounds: _RETURNS over (3, 5)", "bounds.py",
-           "for g in (3, 5, 8)]", "for g in (3, 5)]",
-           (_B + "TestStream::test_the_first_steps_that_can_land_are_3_5_8",)),
-    Mutant("bounds: _RETURNS over (5, 3, 8)", "bounds.py",
-           "for g in (3, 5, 8)]", "for g in (5, 3, 8)]",
+    # a cut point one lane low or high; _CUT_5 one lane high leaves the walk's
+    # output as it was (the hop of 5 from _CUT_5 + 1 lands on _LANE_END + 1,
+    # and single steps reach the right lane 3 samples on), so only the exact
+    # intervals see it
+    Mutant("bounds: _CUT_3 one lane high", "bounds.py",
+           "_CUT_3, _CUT_5 = -_HOP_3,", "_CUT_3, _CUT_5 = -_HOP_3 + 1,",
+           (_B + "TestStream::test_the_first_steps_that_can_land_are_3_5_8",
+            _B + "TestStream::test_a_hop_from_each_end_of_each_rule_interval[cut-3]")),
+    Mutant("bounds: _CUT_3 one lane low", "bounds.py",
+           "_CUT_3, _CUT_5 = -_HOP_3,", "_CUT_3, _CUT_5 = -_HOP_3 - 1,",
+           (_B + "TestStream::test_the_first_steps_that_can_land_are_3_5_8",
+            _B + "TestStream::test_a_hop_from_each_end_of_each_rule_interval[cut-3-1]")),
+    Mutant("bounds: _CUT_5 one lane low", "bounds.py",
+           "_LANE_END - _HOP_5\n", "_LANE_END - _HOP_5 - 1\n",
+           (_B + "TestStream::test_the_first_steps_that_can_land_are_3_5_8",
+            _B + "TestStream::test_a_hop_from_each_end_of_each_rule_interval[cut-5]",
+            _B + "TestStream::test_a_later_lane_on_lane_end_is_kept[hop]")),
+    Mutant("bounds: _CUT_5 one lane high", "bounds.py",
+           "_LANE_END - _HOP_5\n", "_LANE_END - _HOP_5 + 1\n",
            (_B + "TestStream::test_the_first_steps_that_can_land_are_3_5_8",)),
     Mutant("bounds: sharp_bounds' store never read", "bounds.py",
            "    if key in _SHARP:\n", "    if False:\n",
@@ -241,18 +255,21 @@ MUTANTS = [
     Mutant("bounds: the walk drops a lane on _LANE_END", "bounds.py",
            "        if lane <= _LANE_END:\n", "        if lane < _LANE_END:\n",
            (_B + "TestStream::test_a_later_lane_on_lane_end_is_kept[step]",)),
-    Mutant("bounds: the walk's hop skips a landing on _LANE_END", "bounds.py",
-           "if landed <= _LANE_END:", "if landed < _LANE_END:",
-           (_B + "TestStream::test_a_later_lane_on_lane_end_is_kept[hop]",)),
-    Mutant("bounds: the walk's hop a sample short", "bounds.py",
-           "                i += g\n", "                i += g - 1\n",
-           (_B + "TestStream::test_walk_is_the_full_draw_and_split[2000-0-0]",)),
+    Mutant("bounds: the walk's hop of 8 a sample short", "bounds.py",
+           "i, lane = i + 8,", "i, lane = i + 7,",
+           (_B + "TestStream::test_walk_is_the_full_draw_and_split[2000-0-0]",
+            _B + "TestStream::test_a_hop_from_each_end_of_each_rule_interval[cut-5+1]")),
     Mutant("bounds: the walk's step not reduced mod 2^64", "bounds.py",
            "lane = (lane + _PHI) & _M64", "lane = lane + _PHI",
            (_B + "TestStream::test_walk_is_the_full_draw_and_split[2000-0-0]",)),
-    Mutant("bounds: the walk's hop not reduced mod 2^64", "bounds.py",
-           "landed = (lane + offset) & _M64", "landed = lane + offset",
-           (_B + "TestStream::test_walk_is_the_full_draw_and_split[2000-0-0]",)),
+    Mutant("bounds: the hop of 3 without its wrap", "bounds.py",
+           "(3 * _PHI & _M64) - 2**64", "(3 * _PHI & _M64)",
+           (_B + "TestStream::test_the_first_steps_that_can_land_are_3_5_8",
+            _B + "TestStream::test_walk_is_the_full_draw_and_split[2000-0-0]")),
+    Mutant("bounds: the hop of 8 without its wrap", "bounds.py",
+           "(8 * _PHI & _M64) - 2**64", "(8 * _PHI & _M64)",
+           (_B + "TestStream::test_the_first_steps_that_can_land_are_3_5_8",
+            _B + "TestStream::test_a_hop_from_each_end_of_each_rule_interval[cut-3-1]")),
     Mutant("bounds: the walk hops before the block's first ended lane", "bounds.py",
            "if end < size:", "if end <= size:",
            (_B + "TestStream::test_walk_is_the_full_draw_and_split[2000-0-0]",)),

@@ -29,7 +29,8 @@ from meanbound import (
 )
 from meanbound import bounds, proof
 from meanbound.bounds import (
-    _BLOCK, _LANE_END, _LN_D_HI, _LN_D_LO, _M64, _PHI, _RETURNS, _SEED_MIX, _certify_chunk, _lane, _walk,
+    _BLOCK, _CUT_3, _CUT_5, _HOP_3, _HOP_5, _HOP_8, _LANE_END, _LN_D_HI, _LN_D_LO, _M64, _PHI, _SEED_MIX,
+    _certify_chunk, _lane, _walk,
 )
 from meanbound.means import _EXCESSES
 
@@ -764,7 +765,8 @@ class TestStream:
     def test_a_later_lane_on_lane_end_is_kept(self, on_end, kept):
         # sample on_end of the block is exactly on _LANE_END, and sample 0 is
         # the block's first past it: the walk reaches the lane on _LANE_END by
-        # a step from sample 0, or by a _RETURNS hop of 5 from the kept sample 1
+        # a step from sample 0, or by a hop of 5 from the kept sample 1, on
+        # _CUT_5
         seed = _seed_on(_LANE_END, on_end)
         lanes = [_weyl_lane(seed, i) for i in range(_BLOCK)]
         assert [i for i in range(on_end + 1) if lanes[i] <= _LANE_END] == kept
@@ -773,44 +775,50 @@ class TestStream:
     def test_the_first_steps_that_can_land_are_3_5_8(self):
         # exactly, on integer intervals: with d the hop g*_PHI mod 2^64 as a
         # signed integer, a lane L <= _LANE_END lands on another g samples
-        # later when 0 <= L + d <= _LANE_END.  No g up to the last of
-        # _RETURNS lands but theirs, listed in increasing g, and their landing
-        # intervals cover [0, _LANE_END], so the first of them that lands
-        # gives the next lane <= _LANE_END
+        # later when 0 <= L + d <= _LANE_END, so only a g with |d| <= _LANE_END
+        # can land.  Up to 8 those are 3, 5 and 8.  The return map's three
+        # rule intervals, [0, _CUT_5] for 5, the lanes between for 8 and
+        # [_CUT_3, _LANE_END] for 3, partition [0, _LANE_END]; in each its g
+        # lands from every lane and no smaller g from any; and its offset is
+        # g*_PHI mod 2^64, less 2^64 exactly where L + g*_PHI passes 2^64
         def hop(g):
-            d = g * _PHI & _M64
+            d = g * _PHI % 2**64
             return d - 2**64 if d >= 2**63 else d
 
-        steps = [g for g, _ in _RETURNS]
-        assert _RETURNS == [(g, g * _PHI & _M64) for g in steps]
-        assert [g for g in range(1, steps[-1] + 1) if abs(hop(g)) <= _LANE_END] == steps
-        covered = 0  # [0, covered) lands
-        for lo, hi in sorted((max(0, -hop(g)), min(_LANE_END, _LANE_END - hop(g))) for g in steps):
-            assert lo <= covered, (lo, covered)
-            covered = max(covered, hi + 1)
-        assert covered == _LANE_END + 1
+        assert [g for g in range(1, 9) if abs(hop(g)) <= _LANE_END] == [3, 5, 8]
+        rules = [(5, _HOP_5, 0, _CUT_5), (8, _HOP_8, _CUT_5 + 1, _CUT_3 - 1), (3, _HOP_3, _CUT_3, _LANE_END)]
+        assert [lo for _, _, lo, _ in rules] == [0, *(hi + 1 for _, _, _, hi in rules[:-1])]
+        for g, offset, lo, hi in rules:
+            assert lo <= hi, g
+            assert 0 <= lo + hop(g) and hi + hop(g) <= _LANE_END, g
+            assert all(hi + hop(s) < 0 or lo + hop(s) > _LANE_END for s in range(1, g)), g
+            wraps = lo + g * _PHI % 2**64 >= 2**64
+            assert (hi + g * _PHI % 2**64 >= 2**64) == wraps, g
+            assert offset == g * _PHI % 2**64 - 2**64 * wraps, g
 
-    def test_at_most_three_candidates_per_kept_lane(self, monkeypatch):
-        # over a 100 000-sample run, each kept lane past a block's first one
-        # tries steps 3, 5, 8 in turn and one of them lands
-        tried = []
+    # the cut points written apart from the library: 3 samples on lands from
+    # 2^64 - 3*_PHI mod 2^64 up, and 5 on up to _LANE_END - 5*_PHI mod 2^64
+    @pytest.mark.parametrize("on", [
+        _M64, 0, _LANE_END - 5 * _PHI % 2**64, _LANE_END - 5 * _PHI % 2**64 + 1,
+        2**64 - 3 * _PHI % 2**64 - 1, 2**64 - 3 * _PHI % 2**64, _LANE_END, _LANE_END + 1,
+    ], ids=["0-1", "0", "cut-5", "cut-5+1", "cut-3-1", "cut-3", "lane-end", "lane-end+1"])
+    def test_a_hop_from_each_end_of_each_rule_interval(self, on):
+        # sample 1 of the block is on the lane on, and sample 0, 0.38 of the
+        # range above it, is the block's first past _LANE_END, so the walk
+        # hops from sample 1 when on <= _LANE_END: at each end of the three
+        # rule intervals, and from one lane beyond each end
+        seed = _seed_on(on, 1)
+        lanes = [_weyl_lane(seed, i) for i in range(_BLOCK)]
+        assert lanes[0] > _LANE_END and lanes[1] == on
+        assert _walk(seed, 0, _BLOCK) == _split(lanes, _LANE_END)
 
-        class Counted(list):
-            def __iter__(self):
-                tried.append(0)
-                for step in super().__iter__():
-                    tried[-1] += 1
-                    yield step
-
+    def test_a_run_keeps_the_lanes_at_or_below_lane_end(self):
+        # over a 100 000-sample run, the blocks keep exactly the lanes
+        # <= _LANE_END, and one lane past it each
         n = 100_000
         live = sum(_weyl_lane(42, i) <= _LANE_END for i in range(n))
-        monkeypatch.setattr(bounds, "_RETURNS", Counted(_RETURNS))
         kept = sum(len(_walk(42, first, min(_BLOCK, n - first))[0]) - 1 for first in range(0, n, _BLOCK))
         assert kept == live
-        # a block's first sample, when kept, needs no step; no two neighbouring
-        # samples are both kept
-        assert live - len(range(0, n, _BLOCK)) <= len(tried) <= live
-        assert sorted(Counter(tried)) == [1, 2, 3]
 
     def test_lanes_past_lane_end_have_ended(self):
         # certify lets one sample past _LANE_END stand for the rest of its
