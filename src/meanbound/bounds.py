@@ -16,11 +16,11 @@ moves strictly between its two endpoint limits: beta is approached as
 a -> b and alpha as a/b -> inf, and neither constant can be improved.
 
 This module states each reduction once as data; proof checks it exactly
-and takes both constants from the kernel's two ends.  Here they are rounded
-once, and the rest is binary64 only: the constants are recovered again (the
-limit at 0+ read off theta = 2^-27, a direct evaluation at theta_right, and
-a scan that checks the monotonicity in between) and each inequality is
-certified on deterministic samples.
+and takes both constants from the kernel's two ends, alpha rounded there
+and beta here.  The rest is binary64 only: the constants are recovered
+again (the limit at 0+ read off theta = 2^-27, a direct evaluation at
+theta_right, and a scan that checks the monotonicity in between) and each
+inequality is certified on deterministic samples.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     (so no hi and lo that meet at an end get this far), and a reduction
     unless p*h(theta) + q is (target - lo)/(hi - lo) exactly (proof's
     _reduction_holds).  The proven p*h + q falls along theta, so its two ends
-    are the constants: proof's _exact_ends gives beta = p*h(0+) + q and alpha
-    = p*h(theta_right) + q exactly, and each is rounded once here.
+    are the constants: proof's _exact_ends gives beta = p*h(0+) + q exactly, rounded
+    here, and alpha = p*h(theta_right) + q correctly rounded, or ConvergenceError.
     Each accepted reduction is computed once; a refused one is refused on every call.
     """
     _check_spec(spec)
@@ -177,7 +177,7 @@ def sharp_bounds(spec: InequalitySpec) -> SharpBounds:
     if not _reduction_holds(spec):
         raise DomainError(f"{spec.id}: p*h(theta) + q is not (target - lo)/(hi - lo) for t = {spec.theta_sub}(theta)")
     beta, alpha = _exact_ends(spec)
-    _SHARP[key] = SharpBounds(float(alpha), float(beta), _ALPHA_EXACT[codes], str(beta))
+    _SHARP[key] = SharpBounds(alpha, float(beta), _ALPHA_EXACT[codes], str(beta))
     return _SHARP[key]
 
 
@@ -195,7 +195,7 @@ def ratio(spec: InequalitySpec, pair: PositivePair) -> float:
     excesses: each mean is A*(1 + t^2*e), A the arithmetic mean, t = (1-r)/(1+r)
     and r = min(a, b)/max(a, b), so nothing cancels as a -> b.  For the seven
     SPECS it is within 16 ulp across the binary64 range, r subnormal too (worst
-    measured 8.45 ulp, thm5.2 at a/b = 1.0000283); r underflowing to 0 gives
+    measured 9.52 ulp, thm5.2 at a/b = 1.7383); r underflowing to 0 gives
     alpha, and only a == b is refused.  It reads only the spec's target, hi and
     lo, so it cannot see a crooked kernel, theta_sub, p or q; sharp_bounds and
     equivalence_check check the reduction exactly."""

@@ -1,12 +1,15 @@
 """The sharp bounds' exact side: each mean of a SPECS triple over A, and each kernel,
 as a quotient of rational polynomials in theta, sin(theta) and cos(theta), on which
-each reduction is decided, and its two ends, the sharp constants, computed exactly."""
+each reduction is decided, and its two ends, the sharp constants: beta exactly, and
+alpha rounded to binary64 once rational enclosures of pi and sqrt(2) decide it."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .kernels import H_INFO, HFunctionId
+from .errors import ConvergenceError
+from .kernels import _PI_LOW, H_INFO, HFunctionId
 from .means import MeanKind
 
 
@@ -53,10 +56,11 @@ _KERNELS_IN_THETA = {  # as kernels states them
     HFunctionId.H3: (_THETA - _S * _C, _THETA * _S * _S),
     HFunctionId.H4: ((_THETA - _S) * _C, _THETA - _S * _C),
 }
-# (theta, sin theta, cos theta) at each substitution's theta_right, on 50-digit pi and sqrt(2)
-_PI = Fraction("3.1415926535897932384626433832795028841971693993751")
-_HALF_SQRT2 = Fraction("1.4142135623730950488016887242096980785696718753769") / 2
-_RIGHT_ENDS = {"sin": (_PI / 2, Fraction(1), Fraction(0)), "tan": (_PI / 4, _HALF_SQRT2, _HALF_SQRT2)}
+# (lower, upper) (theta, sin theta, cos theta) at each substitution's theta_right, all >= 0:
+# pi is math.pi + _PI_LOW to half an ulp of _PI_LOW, sqrt(2)/2 is floor(2^64 sqrt 2)/2^65 to 2^-65
+_PI = [Fraction(math.pi) + Fraction(_PI_LOW) + side * Fraction(math.ulp(_PI_LOW)) / 2 for side in (-1, 1)]
+_HALF_SQRT2 = [Fraction(math.isqrt(2 << 128) + side, 2**65) for side in (0, 1)]
+_RIGHT_ENDS = {"sin": [(pi / 2, 1, 0) for pi in _PI], "tan": [(pi / 4, h, h) for pi, h in zip(_PI, _HALF_SQRT2)]}
 
 
 def _reduction_holds(spec) -> bool:
@@ -74,12 +78,23 @@ def _reduction_holds(spec) -> bool:
     return bool(span) and not (n_t * d_l - n_l * d_t) * d_h * d_k - (p * n_k + q * d_k) * span * d_t
 
 
-def _exact_ends(spec) -> tuple[Fraction, Fraction]:
-    """(beta, alpha) of an InequalitySpec whose reduction holds: p*h + q at 0+, from
-    H_INFO's limit_at_zero, and at theta_right, p*N/D + q on 50-digit pi and sqrt(2)."""
+def _enclose(poly: _Poly, low, high) -> tuple[Fraction, Fraction]:
+    """(lower, upper) bounds of poly on the box from low to high in (theta, s, c), all >= 0:
+    each monomial grows along the box, so its coefficient's sign picks its corner."""
+    value = lambda terms, ends: sum(coef * ends[0]**i * ends[1]**j * ends[2]**k for (i, j, k), coef in terms)
+    pos, neg = ([term for term in poly.items() if (term[1] > 0) == up] for up in (True, False))
+    return value(pos, low) + value(neg, high), value(pos, high) + value(neg, low)
+
+
+def _exact_ends(spec) -> tuple[Fraction, float]:
+    """(beta, alpha) of an InequalitySpec whose reduction holds: beta = p*h(0+) + q exactly,
+    from H_INFO's limit_at_zero, and alpha = p*N/D + q at theta_right, rounded to binary64 on
+    _RIGHT_ENDS' enclosures of N and D (D > 0 there).  p*N/D + q is monotone in N and in D,
+    so its corners bound it; ConvergenceError unless all four round to one double."""
     p, q = Fraction(spec.p), Fraction(spec.q)
     beta = p * H_INFO[spec.kernel].limit_at_zero + q
-    theta, s, c = _RIGHT_ENDS[spec.theta_sub]
-    n_k, d_k = (sum(coef * theta**i * s**j * c**k for (i, j, k), coef in poly.items())
-                for poly in _KERNELS_IN_THETA[spec.kernel])
-    return beta, p * n_k / d_k + q
+    n_k, d_k = (_enclose(poly, *_RIGHT_ENDS[spec.theta_sub]) for poly in _KERNELS_IN_THETA[spec.kernel])
+    alphas = {float(p * n / d + q) for n in n_k for d in d_k}
+    if len(alphas) != 1:
+        raise ConvergenceError(f"{spec.id}: alpha's enclosure spans {min(alphas)!r} to {max(alphas)!r}")
+    return beta, alphas.pop()

@@ -76,8 +76,9 @@ def pairs():
     so that it carries all 53 bits where it is normal; then, in both orders,
     pairs whose r underflows to 0 and pairs with a subnormal a or b; then 256
     seeded pairs b = 10^U(-300, 300), a = b*10^U(-8, 8), a != b, whose
-    r = min/max carries its own rounding, and one such pair where the
-    centroidal mean once lost 3.1 ulp."""
+    r = min/max carries its own rounding, one such pair where the
+    centroidal mean once lost 3.1 ulp, and, in both orders, the worst pairs
+    a seeded search against 80 digits found for Cbar, H, P (two) and T."""
     out = [PositivePair(a, 1.0) for a in (1.0001, 2.0, 3.0, 4.0)]
     for lo, hi, n in ((2.0**-52, 1e300, 1280), (1e-15, 1e-3, 256)):
         ln_lo, ln_hi = math.log(lo), math.log(hi)
@@ -96,4 +97,8 @@ def pairs():
         if a != b:
             out.append(PositivePair(a, b))
     out.append(PositivePair(2.4492246442172334e+62, 1.0927635268211617e+62))
+    for a, b in ((5.805149908725109, 0.29989015141093595), (29034330907.596584, 1.8536394729093315),
+                 (2.5174865850224193, 1.3699551665532188), (13.241131231118024, 48.85382045254155),
+                 (187.40979195852594, 1.6512507633357085)):
+        out += [PositivePair(a, b), PositivePair(b, a)]
     return out

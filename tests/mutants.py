@@ -144,6 +144,8 @@ MUTANTS = [
            "return (_ONE_MINUS_QUARTER_PI + (v - 2.0 * r / s)) / ((_QUARTER_PI - v) * t * t)",
            "return (_ONE_MINUS_QUARTER_PI + (v - 2.0 * r / s)) / ((_QUARTER_PI - v) * t * t) * (1 + 1e-12)",
            (_M + "TestExcesses::test_against_mpmath",)),
+    Mutant("means: 1 - pi/2 without its _PI_LOW term", "means.py",
+           "1.0 - math.pi / 2 - _PI_LOW / 2", "1.0 - math.pi / 2", (_M + "TestExcesses::test_against_mpmath",)),
     Mutant("means: the excess form off by 2^-50", "means.py",
            "return a + a * t * t * excess(r)", "return (a + a * t * t * excess(r)) * (1 + 2.0**-50)",
            (_M + "TestMeanOracle::test_eval_mean_against_mpmath[C-3.6]",
@@ -180,7 +182,21 @@ MUTANTS = [
     Mutant("proof: the exact check holds when hi - lo vanishes", "proof.py",
            "return bool(span) and not ", "return not ", (_B + "TestEquivalence::test_a_triple_of_one_mean_fails",)),
     Mutant("proof: tan's right end at pi/2", "proof.py",
-           '"tan": (_PI / 4,', '"tan": (_PI / 2,', (_B + "TestSharpBounds::test_alphas_are_correctly_rounded",)),
+           '"tan": [(pi / 4,', '"tan": [(pi / 2,', (_B + "TestSharpBounds::test_alphas_are_correctly_rounded",)),
+    Mutant("proof: alpha's rounding check skipped", "proof.py",
+           "    if len(alphas) != 1:\n", "    if False:\n",
+           (_B + "TestSharpBounds::test_an_enclosure_too_wide_to_round_alpha_is_refused[prop1.1]",
+            _B + "TestSharpBounds::test_an_enclosure_too_wide_to_round_alpha_is_refused[thm5.2]")),
+    Mutant("proof: _enclose ignoring the coefficient's sign", "proof.py",
+           "return value(pos, low) + value(neg, high), value(pos, high) + value(neg, low)",
+           "return value(pos, low) + value(neg, low), value(pos, high) + value(neg, high)",
+           (_B + "TestSharpBounds::test_enclose_splits_each_coefficient_by_sign",)),
+    Mutant("proof: pi's bracket without its half-ulp margin", "proof.py",
+           "+ side * Fraction(math.ulp(_PI_LOW)) / 2", "+ 0 * Fraction(math.ulp(_PI_LOW)) / 2",
+           (_B + "TestSharpBounds::test_each_alpha_is_decided_on_the_enclosures",)),
+    Mutant("proof: sqrt(2)'s bracket one step low", "proof.py",
+           "Fraction(math.isqrt(2 << 128) + side, 2**65)", "Fraction(math.isqrt(2 << 128) - 1 + side, 2**65)",
+           (_B + "TestSharpBounds::test_each_alpha_is_decided_on_the_enclosures",)),
     Mutant("proof: beta without q", "proof.py",
            "beta = p * H_INFO[spec.kernel].limit_at_zero + q", "beta = p * H_INFO[spec.kernel].limit_at_zero",
            (_B + "TestSharpBounds::test_symbolic_forms",)),

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -143,6 +144,47 @@ class TestSharpBounds:
             with mpmath.workdps(50):
                 exact = eval(sb.alpha_exact, {"__builtins__": {}, "pi": mpmath.pi, "sqrt2": mpmath.sqrt(2)})
                 assert float(exact) == sb.alpha, spec.id
+
+    def test_each_alpha_is_decided_on_the_enclosures(self):
+        # proof's brackets at 80 digits: pi is math.pi + _PI_LOW to half an ulp of
+        # _PI_LOW, a width of 2^-105 (2.5e-32), and sqrt(2)/2 is bracketed to a
+        # width of 2^-65 (2.7e-20).  On them each kernel's denominator is
+        # positive, the exact alpha lies in its enclosure, and both ends of the
+        # enclosure round to sharp_bounds' alpha
+        mpmath = pytest.importorskip("mpmath")
+        (pi_lo, pi_hi), (half_lo, half_hi) = proof._PI, proof._HALF_SQRT2
+        assert (pi_hi - pi_lo, half_hi - half_lo) == (Fraction(1, 2**105), Fraction(1, 2**65))
+        with mpmath.workdps(80):
+            mp = lambda x: mpmath.mpf(x.numerator) / x.denominator
+            assert mp(pi_lo) < mpmath.pi < mp(pi_hi)
+            assert mp(half_lo) < mpmath.sqrt(2) / 2 < mp(half_hi)
+            for spec in SPECS.values():
+                sb = sharp_bounds(spec)
+                (n_lo, n_hi), (d_lo, d_hi) = (proof._enclose(poly, *proof._RIGHT_ENDS[spec.theta_sub])
+                                              for poly in proof._KERNELS_IN_THETA[spec.kernel])
+                assert d_lo > 0, spec.id
+                p, q = Fraction(spec.p), Fraction(spec.q)
+                low, *_, high = sorted(p * n / d + q for n in (n_lo, n_hi) for d in (d_lo, d_hi))
+                exact = eval(sb.alpha_exact, {"__builtins__": {}, "pi": mpmath.pi, "sqrt2": mpmath.sqrt(2)})
+                assert mp(low) <= exact <= mp(high), spec.id
+                assert float(low) == float(high) == sb.alpha, spec.id
+
+    @pytest.mark.parametrize("spec_id", ["prop1.1", "thm5.2"])
+    def test_an_enclosure_too_wide_to_round_alpha_is_refused(self, monkeypatch, spec_id):
+        # pi to +-2^-40 moves each alpha by about 1e-13 of itself, hundreds of
+        # ulp: prop1.1 ends at pi/2 under sin, thm5.2 at pi/4 under tan
+        pi = sum(proof._PI) / 2
+        wide = [pi - Fraction(1, 2**40), pi + Fraction(1, 2**40)]
+        monkeypatch.setattr(proof, "_RIGHT_ENDS", {
+            "sin": [(x / 2, 1, 0) for x in wide], "tan": [(x / 4, h, h) for x, h in zip(wide, proof._HALF_SQRT2)]})
+        monkeypatch.setattr(bounds, "_SHARP", {})
+        with pytest.raises(ConvergenceError, match=rf"{re.escape(spec_id)}: alpha's enclosure spans"):
+            sharp_bounds(SPECS[spec_id])
+
+    def test_enclose_splits_each_coefficient_by_sign(self):
+        # theta - s on the unit box is -1 at (0, 1, .) and 1 at (1, 0, .): its
+        # ends sit at opposite corners, off the diagonal from low to high
+        assert proof._enclose(proof._THETA - proof._S, (0, 0, 0), (1, 1, 1)) == (-1, 1)
 
     def test_images_decrease_in_theta(self):
         # beta is the limit at 0+ and alpha the value at theta_right only
@@ -392,13 +434,15 @@ class TestRatio:
 
     def test_against_mpmath_per_decade(self):
         # the ratio of the means at 100 digits, on exact binary64 pairs with
-        # d = a/b - 1 three per decade from 2^-52 to 1e300 and on the mean
-        # oracle's whole-domain pairs, subnormal r and r == 0 among them;
+        # d = a/b - 1 three per decade from 2^-52 to 1e300, on the mean
+        # oracle's whole-domain pairs, subnormal r and r == 0 among them, and
+        # on the worst pair a seeded search against 80 digits found (thm5.2);
         # swapping a and b leaves every bit of ratio alone.  Worst measured
-        # 8 ulp here, 8.45 against the unrounded ratio (thm5.2 at a/b = 1.0000283)
+        # 10 ulp here, 9.52 against the unrounded ratio (thm5.2 at a/b = 1.7383)
         mpmath = pytest.importorskip("mpmath")
         ln_lo, ln_hi = math.log(2.0**-52), math.log(1e300)
         pairs = [PositivePair(1.0 + math.exp(ln_lo + (ln_hi - ln_lo) * i / 959), 1.0) for i in range(960)]
+        pairs.append(PositivePair(0.0660406877488134, 0.03799142142506068))
         worst = 0.0
         with mpmath.workdps(100):
             for pair in pairs + oracle.pairs():

@@ -29,7 +29,7 @@ from meanbound import (
     h_eval,
     h_limit,
 )
-from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM, _QUOT_TERMS
+from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM, _PI_LOW, _QUOT_TERMS
 
 import _oracle as oracle
 
@@ -376,3 +376,11 @@ class TestH2Oracle:
         near_tau.append(math.nextafter(math.tau, 0.0))
         assert max(ulp_error(x) for x in grid if abs(x - self.ROOT) >= 0.05) <= self.ULP_BOUND
         assert max(ulp_error(x) for x in near_tau) <= self.NEAR_TAU_ULP_BOUND
+
+
+def test_pi_low_is_the_rest_of_pi():
+    # the package's one typed digit string of pi: the series' tail bound, means'
+    # pi/2 and pi/4 constants and proof's enclosure of pi all rest on it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        assert _PI_LOW == float(mpmath.pi - math.pi)

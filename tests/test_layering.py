@@ -1,5 +1,6 @@
 """The package's imports, read from its source: the runtime needs only the
-standard library, and each module imports only from the layers below it."""
+standard library, and each module imports only from the layers below it; and
+no module types out a constant's digits."""
 
 import ast
 import re
@@ -65,3 +66,13 @@ def test_computes_in_binary64_only(module):
     # exact arithmetic lives in proof, kernels and bernoulli
     absolute, _ = _imports(Path(meanbound.__file__).parent / f"{module}.py")
     assert not absolute & {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
+def test_no_typed_digit_strings(path):
+    # pi and sqrt(2) are computed (proof's brackets from math.pi, kernels'
+    # _PI_LOW and math.isqrt), not typed: no run of 20 or more digits and no
+    # Fraction of a string literal
+    text = path.read_text()
+    assert not re.search(r"[0-9]{20,}", text)
+    assert not re.search(r"""Fraction\(\s*[rRuU]?["']""", text)
