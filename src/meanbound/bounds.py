@@ -18,9 +18,8 @@ a -> b and alpha as a/b -> inf, and neither constant can be improved.
 This module states each reduction once as data; proof checks it exactly
 and takes both constants from the kernel's two ends, alpha rounded there
 and beta here.  The rest is binary64 only: the constants are recovered
-again (the limit at 0+ read off theta = 2^-27, a direct evaluation at
-theta_right, and a scan that checks the monotonicity in between) and each
-inequality is certified on deterministic samples.
+again (the limit at 0+ read off theta = 2^-27 and a direct evaluation at
+theta_right) and each inequality is certified on deterministic samples.
 """
 
 from __future__ import annotations
@@ -236,7 +235,6 @@ def ratio_via_kernel(spec: InequalitySpec, pair: PositivePair) -> float:
 # theta = 2^-27 and 2^-26, where theta^2 <= 2^-52: h1-h4's series give h(0+) there
 _LIMIT_PROBES = (2.0**-27, 2.0**-26)
 _SETTLE_ULP = 4
-_SCAN_STEPS = 64
 
 
 def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
@@ -248,29 +246,23 @@ def numeric_extrema(spec: InequalitySpec) -> tuple[float, float]:
     with the ratio at 2^-26 to 4 ulp (on the seven SPECS the ratio moves by
     at most 1 ulp per halving of theta from 2^-26 down to 2^-44).
     theta_right lies inside the kernel's domain, so the ratio is evaluated
-    there directly.  One scan over those two probes and the grid
-    theta_right*i/64, i = 1..64, checks the monotonicity.  Agrees with
-    sharp_bounds to 1.1e-16; raises DomainError when p*h + q overflows at one
-    of those thetas, and ConvergenceError, a sign of a bug, when the limit
-    does not settle or the scan is not monotone (NaN fails both).
+    there directly: three kernel calls in all.  The monotonicity depends on
+    the kernel and theta_right alone, not on p or q (rounding is monotone),
+    so it is checked once, in the tests, on h_eval over the grid of those
+    two probes and theta_right*i/64, i = 1..64, for each kernel and each
+    theta_right (pi/2, pi/4).  Agrees with sharp_bounds to 1.1e-16; raises
+    DomainError when p*h + q overflows at one of the three thetas, and
+    ConvergenceError, a sign of a bug, when the limit does not settle (a
+    NaN at either probe does not).
     It evaluates p*h + q as given, so it recovers a crooked reduction's
     extrema; sharp_bounds and equivalence_check check the reduction exactly.
     """
     _check_spec(spec)
-    right = spec.theta_right
-    thetas = [*_LIMIT_PROBES, *(right * i / _SCAN_STEPS for i in range(1, _SCAN_STEPS + 1))]
-    values = [_kernel_ratio(spec, theta) for theta in thetas]
-    lim_left = values[0]
-    gap = abs(values[1] - lim_left)
+    lim_left, settled, right_end = (_kernel_ratio(spec, theta) for theta in (*_LIMIT_PROBES, spec.theta_right))
+    gap = abs(settled - lim_left)
     if not gap <= _SETTLE_ULP * math.ulp(lim_left):
         raise ConvergenceError(f"{spec.id}: the limit at 0+ did not settle (gap {gap:.3e} from 2^-27 to 2^-26)")
-    right_end = values[-1]  # theta_right*64/64 is theta_right exactly
     decreasing = H_INFO[spec.kernel].increasing == (spec.p < 0.0)
-    # the thetas rise (both probes lie below theta_right/64), so in this order a
-    # monotone ratio never falls along the scan
-    scan = values[::-1] if decreasing else values
-    if not all(later >= earlier for earlier, later in zip(scan, scan[1:])):
-        raise ConvergenceError(f"{spec.id}: the ratio is not {'de' if decreasing else 'in'}creasing in theta")
     return (right_end, lim_left) if decreasing else (lim_left, right_end)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Any
 
@@ -209,9 +210,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(text + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader has gone: keep the command's own exit code.  The failed
-        # write drops the buffered text, so the flush at exit raises nothing
-        pass
+        # the reader has gone: keep the command's own exit code.  The text
+        # stays in stdout's buffer, so the flush at exit would raise again;
+        # pointing stdout at devnull lets it succeed (the recipe in the
+        # signal module's documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return exit_code
 
 

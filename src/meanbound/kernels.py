@@ -86,7 +86,7 @@ class SeriesEvaluation(NamedTuple):
 
 @lru_cache(maxsize=None)
 def default_table() -> BernoulliTable:
-    """The shared table of B_2 .. B_64, built and validated on first use."""
+    """The shared table of B_2 .. B_64, built on first use."""
     return bernoulli_table(MAX_INDEX)
 
 
@@ -172,7 +172,6 @@ def _series_sum(lead: float, coeffs: tuple[float, ...], x_first: float, x_step: 
     acc = lead
     xp = x_first
     used = 0
-    bound = 0.0
     for c in coeffs:
         term = c * xp
         bound = abs(term)

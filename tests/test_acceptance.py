@@ -227,7 +227,7 @@ def test_criterion_8_series_fidelity(capsys):
         fd = (cot_series(x - step).value - cot_series(x + step).value) / (2 * step)
         worst_fd = max(worst_fd, abs(csc_sq_series(x).value - fd))
 
-    table = bernoulli_table(64)  # construction runs the sign and zeta cross-checks
+    table = bernoulli_table(64)  # the signs and zeta magnitudes are checked here, not in construction
     signs_ok = all((-1) ** (n - 1) * table.b2n(n) > 0 for n in range(1, 33))
     zeta_gap = max(
         abs(table.abs_b2n_float(n) - 2 * math.factorial(2 * n) * z / (2 * math.pi) ** (2 * n))

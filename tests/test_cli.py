@@ -11,6 +11,8 @@ from meanbound import bounds, cli
 from meanbound.bounds import certify, sharp_bounds
 from meanbound.cli import main
 
+from _child import child_env
+
 P_2_1_REPR = "1.4712939827611637"  # repr of eval_mean(SEIFFERT_P, (2, 1))
 
 
@@ -287,9 +289,7 @@ class TestModuleEntryPoint:
         ("hfun", "--id", "h1", "--x", "4.0"),
     ])
     def test_matches_in_process_main(self, capsys, argv):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-m", "meanbound", *argv], env=env,
+        done = subprocess.run([sys.executable, "-m", "meanbound", *argv], env=child_env(),
                               capture_output=True, text=True, timeout=60)
         code, out, _ = run_cli(capsys, *argv)
         assert (done.returncode, done.stdout) == (code, out)
@@ -303,10 +303,9 @@ class TestModuleEntryPoint:
          "569fa1844bb15f8d821de4ad5162f74bbf98f4aa3f0ddbd41cc07503ba9d269d"),
     ], ids=["certify", "bounds-table"])
     def test_stdout_is_independent_of_the_hash_seed(self, argv, digest):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
         outs = [
             subprocess.run([sys.executable, "-m", "meanbound", *argv], capture_output=True, check=True,
-                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}, timeout=60).stdout
+                           env=child_env(PYTHONHASHSEED=seed), timeout=60).stdout
             for seed in ("0", "4242")
         ]
         assert outs[0] == outs[1]
@@ -322,13 +321,12 @@ class TestModuleEntryPoint:
     def test_closed_stdout_exits_quietly(self, capsys, argv):
         # stdout is a pipe whose reader has already gone, as under `| head`
         # once head has exited, for each of the five commands: no traceback,
-        # and the command's own exit code
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
+        # and the command's own exit code.  The child buffers stdout, as
+        # Python does by default, so the text is still held at exit
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run([sys.executable, "-m", "meanbound", *argv], env=env, stdout=write_end,
+            done = subprocess.run([sys.executable, "-m", "meanbound", *argv], env=child_env(), stdout=write_end,
                                   stderr=subprocess.PIPE, text=True, timeout=60)
         finally:
             os.close(write_end)

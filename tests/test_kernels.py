@@ -1,5 +1,4 @@
 import math
-import os
 import re
 import subprocess
 import sys
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-import meanbound
 from meanbound import (
     H_INFO,
     X_SWITCH,
@@ -32,6 +30,7 @@ from meanbound import (
 from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM, _PI_LOW, _QUOT_TERMS
 
 import _oracle as oracle
+from _child import child_env
 
 H1, H2, H3, H4 = HFunctionId.H1, HFunctionId.H2, HFunctionId.H3, HFunctionId.H4
 
@@ -306,11 +305,9 @@ class TestDefaultTable:
 
     def test_import_leaves_table_unbuilt(self):
         # the table is built on first use; building it at import would tax every CLI call
-        src = os.path.dirname(os.path.dirname(meanbound.__file__))
         code = "import meanbound.cli, meanbound.kernels as k; print(k.default_table.cache_info().currsize)"
-        env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True, timeout=60
         )
         assert out.stdout.strip() == "0"
 
