@@ -5,24 +5,23 @@ seven inequalities with their sharp constants), ``certify`` (sample-based
 certification), ``series`` (exact series coefficients), and ``hfun``
 (kernel evaluation).  Exit codes: 0 success, 1 certification violations,
 2 usage or domain errors.  Output is deterministic: rerunning a command
-with the same arguments is byte-identical.  Only ``bounds-table`` and
-``certify`` import ``bounds``.  ``main`` builds one parser per subcommand,
-on that subcommand's first call, and reuses it for every later call in the
-process.
+with the same arguments is byte-identical.  A command imports the modules
+it runs as it runs: ``mean`` loads ``means`` but not ``kernels``, ``hfun``
+and ``series`` the reverse, and only ``bounds-table`` and ``certify`` load
+``bounds``.  ``main`` builds one parser per subcommand, on its first call,
+and reuses it for every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import os
 import sys
 from typing import Any
 
 from .errors import DomainError, MeanBoundError
-from .kernels import _SERIES_COEFFICIENTS, HFunctionId, h_eval
-from .kernels import default_table  # noqa: F401  (unused; perfbench/tracing.py wraps it)
-from .means import MeanKind, PositivePair, eval_mean
 
 __all__ = ["main"]
 
@@ -47,12 +46,16 @@ _CERTIFY_COLUMNS = (
 
 
 def _cmd_mean(args: argparse.Namespace) -> _Result:
+    from .means import MeanKind, PositivePair, eval_mean
+
     value = eval_mean(MeanKind(args.kind), PositivePair(args.a, args.b))
     inputs = {"kind": args.kind, "a": args.a, "b": args.b}
     return inputs, [{**inputs, "value": value}], [repr(value)], 0
 
 
 def _cmd_hfun(args: argparse.Namespace) -> _Result:
+    from .kernels import HFunctionId, h_eval
+
     value = h_eval(HFunctionId(args.id), args.x)
     inputs = {"id": args.id, "x": args.x}
     return inputs, [{**inputs, "value": value}], [repr(value)], 0
@@ -103,6 +106,8 @@ def _cmd_certify(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_series(args: argparse.Namespace) -> _Result:
+    from .kernels import _SERIES_COEFFICIENTS
+
     if not 1 <= args.order <= _SERIES_MAX_ORDER:
         raise DomainError(f"--order must be in [1, {_SERIES_MAX_ORDER}], got {args.order}")
     coefficients = _SERIES_COEFFICIENTS[args.fn](args.order)
@@ -119,6 +124,8 @@ def _cmd_series(args: argparse.Namespace) -> _Result:
 
 
 def _mean_arguments(parser: argparse.ArgumentParser) -> None:
+    from .means import MeanKind
+
     parser.add_argument("--kind", required=True, choices=sorted(kind.value for kind in MeanKind),
                         help="mean to evaluate")
     parser.add_argument("--a", required=True, type=float)
@@ -137,12 +144,16 @@ def _certify_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _series_arguments(parser: argparse.ArgumentParser) -> None:
+    from .kernels import _SERIES_COEFFICIENTS
+
     parser.add_argument("--fn", required=True, choices=sorted(_SERIES_COEFFICIENTS))
     parser.add_argument("--order", required=True, type=int,
                         help=f"number of coefficients, 1..{_SERIES_MAX_ORDER}")
 
 
 def _hfun_arguments(parser: argparse.ArgumentParser) -> None:
+    from .kernels import HFunctionId
+
     parser.add_argument("--id", required=True, choices=[f.value for f in HFunctionId])
     parser.add_argument("--x", required=True, type=float)
 
@@ -218,11 +229,13 @@ def main(argv: list[str] | None = None) -> int:
     return exit_code
 
 
-def __getattr__(name: str):
-    # perfbench/tracing.py wraps cli.certify by name, though no command calls
-    # it; this goes with ROADMAP item 7 once item 1b retargets the tracer
-    if name == "certify":
-        from .bounds import certify
+# perfbench/tracing.py wraps these names on cli, though no command calls them
+# through cli; this goes with ROADMAP item 7 once item 1b retargets the tracer
+_TRACED = {"certify": "bounds", "PositivePair": "means", "eval_mean": "means", "h_eval": "kernels",
+           "default_table": "kernels"}
 
-        return certify
+
+def __getattr__(name: str):
+    if name in _TRACED:
+        return getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 from .bernoulli import MAX_INDEX, BernoulliTable, bernoulli_table
 from .errors import DomainError
+from .maclaurin import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM, _PI_LOW
 
 __all__ = [
     "HFunctionId",
@@ -67,7 +68,6 @@ X_SWITCH = 0.5
 # omitted tail is single-signed, so it exceeds its first term; how far is
 # bounded in _tail_bound.
 _REL_STOP = 1e-18
-_PI_LOW = 1.2246467991473532e-16  # pi - math.pi
 
 
 class SeriesEvaluation(NamedTuple):
@@ -304,37 +304,6 @@ def _h4_direct(x: float) -> float:
     s = math.sin(x)
     c = math.cos(x)
     return (x - s) * c / (x - s * c)
-
-
-# Maclaurin coefficients (exact, converted once) for the quotient forms of
-# h2 and h4 below X_SWITCH, all by one rule:
-#     sin x - x cos x  = sum_k (-1)^(k+1) 2k      x^(2k+1) / (2k+1)!
-#     x (1 - cos x)    = sum_k (-1)^(k+1) (2k+1)  x^(2k+1) / (2k+1)!
-#     x - sin x        = sum_k (-1)^(k+1)         x^(2k+1) / (2k+1)!
-#     x - sin x cos x  = sum_k (-1)^(k+1) 2^(2k)  x^(2k+1) / (2k+1)!
-# The common x^3 factor cancels in each quotient.  Each table alternates in
-# sign, and in w = x^2 <= 1/4 its term k + 1 over term k is at most
-# 4w/((2k+2)(2k+3)) <= 1/20, since c(k+1)/c(k) <= 4 for all four rules: the
-# terms fall from the first on, so the first omitted one bounds the
-# truncation.  At x = X_SWITCH, where that term is largest and each sum
-# smallest, it is below 2^-60 of its table's sum (a test checks this on the
-# exact coefficients), so the omitted terms move no bit.  8 terms (9 of
-# _H4_DEN) would meet that bound at 1/2; a switch at 1 (the direct forms
-# lose up to 17 ulp on [1/2, 1)) would need 12.  _quotient_sums sums
-# a pair of tables by straight-line Horner, innermost term first; means
-# takes the P and T excess series as prefixes of _H4_NUM and _H2_NUM.
-_QUOT_TERMS = 10
-
-
-def _maclaurin(c: Callable[[int], int]) -> tuple[float, ...]:
-    return tuple(float(Fraction((-1) ** (k + 1) * c(k), math.factorial(2 * k + 1)))
-                 for k in range(1, _QUOT_TERMS + 1))
-
-
-_H2_NUM = _maclaurin(lambda k: 2 * k)
-_H2_DEN = _maclaurin(lambda k: 2 * k + 1)
-_H4_NUM = _maclaurin(lambda k: 1)
-_H4_DEN = _maclaurin(lambda k: 4**k)
 
 
 def _h1_series(x: float) -> float:

@@ -18,7 +18,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import DegeneratePairError, DomainError
-from .kernels import _H2_NUM, _H4_NUM, _PI_LOW
+from .maclaurin import _H2_NUM, _H4_NUM, _PI_LOW
 
 __all__ = [
     "MeanKind",

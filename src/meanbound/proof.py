@@ -9,7 +9,8 @@ import math
 from fractions import Fraction
 
 from .errors import ConvergenceError
-from .kernels import _PI_LOW, H_INFO, HFunctionId
+from .kernels import H_INFO, HFunctionId
+from .maclaurin import _PI_LOW
 from .means import MeanKind
 
 

@@ -127,6 +127,9 @@ MUTANTS = [
     Mutant("kernels: HFunctionId hashed by name", "kernels.py",
            "    __hash__ = object.__hash__  # an identity hash, as means.MeanKind's, for C-speed lookups\n", "",
            (_B + "TestKindKeys::test_dispatch_calls_no_enum_hash",)),
+    Mutant("means: its Maclaurin tables taken from kernels", "means.py",
+           "from .maclaurin import _H2_NUM, _H4_NUM, _PI_LOW", "from .kernels import _H2_NUM, _H4_NUM, _PI_LOW",
+           (_C + "TestImportFootprint::test_each_command_loads_only_what_it_runs[mean]",)),
     Mutant("means: MeanKind hashed by name", "means.py",
            "    __hash__ = object.__hash__\n", "", (_B + "TestKindKeys::test_dispatch_calls_no_enum_hash",)),
     Mutant("means: P's excess times 1 + 1e-11 for t >= 0.9", "means.py",
@@ -320,9 +323,13 @@ MUTANTS = [
     Mutant("cli: an unknown attribute not refused", "cli.py",
            '    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")\n', "    pass\n",
            ("tests/test_api.py::test_unknown_attributes_are_refused[meanbound.cli]",)),
-    Mutant("cli: every attribute served as bounds.certify", "cli.py",
-           '    if name == "certify":\n', "    if True:\n",
+    Mutant("cli: every attribute served as a traced name", "cli.py",
+           "    if name in _TRACED:\n", "    if True:\n",
            ("tests/test_api.py::test_unknown_attributes_are_refused[meanbound.cli]",)),
+    Mutant("cli: means imported at the top", "cli.py",
+           "from .errors import DomainError, MeanBoundError\n",
+           "from .errors import DomainError, MeanBoundError\nfrom .means import MeanKind  # noqa: F401\n",
+           (_C + "TestImportFootprint::test_each_command_loads_only_what_it_runs[hfun]",)),
     Mutant("cli: series orders up to 32", "cli.py",
            "_SERIES_MAX_ORDER = 16", "_SERIES_MAX_ORDER = 32", (_C + "TestSeriesCommand::test_order_out_of_range",)),
     Mutant("cli: JSON schema version 2", "cli.py",
@@ -331,7 +338,7 @@ MUTANTS = [
            '        value.append("__version__")\n', "", ("tests/test_api.py::test_public_names_are_pinned",)),
     Mutant("__init__: meanbound.cli found by searching every module", "__init__.py",
            'if name in _MODULES or name == "cli":', "if name in _MODULES:",
-           (_C + "TestImportFootprint::test_only_bounds_commands_load_bounds",)),
+           (_C + "TestImportFootprint::test_each_command_loads_only_what_it_runs",)),
     Mutant("__init__: an unknown attribute not refused", "__init__.py",
            '            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")\n', "            pass\n",
            ("tests/test_api.py::test_unknown_attributes_are_refused[meanbound]",)),

@@ -259,19 +259,30 @@ print("json" in sys.modules)
         assert lines[:3] == [P_2_1_REPR, "0.7134834077705436", "[]"]
         assert lines[-1] == "True"
 
-    # bounds is the largest module; only the two commands that state or
-    # check the inequalities import it
-    @pytest.mark.parametrize("argv, loads_bounds", [
-        (["series", "--fn", "h1", "--order", "3"], False),
-        (["hfun", "--id", "h3", "--x", "0.7"], False),
-        (["mean", "--kind", "P", "--a", "2", "--b", "1"], False),
-        (["bounds-table", "--format", "csv"], True),
-        (["certify", "--id", "prop1.1", "--samples", "10"], True),
-    ], ids=lambda v: v[0] if isinstance(v, list) else None)
-    def test_only_bounds_commands_load_bounds(self, argv, loads_bounds):
-        lines = _fresh_interpreter(f"from meanbound import cli\ncli.main({argv!r})\n"
-                                   f"print('meanbound.bounds' in sys.modules)")
-        assert lines[-1] == str(loads_bounds)
+    # Each call compiles every module it imports, so a command loads only
+    # what it runs: `mean` loads means and not kernels; `hfun` and `series`
+    # load kernels and its Bernoulli table (with fractions and decimal) and
+    # not means; only the two commands that state or check the inequalities
+    # load bounds, the largest module.  Each row: argv, and the meanbound
+    # modules it loads besides cli, errors and maclaurin
+    _WITH_BOUNDS = ("bernoulli", "bounds", "kernels", "means", "proof")
+    FOOTPRINTS = [
+        (["series", "--fn", "h1", "--order", "3"], ("bernoulli", "kernels")),
+        (["hfun", "--id", "h3", "--x", "0.7"], ("bernoulli", "kernels")),
+        (["mean", "--kind", "P", "--a", "2", "--b", "1"], ("means",)),
+        (["bounds-table", "--format", "csv"], _WITH_BOUNDS),
+        (["certify", "--id", "prop1.1", "--samples", "10"], _WITH_BOUNDS),
+    ]
+
+    @pytest.mark.parametrize("argv, loads", FOOTPRINTS, ids=[argv[0] for argv, _ in FOOTPRINTS])
+    def test_each_command_loads_only_what_it_runs(self, argv, loads):
+        lines = _fresh_interpreter(
+            f"from meanbound import cli\ncli.main({argv!r})\n"
+            "print(sorted(name for name in sys.modules if name.startswith('meanbound.')))\n"
+            "print('fractions' in sys.modules, 'decimal' in sys.modules)")
+        exact = "kernels" in loads
+        assert lines[-2:] == [str(sorted(f"meanbound.{name}" for name in ("cli", "errors", "maclaurin", *loads))),
+                              f"{exact} {exact}"]
 
     def test_dir_lists_every_public_name(self):
         lines = _fresh_interpreter("import meanbound\nlisted = set(dir(meanbound))\n"

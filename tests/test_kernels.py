@@ -27,7 +27,7 @@ from meanbound import (
     h_eval,
     h_limit,
 )
-from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM, _PI_LOW, _QUOT_TERMS
+from meanbound.maclaurin import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM, _PI_LOW, _QUOT_TERMS
 
 import _oracle as oracle
 from _child import child_env

@@ -17,10 +17,11 @@ SOURCES = sorted(Path(meanbound.__file__).parent.glob("*.py"))
 FLOOR = tuple(map(int, re.search(
     r'requires-python = ">=(\d+)\.(\d+)"', (Path(__file__).parents[1] / "pyproject.toml").read_text()).groups()))
 
-# lowest first: a module may import only modules listed before it, so kernels,
-# which holds the sin/cos Maclaurin tables, imports nothing from means, proof,
-# bounds or cli
-LAYERS = ("errors", "bernoulli", "kernels", "means", "proof", "bounds", "cli", "__main__", "__init__")
+# lowest first: a module may import only modules listed before it, so
+# maclaurin, which holds the sin/cos Maclaurin tables that kernels and means
+# share, imports neither bernoulli nor kernels, and kernels nothing from
+# means, proof, bounds or cli
+LAYERS = ("errors", "maclaurin", "bernoulli", "kernels", "means", "proof", "bounds", "cli", "__main__", "__init__")
 
 
 def _imports(path):
@@ -61,16 +62,17 @@ def test_compiles_without_warnings(path):
     compile(path.read_text(), str(path), "exec")
 
 
-@pytest.mark.parametrize("module", ["means", "bounds"])
+@pytest.mark.parametrize("module", ["maclaurin", "means", "bounds"])
 def test_computes_in_binary64_only(module):
-    # exact arithmetic lives in proof, kernels and bernoulli
+    # exact arithmetic lives in proof, kernels and bernoulli; `mean` loads
+    # maclaurin and means, so they pull in neither fractions nor decimal
     absolute, _ = _imports(Path(meanbound.__file__).parent / f"{module}.py")
     assert not absolute & {"fractions", "decimal"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
 def test_no_typed_digit_strings(path):
-    # pi and sqrt(2) are computed (proof's brackets from math.pi, kernels'
+    # pi and sqrt(2) are computed (proof's brackets from math.pi, maclaurin's
     # _PI_LOW and math.isqrt), not typed: no run of 20 or more digits and no
     # Fraction of a string literal
     text = path.read_text()

@@ -16,7 +16,8 @@ from meanbound import (
     half_sum_ratio,
     seiffert_p_arctan_form,
 )
-from meanbound.kernels import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM, _h2_series, _h4_series
+from meanbound.kernels import _h2_series, _h4_series
+from meanbound.maclaurin import _H2_DEN, _H2_NUM, _H4_DEN, _H4_NUM
 from meanbound.means import (
     _EXCESS_CUTOFF,
     _EXCESSES,

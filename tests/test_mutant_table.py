@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_each_old_text_occurs_once_in_its_file():
-    assert len(MUTANTS) >= 85  # the table's size: a mutant is re-pointed, never deleted
+    assert len(MUTANTS) >= 87  # the table's size: a mutant is re-pointed, never deleted
     assert {m.file for m in MUTANTS} == {
         "__init__.py", "bernoulli.py", "kernels.py", "means.py", "proof.py", "bounds.py", "cli.py"}
     for mutant in MUTANTS:
